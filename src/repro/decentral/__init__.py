@@ -2,8 +2,10 @@
 
 Per-processor deques of typed tasks, random-victim stealing, and
 decentralized variants of the paper's schedulers (DKGreedy, DMQB).  See
-:mod:`repro.decentral.engine` for the execution model and the
-degenerate-limit identity that anchors correctness.
+:mod:`repro.decentral.engine` for the execution model.  The degenerate
+policy (one shared pool per type, free steals) is plain list
+scheduling, so it runs :func:`repro.sim.engine.simulate` itself and is
+identical to the centralized schedulers by construction.
 """
 
 from repro.decentral.engine import dispatch_simulate, simulate_decentralized

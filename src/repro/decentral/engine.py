@@ -10,21 +10,21 @@ type as its completing parent lands in the completing processor's deque
 (chain locality); cross-type children and sources are spread
 round-robin over the target type's processors.
 
-Two loop variants share this module:
+Two policies share this module:
 
 * **Degenerate limit** (``StealPolicy(victims="global", cost=0)``): all
   same-type deques merge into one shared pool, which is exactly the
-  centralized model — so the loop *is* ``simulate()``'s loop, driving
-  the scheduler through the standard ``assign`` protocol.  For DKGreedy
-  that protocol is KGreedy's and for DMQB it is MQB's, which makes the
-  degenerate limit bit-identical (makespan, trace, decision counts) to
-  the centralized engine — the correctness anchor mirrored from the
-  faults subsystem's λ=0 identity and asserted in CI
-  (``scripts/check_decentral_identity.py``).  Steal accounting still
-  runs (under enabled telemetry only): starting a task on a processor
-  other than the deque it would have occupied counts as a zero-cost
-  steal from the shared pool.
-* **Stealing loop** (``victims="random"``): true per-processor deques.
+  centralized model — so the run *is* :func:`~repro.sim.engine.simulate`,
+  driving the scheduler through the standard ``assign`` protocol.  For
+  DKGreedy that protocol is KGreedy's and for DMQB it is MQB's, so the
+  degenerate limit is bit-identical (makespan, trace, decision counts)
+  to the centralized engine by construction.  Steal accounting runs
+  afterwards, under enabled telemetry only, from the run's trace:
+  starting a task on a processor other than the deque it would have
+  occupied counts as a zero-cost steal from the shared pool.
+* **Stealing loop** (``victims="random"``): true per-processor deques,
+  in a loop of its own (each processor pulls from its own deque through
+  ``pick_local``; there is no ``assign`` round).
   The event heap holds completion events and — when ``cost > 0`` —
   steal-resolution events; a globally unique push sequence keeps heap
   order deterministic.  All victim randomness comes from the single
@@ -39,6 +39,7 @@ enabled or disabled — victim draws never branch on observability.
 from __future__ import annotations
 
 import heapq
+from dataclasses import replace
 from time import perf_counter
 
 import numpy as np
@@ -115,187 +116,86 @@ def simulate_decentralized(
             "simulate_decentralized needs a decentralized scheduler "
             f"(dkgreedy/dmqb family), got {getattr(scheduler, 'name', scheduler)!r}"
         )
-    obs = telemetry if (telemetry is not None and telemetry.enabled) else None
-    scheduler.attach_telemetry(obs)
     if rng is None:
         rng = np.random.default_rng(0)
+    obs = telemetry if (telemetry is not None and telemetry.enabled) else None
+    if scheduler.steal_policy.is_degenerate:
+        res = simulate(
+            job, resources, scheduler, rng=rng,
+            record_trace=record_trace or obs is not None, telemetry=telemetry,
+        )
+        if obs is None:
+            return res
+        _degenerate_steals(job, resources, res, obs)
+        return res if record_trace else replace(res, trace=None)
+    scheduler.attach_telemetry(obs)
     if obs is None:
         scheduler.prepare(job, resources, rng)
     else:
         _t0 = perf_counter()
         scheduler.prepare(job, resources, rng)
         obs.add_time("phase.prepare", perf_counter() - _t0)
-    if scheduler.steal_policy.is_degenerate:
-        return _run_degenerate(job, resources, scheduler, record_trace, obs)
     return _run_stealing(job, resources, scheduler, rng, record_trace, obs)
 
 
-def _finish_obs(obs, scheduler, n, decisions, seq, heap_peak, busy, makespan, t_loop):
-    """Common end-of-run telemetry for both loop variants."""
-    obs.add_time("phase.engine_loop", perf_counter() - t_loop)
-    obs.inc("engine.runs")
+def _finish_obs(obs, busy, makespan):
+    """Telemetry both policies add to the engine's own."""
     obs.inc("decentral.runs")
-    obs.inc("engine.tasks", n)
-    obs.inc("engine.decisions", decisions)
-    obs.inc("engine.events_pushed", seq)
-    obs.observe("engine.heap_peak", heap_peak)
     for per_type in busy:
         for b in per_type:
             obs.observe("decentral.proc_idle", makespan - b)
 
 
-def _run_degenerate(job, resources, scheduler, record_trace, obs):
-    """Centralized limit: ``simulate()``'s loop plus steal accounting.
+def _degenerate_steals(job, resources, result, obs):
+    """Steal accounting of a shared-pool run, replayed from its trace.
 
-    The control flow below replicates :func:`repro.sim.engine.simulate`
-    statement for statement (same decision condition, same heap tuples,
-    same push sequence), which is what the bit-identity guard leans on.
-    The only additions are obs-gated: home-deque tracking so shared-pool
-    dispatches that cross processors count as zero-cost steals, and
-    per-processor busy accumulation for the idle histogram.
+    ``home[v]`` is the deque task ``v`` would occupy under the
+    decentralized placement rule: sources and cross-type children
+    spread round-robin over their type's processors, and a same-type
+    child stays on its parent's processor.  ``simulate()`` readies the
+    sources in order, then each completing task's children in child
+    order, with completions popping in (finish, dispatch) order; trace
+    segments are in dispatch order.
     """
-    k = job.num_types
-    n = job.n_tasks
     types = job.types.tolist()
     work = job.work.tolist()
     child_ptr = job.child_ptr.tolist()
     child_idx = job.child_idx.tolist()
-
     indeg = job.in_degrees().tolist()
-    state = [0] * n  # 0 pending, 1 ready, 2 running, 3 done
-    free = list(resources.counts)
-    free_procs: list[list[int]] = [list(range(c - 1, -1, -1)) for c in resources.counts]
-    trace = ScheduleTrace() if record_trace else None
+    counts = resources.counts
+    segments = result.trace.segments
+    home = [0] * job.n_tasks
+    spread = [0] * job.num_types
+    for v in job.sources().tolist():
+        alpha = types[v]
+        home[v] = spread[alpha] % counts[alpha]
+        spread[alpha] += 1
+    for i in sorted(range(len(segments)), key=lambda i: (segments[i].end, i)):
+        seg = segments[i]
+        for ei in range(child_ptr[seg.task], child_ptr[seg.task + 1]):
+            ci = child_idx[ei]
+            indeg[ci] -= 1
+            if indeg[ci] == 0:
+                ca = types[ci]
+                if ca == seg.alpha:
+                    home[ci] = seg.proc
+                else:
+                    home[ci] = spread[ca] % counts[ca]
+                    spread[ca] += 1
 
-    # Steal accounting (observability only — placement has no effect on
-    # behavior in the shared-pool limit): home[v] is the deque task v
-    # would occupy under the decentralized placement rule.
-    home = [0] * n if obs is not None else None
-    spread = [0] * k
-    busy = [[0.0] * c for c in resources.counts] if obs is not None else None
-
-    events: list[tuple[float, int, int, int]] = []
-    seq = 0
-    n_ready = 0
-    completed = 0
-    decisions = 0
-    now = 0.0
-    makespan = 0.0
-
-    for v in job.sources():
-        vi = int(v)
-        state[vi] = 1
-        n_ready += 1
-        scheduler.task_ready(vi, now, work[vi])
-        if home is not None:
-            alpha = types[vi]
-            home[vi] = spread[alpha] % resources.counts[alpha]
-            spread[alpha] += 1
-
-    assign = scheduler.assign if obs is None else scheduler.on_decision
-    heap_peak = 0
-    _t_loop = perf_counter() if obs is not None else 0.0
-
-    heappush, heappop = heapq.heappush, heapq.heappop
-    while completed < n:
-        if n_ready and any(
-            free[a] and scheduler.pending(a) for a in range(k)
-        ):
-            decisions += 1
-            chosen = assign(free, now)
-            counts_this_round = [0] * k
-            for task in chosen:
-                if state[task] != 1:
-                    raise SchedulingError(
-                        f"{scheduler.name} started task {task} in state "
-                        f"{state[task]} (not ready)"
-                    )
-                alpha = types[task]
-                counts_this_round[alpha] += 1
-                if counts_this_round[alpha] > free[alpha]:
-                    raise SchedulingError(
-                        f"{scheduler.name} oversubscribed type {alpha} "
-                        f"({counts_this_round[alpha]} > {free[alpha]} free)"
-                    )
-                state[task] = 2
-                n_ready -= 1
-                proc = free_procs[alpha].pop()
-                finish = now + work[task]
-                heappush(events, (finish, seq, task, proc))
-                seq += 1
-                if trace is not None:
-                    trace.add(task, alpha, proc, now, finish)
-                if obs is not None:
-                    busy[alpha][proc] += work[task]
-                    obs.emit(SLICE, now, task=task, alpha=alpha, proc=proc,
-                             end=finish)
-                    if home[task] != proc:
-                        obs.inc("steal.attempts")
-                        obs.inc("steal.successes")
-                        obs.inc("steal.tasks_moved")
-                        obs.emit(STEAL, now, alpha=alpha, thief=proc,
-                                 victim=home[task], n=1, ok=True)
-            for alpha, c in enumerate(counts_this_round):
-                free[alpha] -= c
-            if obs is not None:
-                obs.emit(DECISION, now, n=len(chosen))
-                if len(events) > heap_peak:
-                    heap_peak = len(events)
-
-        if obs is not None:
-            obs.emit(
-                SAMPLE, now,
-                ready=[scheduler.pending(a) for a in range(k)],
-                free=list(free),
-            )
-
-        if not events:
-            raise SchedulingError(
-                f"{scheduler.name} stalled at t={now}: {n_ready} ready, "
-                f"{n - completed} unfinished, nothing running"
-            )
-
-        now = events[0][0]
-        while events and events[0][0] == now:
-            _, _, task, proc = heappop(events)
-            state[task] = 3
-            completed += 1
-            alpha = types[task]
-            free[alpha] += 1
-            free_procs[alpha].append(proc)
-            makespan = now
-            if obs is not None:
-                obs.emit(COMPLETE, now, task=task, alpha=alpha, proc=proc)
-            scheduler.task_finished(task, now)
-            for ei in range(child_ptr[task], child_ptr[task + 1]):
-                ci = child_idx[ei]
-                left = indeg[ci] - 1
-                indeg[ci] = left
-                if left == 0:
-                    state[ci] = 1
-                    n_ready += 1
-                    scheduler.task_ready(ci, now, work[ci])
-                    if home is not None:
-                        ca = types[ci]
-                        if ca == alpha:
-                            home[ci] = proc
-                        else:
-                            home[ci] = spread[ca] % resources.counts[ca]
-                            spread[ca] += 1
-
-    if obs is not None:
-        _finish_obs(obs, scheduler, n, decisions, seq, heap_peak, busy,
-                    makespan, _t_loop)
-
-    return ScheduleResult(
-        makespan=makespan,
-        scheduler=scheduler.name,
-        job=job,
-        resources=resources,
-        preemptive=False,
-        trace=trace,
-        decisions=decisions,
-    )
+    busy = [[0.0] * c for c in counts]
+    steals = 0
+    for seg in segments:
+        busy[seg.alpha][seg.proc] += work[seg.task]
+        if home[seg.task] != seg.proc:
+            steals += 1
+            obs.emit(STEAL, seg.start, alpha=seg.alpha, thief=seg.proc,
+                     victim=home[seg.task], n=1, ok=True)
+    if steals:
+        obs.inc("steal.attempts", steals)
+        obs.inc("steal.successes", steals)
+        obs.inc("steal.tasks_moved", steals)
+    _finish_obs(obs, busy, result.makespan)
 
 
 def _run_stealing(job, resources, scheduler, rng, record_trace, obs):
@@ -493,8 +393,13 @@ def _run_stealing(job, resources, scheduler, rng, record_trace, obs):
                 free_procs[alpha].append(thief)
 
     if obs is not None:
-        _finish_obs(obs, scheduler, n, decisions, seq, heap_peak, busy,
-                    makespan, _t_loop)
+        obs.add_time("phase.engine_loop", perf_counter() - _t_loop)
+        obs.inc("engine.runs")
+        obs.inc("engine.tasks", n)
+        obs.inc("engine.decisions", decisions)
+        obs.inc("engine.events_pushed", seq)
+        obs.observe("engine.heap_peak", heap_peak)
+        _finish_obs(obs, busy, makespan)
 
     return ScheduleResult(
         makespan=makespan,

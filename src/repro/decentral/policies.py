@@ -10,8 +10,8 @@ Scheduling"):
   an ``alpha``-processor can only ever run ``alpha``-tasks, so victim
   sets never cross types).  ``"global"`` is the degenerate limit: all
   same-type deques merge into one shared pool, which together with zero
-  steal cost reproduces the centralized engine bit-for-bit (the
-  correctness anchor asserted in CI).
+  steal cost is the centralized engine: such runs go through
+  :func:`repro.sim.engine.simulate` itself.
 * ``amount`` — ``"one"`` takes the oldest queued task from the victim;
   ``"half"`` takes the older half (``ceil(m/2)``, FIFO order
   preserved), the classic steal-half variant.

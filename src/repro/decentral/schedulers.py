@@ -16,9 +16,10 @@ things on top of the standard event protocol:
   state consistent).
 
 In the degenerate limit (``StealPolicy(victims="global", cost=0)``) the
-engine instead drives the standard ``assign`` protocol, which for
-DKGreedy *is* KGreedy and for DMQB *is* MQB — that is what makes the
-centralized limit bit-identical, not an approximate re-derivation.
+run is :func:`repro.sim.engine.simulate`, which drives the standard
+``assign`` protocol — for DKGreedy that *is* KGreedy and for DMQB it
+*is* MQB, so the centralized limit is the centralized engine, not an
+approximate re-derivation.
 
 Global knowledge boundary: DKGreedy stays fully local (FIFO by ready
 sequence).  DMQB keeps the O(K) aggregate queue-work vector ``l`` and
@@ -92,7 +93,7 @@ class DKGreedy(DecentralScheduler, KGreedy):
 
     def task_started(self, task: int, time: float) -> None:
         # The KGreedy heaps are only consumed by the centralized
-        # (degenerate-limit) path; the decentralized loop tracks
+        # (degenerate-limit) runs; the decentralized loop tracks
         # membership in its own deques, so stale heap entries are never
         # observed and nothing needs removing here.
         pass
@@ -136,7 +137,8 @@ class DMQB(DecentralScheduler, MQB):
 
     def task_started(self, task: int, time: float) -> None:
         # Keep the aggregate queue-work vector (and the pool buffers the
-        # degenerate path scores from) consistent with the deques.
+        # centralized assign protocol scores from) consistent with the
+        # deques.
         self._pop(int(self.job.types[task]), task)
 
 

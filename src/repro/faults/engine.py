@@ -1,8 +1,8 @@
 """Fault-aware non-preemptive simulation: FAIL/REPAIR events.
 
-This engine extends the event-heap structure of
-:mod:`repro.sim.engine` with two new event kinds driven by a
-:class:`~repro.faults.models.FaultTimeline`:
+Two event kinds, driven by a
+:class:`~repro.faults.models.FaultTimeline`, join the completions of
+the list-scheduling loop:
 
 * **FAIL(alpha, proc)** — the processor goes down.  If it was running
   a segment, the segment is *killed*: it is recorded in the trace with
@@ -23,37 +23,40 @@ first, then repairs, then failures — a task finishing exactly when its
 processor dies has completed, and back-to-back outages net out before
 the next decision round.
 
-**λ=0 guarantee**: with an empty (or ``None``) timeline this engine
-performs exactly the same sequence of scheduler calls, float
-operations and heap pops as :func:`repro.sim.engine.simulate`, so
-makespans and decision counts are bit-for-bit identical (asserted by
-``tests/faults/test_engine_equivalence.py``).
+The run is :func:`repro.sim.engine.simulate`'s loop with a fault seam
+(:class:`_FaultSeam`, protocol in :mod:`repro.sim.engine`), not a loop
+of its own.  The seam puts the timeline's FAIL/REPAIR entries into the
+loop's heap under keys above every dispatch's sequence number, in
+:meth:`~repro.faults.models.FaultTimeline.events` order (repairs before
+failures at one time), which yields the order above.  It remembers
+which dispatch each processor is running, so a completion of a killed
+segment pops as stale and is skipped.  Trace segments are recorded at
+dispatch, as in every run of the loop; a kill cuts its segment short
+in place (:meth:`~repro.sim.trace.ScheduleTrace.cut`).
+
+**λ=0 guarantee**: with an empty (or ``None``) timeline the seam puts
+nothing in the heap and only tracks dispatches, so the run makes the
+same scheduler calls, float operations and heap pops as
+:func:`repro.sim.engine.simulate` by construction; makespan, decisions
+and the ordered trace are identical
+(``tests/faults/test_engine_equivalence.py``).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
 from repro.core.kdag import KDag
 from repro.errors import ConfigurationError, SchedulingError
 from repro.faults.models import FaultTimeline
-from repro.obs.events import (
-    COMPLETE,
-    DECISION,
-    FAIL,
-    KILL,
-    REPAIR,
-    SAMPLE,
-    SLICE,
-)
+from repro.obs.events import FAIL, KILL, REPAIR, SLICE
 from repro.obs.telemetry import Telemetry
 from repro.schedulers.base import Scheduler
+from repro.sim.engine import _list_schedule
 from repro.sim.result import ScheduleResult
-from repro.sim.trace import ScheduleTrace
 from repro.system.resources import ResourceConfig
 
 __all__ = ["FaultScheduleResult", "simulate_with_faults", "POLICIES"]
@@ -61,11 +64,7 @@ __all__ = ["FaultScheduleResult", "simulate_with_faults", "POLICIES"]
 #: Recovery policies for killed tasks.
 POLICIES = ("restart", "checkpoint")
 
-# Event kinds, ordered within one instant: completions resolve before
-# repairs so a task finishing as its processor is repaired elsewhere
-# frees capacity first, and failures come last so a completion at the
-# failure instant counts as finished, not killed.
-_COMPLETE, _REPAIR, _FAIL = 0, 1, 2
+_IDLE = (-1, -1, 0.0)
 
 
 @dataclass(frozen=True)
@@ -133,244 +132,132 @@ def simulate_with_faults(
         raise ConfigurationError(
             f"unknown fault policy {policy!r}; known: {list(POLICIES)}"
         )
-    if timeline is not None:
-        timeline.check_procs(resources)
+    if timeline is None:
+        timeline = FaultTimeline()
+    timeline.check_procs(resources)
     kill_budget = max_kills if max_kills is not None else 10 * job.n_tasks + 1000
-
-    obs = telemetry if (telemetry is not None and telemetry.enabled) else None
-    scheduler.attach_telemetry(obs)
-    if obs is None:
-        scheduler.prepare(job, resources, rng)
-    else:
-        _t0 = perf_counter()
-        scheduler.prepare(job, resources, rng)
-        obs.add_time("phase.prepare", perf_counter() - _t0)
-    k = job.num_types
-    n = job.n_tasks
-    types = job.types.tolist()
-    work = job.work.tolist()
-    child_ptr = job.child_ptr.tolist()
-    child_idx = job.child_idx.tolist()
-
-    indeg = job.in_degrees().tolist()
-    state = [0] * n  # 0 pending, 1 ready, 2 running, 3 done
-    remaining = list(work)  # work left per task (changes only on checkpoint)
-    free = list(resources.counts)
-    free_procs: list[list[int]] = [list(range(c - 1, -1, -1)) for c in resources.counts]
-    up = list(resources.counts)
-    # Per-processor run state; token pairs a completion event with the
-    # dispatch that scheduled it, so completions of killed segments are
-    # recognized as stale and skipped.
-    run_task: list[list[int]] = [[-1] * c for c in resources.counts]
-    run_start: list[list[float]] = [[0.0] * c for c in resources.counts]
-    run_token: list[list[int]] = [[-1] * c for c in resources.counts]
-    trace = ScheduleTrace() if record_trace else None
-
-    # Events: (time, kind, seq, a, b) — completions carry (task, proc),
-    # FAIL/REPAIR carry (alpha, proc).  kind orders same-instant events;
-    # seq keeps comparisons away from payload ties and pop order stable.
-    events: list[tuple[float, int, int, int, int]] = []
-    seq = 0
-    if timeline is not None:
-        for time, kind, alpha, proc in timeline.events():
-            code = _FAIL if kind == "fail" else _REPAIR
-            events.append((time, code, seq, alpha, proc))
-            seq += 1
-    heapq.heapify(events)
-
-    n_ready = 0
-    completed = 0
-    decisions = 0
-    kills = 0
-    wasted = 0.0
-    now = 0.0
-    makespan = 0.0
-
-    for v in job.sources():
-        vi = int(v)
-        state[vi] = 1
-        n_ready += 1
-        scheduler.task_ready(vi, now, remaining[vi])
-
-    # Outages starting exactly at t=0 take their processors down before
-    # the first decision round (nothing is running yet, so these can
-    # only be FAIL events on idle processors).
-    while events and events[0][0] == 0.0:
-        _, kind, _, alpha, proc = heapq.heappop(events)
-        assert kind == _FAIL
-        up[alpha] -= 1
-        free_procs[alpha].remove(proc)
-        free[alpha] -= 1
-        scheduler.capacity_changed(alpha, up[alpha], now)
-        if obs is not None:
-            obs.emit(FAIL, now, alpha=alpha, proc=proc)
-
-    assign = scheduler.assign if obs is None else scheduler.on_decision
-    heap_peak = 0
-    _t_loop = perf_counter() if obs is not None else 0.0
-
-    heappush, heappop = heapq.heappush, heapq.heappop
-    while completed < n:
-        # ---- decision round at time `now` ----
-        if n_ready and any(
-            free[a] and scheduler.pending(a) for a in range(k)
-        ):
-            decisions += 1
-            chosen = assign(free, now)
-            counts_this_round = [0] * k
-            for task in chosen:
-                if state[task] != 1:
-                    raise SchedulingError(
-                        f"{scheduler.name} started task {task} in state "
-                        f"{state[task]} (not ready)"
-                    )
-                alpha = types[task]
-                counts_this_round[alpha] += 1
-                if counts_this_round[alpha] > free[alpha]:
-                    raise SchedulingError(
-                        f"{scheduler.name} oversubscribed type {alpha} "
-                        f"({counts_this_round[alpha]} > {free[alpha]} free)"
-                    )
-                state[task] = 2
-                n_ready -= 1
-                proc = free_procs[alpha].pop()
-                finish = now + remaining[task]
-                heappush(events, (finish, _COMPLETE, seq, task, proc))
-                run_task[alpha][proc] = task
-                run_start[alpha][proc] = now
-                run_token[alpha][proc] = seq
-                seq += 1
-            for alpha, c in enumerate(counts_this_round):
-                free[alpha] -= c
-            if obs is not None:
-                obs.emit(DECISION, now, n=len(chosen))
-                if len(events) > heap_peak:
-                    heap_peak = len(events)
-
-        if obs is not None:
-            obs.emit(
-                SAMPLE, now,
-                ready=[scheduler.pending(a) for a in range(k)],
-                free=list(free),
-                up=list(up),
-            )
-
-        # `completed < n` guarantees unfinished work; with no events at
-        # all there is neither running work nor any future repair, so
-        # the run can never finish.
-        if not events:
-            down = [resources.counts[a] - up[a] for a in range(k)]
-            raise SchedulingError(
-                f"{scheduler.name} stalled at t={now}: {n_ready} ready, "
-                f"{n - completed} unfinished, nothing running "
-                f"(down processors per type: {down})"
-            )
-
-        # ---- advance to the next event instant ----
-        now = events[0][0]
-        while events and events[0][0] == now:
-            _, kind, token, a, b = heappop(events)
-
-            if kind == _COMPLETE:
-                task, proc = a, b
-                alpha = types[task]
-                if run_token[alpha][proc] != token:
-                    continue  # stale completion of a killed segment
-                run_task[alpha][proc] = -1
-                run_token[alpha][proc] = -1
-                state[task] = 3
-                completed += 1
-                free[alpha] += 1
-                free_procs[alpha].append(proc)
-                makespan = now
-                if trace is not None:
-                    trace.add(task, alpha, proc, run_start[alpha][proc], now)
-                if obs is not None:
-                    obs.emit(SLICE, run_start[alpha][proc], task=task,
-                             alpha=alpha, proc=proc, end=now)
-                    obs.emit(COMPLETE, now, task=task, alpha=alpha, proc=proc)
-                scheduler.task_finished(task, now)
-                for ei in range(child_ptr[task], child_ptr[task + 1]):
-                    ci = child_idx[ei]
-                    left = indeg[ci] - 1
-                    indeg[ci] = left
-                    if left == 0:
-                        state[ci] = 1
-                        n_ready += 1
-                        scheduler.task_ready(ci, now, remaining[ci])
-
-            elif kind == _REPAIR:
-                alpha, proc = a, b
-                up[alpha] += 1
-                free[alpha] += 1
-                free_procs[alpha].append(proc)
-                scheduler.capacity_changed(alpha, up[alpha], now)
-                if obs is not None:
-                    obs.emit(REPAIR, now, alpha=alpha, proc=proc)
-
-            else:  # _FAIL
-                alpha, proc = a, b
-                up[alpha] -= 1
-                if obs is not None:
-                    obs.emit(FAIL, now, alpha=alpha, proc=proc)
-                victim = run_task[alpha][proc]
-                if victim >= 0:
-                    start = run_start[alpha][proc]
-                    run_task[alpha][proc] = -1
-                    run_token[alpha][proc] = -1
-                    kills += 1
-                    if kills > kill_budget:
-                        raise SchedulingError(
-                            f"{scheduler.name}: {kills} kills exceed the "
-                            f"livelock guard ({kill_budget}); the fault "
-                            f"timeline likely never leaves task {victim} "
-                            f"a window long enough to finish"
-                        )
-                    if now > start:
-                        if trace is not None:
-                            trace.add(
-                                victim, alpha, proc, start, now, killed=True
-                            )
-                        if obs is not None:
-                            obs.emit(SLICE, start, task=victim, alpha=alpha,
-                                     proc=proc, end=now, killed=True)
-                            obs.emit(KILL, now, task=victim, alpha=alpha,
-                                     proc=proc, start=start,
-                                     lost=(now - start if policy != "checkpoint"
-                                           else 0.0))
-                        if policy == "checkpoint":
-                            # finish - now of the killed dispatch:
-                            remaining[victim] = (start + remaining[victim]) - now
-                        else:
-                            wasted += now - start
-                    state[victim] = 1
-                    n_ready += 1
-                    scheduler.task_ready(victim, now, remaining[victim])
-                else:
-                    free_procs[alpha].remove(proc)
-                    free[alpha] -= 1
-                scheduler.capacity_changed(alpha, up[alpha], now)
-
-    if obs is not None:
-        obs.add_time("phase.engine_loop", perf_counter() - _t_loop)
-        obs.inc("engine.runs")
-        obs.inc("engine.tasks", n)
-        obs.inc("engine.decisions", decisions)
-        obs.inc("engine.events_pushed", seq)
-        obs.inc("engine.kills", kills)
-        obs.observe("engine.heap_peak", heap_peak)
-        obs.observe("engine.wasted_work", wasted)
+    seam = _FaultSeam(job, resources, scheduler, timeline, policy, kill_budget)
+    res = _list_schedule(
+        job, resources, scheduler, rng, record_trace, telemetry, seam
+    )
+    if telemetry is not None and telemetry.enabled:
+        # The loop counts the dispatches it pushed; the timeline's
+        # entries count as pushed events too.
+        telemetry.inc("engine.events_pushed", len(seam.timeline_events))
+        telemetry.inc("engine.kills", seam.kills)
+        telemetry.observe("engine.wasted_work", seam.wasted)
 
     return FaultScheduleResult(
-        makespan=makespan,
-        scheduler=scheduler.name,
-        job=job,
-        resources=resources,
-        preemptive=False,
-        trace=trace,
-        decisions=decisions,
-        timeline=timeline if timeline is not None else FaultTimeline(),
-        policy=policy,
-        kills=kills,
-        wasted_work=wasted,
+        **vars(res), timeline=timeline, policy=policy, kills=seam.kills,
+        wasted_work=seam.wasted,
     )
+
+
+class _FaultSeam:
+    """FAIL/REPAIR events, kills and stale completions inside the loop."""
+
+    def __init__(self, job, resources, scheduler, timeline, policy, kill_budget):
+        self.scheduler = scheduler
+        self.types = job.types.tolist()
+        self.checkpoint = policy == "checkpoint"
+        self.kill_budget = kill_budget
+        self.counts = resources.counts
+        self.up = list(resources.counts)
+        self.timeline_events = timeline.events()
+        self.is_fail = [kind == "fail" for _, kind, _, _ in self.timeline_events]
+        # Timeline entries' heap keys start above every dispatch's
+        # sequence number: a run makes at most n + kill_budget dispatches.
+        self.base = job.n_tasks + kill_budget
+        # The dispatch each processor is running: (sequence number,
+        # task, start), _IDLE when none.  A completion whose number is
+        # not its processor's current one belongs to a killed segment.
+        self.running = [[_IDLE] * c for c in resources.counts]
+        self.kills = 0
+        self.wasted = 0.0
+
+    def bind(self, state, work, free, free_procs, events, trace, obs):
+        self.state = state
+        self.remaining = work  # shrinks on checkpointed kills
+        self.free = free
+        self.free_procs = free_procs
+        self.trace = trace
+        self.obs = obs
+        for i, (time, _, alpha, proc) in enumerate(self.timeline_events):
+            if time == 0.0:
+                # Outages from t=0 take their (idle) processors down
+                # before the first decision round.
+                self.popped(self.base + i, alpha, proc, 0.0)
+            else:
+                events.append((time, self.base + i, alpha, proc))
+        heapq.heapify(events)
+
+    def started(self, task, alpha, proc, now, seq):
+        self.running[alpha][proc] = (seq, task, now)
+
+    def popped(self, key, a, b, now):
+        if key < self.base:  # completion of task a on processor b
+            alpha = self.types[a]
+            running = self.running[alpha]
+            if running[b][0] != key:
+                return 0  # its segment was killed
+            if self.obs is not None:
+                self.obs.emit(SLICE, running[b][2], task=a, alpha=alpha,
+                              proc=b, end=now)
+            running[b] = _IDLE
+            return -1
+        alpha, proc = a, b
+        readied = 0
+        if self.is_fail[key - self.base]:
+            readied = self._fail(alpha, proc, now)
+        else:
+            self.up[alpha] += 1
+            self.free[alpha] += 1
+            self.free_procs[alpha].append(proc)
+            if self.obs is not None:
+                self.obs.emit(REPAIR, now, alpha=alpha, proc=proc)
+        self.scheduler.capacity_changed(alpha, self.up[alpha], now)
+        return readied
+
+    def _fail(self, alpha, proc, now):
+        """Take a processor down; kill and re-ready what it was running."""
+        self.up[alpha] -= 1
+        obs = self.obs
+        if obs is not None:
+            obs.emit(FAIL, now, alpha=alpha, proc=proc)
+        seq, victim, start = self.running[alpha][proc]
+        if victim < 0:
+            self.free_procs[alpha].remove(proc)
+            self.free[alpha] -= 1
+            return 0
+        self.running[alpha][proc] = _IDLE
+        self.kills += 1
+        if self.kills > self.kill_budget:
+            raise SchedulingError(
+                f"{self.scheduler.name}: {self.kills} kills exceed the "
+                f"livelock guard ({self.kill_budget}); the fault "
+                f"timeline likely never leaves task {victim} "
+                f"a window long enough to finish"
+            )
+        # Entries at a dispatch instant pop before its decision round,
+        # so a failure lands strictly after the start it cuts short.
+        if self.trace is not None:
+            self.trace.cut(seq, now)
+        remaining = self.remaining
+        if obs is not None:
+            obs.emit(SLICE, start, task=victim, alpha=alpha, proc=proc,
+                     end=now, killed=True)
+            obs.emit(KILL, now, task=victim, alpha=alpha, proc=proc,
+                     start=start,
+                     lost=0.0 if self.checkpoint else now - start)
+        if self.checkpoint:
+            # finish - now of the killed dispatch:
+            remaining[victim] = (start + remaining[victim]) - now
+        else:
+            self.wasted += now - start
+        self.state[victim] = 1
+        self.scheduler.task_ready(victim, now, remaining[victim])
+        return 1
+
+    def stall_note(self):
+        down = [c - u for c, u in zip(self.counts, self.up)]
+        return f" (down processors per type: {down})"

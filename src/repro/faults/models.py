@@ -8,8 +8,9 @@ implementations from a seeded ``np.random.Generator``, so fault runs
 are exactly reproducible and shard across worker processes like every
 other sweep in this repository:
 
-* :class:`NoFaults` — the empty timeline (the λ=0 control; the engine
-  is bit-identical to :func:`repro.sim.engine.simulate` on it).
+* :class:`NoFaults` — the empty timeline (the λ=0 control).  The fault
+  engine is :func:`repro.sim.engine.simulate`'s loop with a seam that
+  never fires on it, so the run is bit-identical by construction.
 * :class:`ExponentialFaults` — the classic MTBF/MTTR renewal process:
   per processor, exponential up-times (mean ``mtbf``) alternate with
   exponential down-times (mean ``mttr``) until the horizon.
@@ -207,7 +208,11 @@ def _renewal_outages(
 
 @dataclass(frozen=True)
 class NoFaults(FaultModel):
-    """The empty timeline — the λ=0 control."""
+    """The empty timeline — the λ=0 control.
+
+    On it the fault engine's seam puts nothing in the heap, so the run
+    is :func:`repro.sim.engine.simulate`'s, bit for bit.
+    """
 
     def sample(
         self,

@@ -96,6 +96,17 @@ class ScheduleTrace:
         self._by_task = None
         self._columns = None
 
+    def cut(self, index: int, end: float) -> None:
+        """Cut segment ``index`` short at ``end`` and mark it killed.
+
+        The fault-aware engine records a segment when it is dispatched
+        and cuts it here when a processor failure kills it.
+        """
+        s = self.segments[index]
+        self.segments[index] = Segment(s.task, s.alpha, s.proc, s.start, end, True)
+        self._by_task = None
+        self._columns = None
+
     def __len__(self) -> int:
         return len(self.segments)
 

@@ -3,11 +3,10 @@
 The load-bearing check is the **degenerate limit**: with
 ``StealPolicy(victims="global", cost=0)`` the per-processor deques
 collapse into one shared pool per type and the decentralized engine
-must reproduce :func:`repro.sim.engine.simulate` bit-for-bit.  CI runs
-the wider ``scripts/check_decentral_identity.py`` guard; the tests
-here pin the same anchor on one cell plus everything around it —
-routing, rejection of non-decentral schedulers, steal telemetry and
-the STEAL event stream.
+runs :func:`repro.sim.engine.simulate` itself.  ``TestDegenerateIdentity``
+checks that over 3 cells x 3 instances x telemetry off and on, plus
+everything around it — routing, rejection of non-decentral schedulers,
+steal telemetry and the STEAL event stream.
 """
 
 from __future__ import annotations
@@ -45,17 +44,34 @@ def _instance(cell: str = "small-random-ep", p: int = 3, seed: int = 0):
     return job, ResourceConfig((p,) * spec.num_types)
 
 
+#: (cell, processors per type) of the degenerate identity matrix.
+IDENTITY_CELLS = (
+    ("small-layered-ep", 4),
+    ("small-random-ep", 16),
+    ("medium-layered-ir", 8),
+)
+
+
 class TestDegenerateIdentity:
+    @pytest.mark.parametrize("observe", [False, True], ids=["bare", "obs"])
+    @pytest.mark.parametrize("instance", range(3))
+    @pytest.mark.parametrize(("cell", "p"), IDENTITY_CELLS)
     @pytest.mark.parametrize(("dec_name", "cen_name"), PAIRS)
-    def test_bit_identical_to_centralized(self, dec_name, cen_name):
-        job, system = _instance()
+    def test_bit_identical_to_centralized(
+        self, dec_name, cen_name, cell, p, instance, observe
+    ):
+        spec = WORKLOAD_CELLS[cell]
+        system = ResourceConfig((p,) * spec.num_types)
+        inst_ss, cen_ss, dec_ss = np.random.SeedSequence([7, instance]).spawn(3)
+        job = sample_job(spec, np.random.default_rng(inst_ss))
         cen = simulate(
             job, system, make_scheduler(cen_name),
-            rng=np.random.default_rng(3), record_trace=True,
+            rng=np.random.default_rng(cen_ss), record_trace=True,
         )
         dec = simulate_decentralized(
             job, system, make_scheduler(dec_name),
-            rng=np.random.default_rng(3), record_trace=True,
+            rng=np.random.default_rng(dec_ss), record_trace=True,
+            telemetry=Telemetry() if observe else None,
         )
         assert dec.makespan == cen.makespan
         assert dec.decisions == cen.decisions
