@@ -48,6 +48,19 @@ class TestKillAndRecover:
         survivors = [s for s in res.trace if not s.killed]
         assert [(s.start, s.end) for s in survivors] == [(3.0, 5.0)]
 
+    def test_checkpoint_resumes_exactly_finish_minus_kill(self):
+        # The resumed task keeps finish - now of the killed dispatch,
+        # with finish = start + work as the heap held it: 0.1 + 0.7 is
+        # 0.7999999999999999, so the run ends at 0.8999999999999999,
+        # not at the 0.9 that work - (now - start) would give.
+        job = KDag(types=[0, 0], work=[0.1, 0.7], edges=[(0, 1)], num_types=1)
+        res = simulate_with_faults(
+            job, ResourceConfig((1,)), make_scheduler("kgreedy"),
+            FaultTimeline([Outage(0, 0, 0.3, 0.4)]), policy="checkpoint",
+        )
+        assert res.kills == 1
+        assert res.makespan == 0.4 + ((0.1 + 0.7) - 0.3)
+
     @pytest.mark.parametrize("policy", ["restart", "checkpoint"])
     def test_traces_validate(self, policy):
         res = simulate_with_faults(

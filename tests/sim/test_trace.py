@@ -96,6 +96,17 @@ class TestKilledSegments:
         assert list(t.surviving_work(2)) == [4.0, 1.0]
         assert list(t.executed_work(2)) == [6.0, 1.0]
 
+    def test_cut_truncates_in_place_and_invalidates_caches(self):
+        t = ScheduleTrace()
+        t.add(0, 0, 0, 0.0, 4.0)
+        t.add(1, 0, 1, 0.0, 1.0)
+        assert t.as_columns()["end"].tolist() == [4.0, 1.0]
+        assert t.last_end(0) == 4.0
+        t.cut(0, 2.0)
+        assert t.segments[0] == Segment(0, 0, 0, 0.0, 2.0, killed=True)
+        assert t.as_columns()["killed"].tolist() == [True, False]
+        assert t.last_end(0) == 2.0
+
     def test_surviving_work_unknown_task(self):
         t = ScheduleTrace()
         t.add(5, 0, 0, 0.0, 1.0, killed=True)
