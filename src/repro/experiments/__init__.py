@@ -18,7 +18,7 @@ from repro.experiments.figures import (
     run_experiment,
 )
 from repro.experiments.runner import run_comparison
-from repro.experiments.parallel import resolve_workers, run_comparison_parallel
+from repro.experiments.parallel import resolve_workers
 from repro.experiments.report import render_result
 from repro.experiments.store import load_result, save_result
 
@@ -26,7 +26,6 @@ __all__ = [
     "EXPERIMENTS",
     "run_experiment",
     "run_comparison",
-    "run_comparison_parallel",
     "resolve_workers",
     "render_result",
     "save_result",

@@ -18,17 +18,16 @@ completion-time ratio ``T / L(J)``; per (pair, P) the mean overhead
 ``T_dec / T_cen``.
 
 **Sharding and caching** mirror the robustness sweep: instance ``i``
-derives all randomness from ``SeedSequence([seed, i])``, so the sweep
-shards bit-identically over
-:func:`repro.experiments.parallel.run_sharded_instances` for any
-worker count, and per-instance columns are memoized under
+derives all randomness from ``SeedSequence([seed, i])``, so each cell
+is a :class:`~repro.experiments.parallel.Sweep`, bit-identical for any
+worker count, whose per-instance columns are memoized under
 :func:`repro.resultcache.keys.decentral_fingerprint` (workload, ordered
 algorithm list, explicit ``P``, seed, and the full steal-policy dict).
 
 **Ragged cells**: very large ``P`` cells are clamped to fewer instances
-(:func:`clamp_decentral_instances`) to bound wall time; each cell runs
-its own ``run_sharded_instances`` call, so differing instance counts
-across cells are safe for any worker count (the regression test in
+(:func:`clamp_decentral_instances`) to bound wall time; each cell is
+its own sweep, so differing instance counts across cells are safe for
+any worker count (the regression test in
 ``tests/experiments/test_decentral_experiment.py`` pins this).
 """
 
@@ -41,7 +40,9 @@ import numpy as np
 
 from repro.decentral.policies import StealPolicy
 from repro.errors import ConfigurationError
+from repro.experiments.parallel import Sweep, run_sweep
 from repro.obs.telemetry import Telemetry
+from repro.resultcache.keys import decentral_fingerprint
 from repro.schedulers.registry import make_scheduler
 from repro.system.resources import ResourceConfig
 from repro.workloads.generator import sample_job
@@ -117,23 +118,21 @@ def _decentral_chunk(
     algorithms: tuple[str, ...],
     p_per_type: int,
     seed: int,
-    profile: bool,
     start: int,
     stop: int,
-):
-    """Sweep worker: ratios + overheads for instances ``start..stop-1``.
+    telemetry: Telemetry | None,
+) -> np.ndarray:
+    """Sweep chunk: ratios + overheads for instances ``start..stop-1``.
 
     Returns a ``(len(algorithms) + len(_PAIRS), stop - start)`` block:
     rows ``0..A-1`` are completion-time ratios ``T / L(J)`` per
     algorithm, rows ``A..`` are makespan overheads ``T_dec / T_cen``
-    per :data:`_PAIRS` entry.  With ``profile`` the block is paired
-    with a telemetry snapshot dict for the parent to merge.
+    per :data:`_PAIRS` entry.
     """
     from repro.decentral.engine import dispatch_simulate
 
     schedulers = [make_scheduler(name) for name in algorithms]
     system = ResourceConfig((p_per_type,) * spec.num_types)
-    telemetry = Telemetry() if profile else None
     n_rows = len(algorithms) + len(_PAIRS)
     block = np.empty((n_rows, stop - start), dtype=np.float64)
     for j, i in enumerate(range(start, stop)):
@@ -150,8 +149,6 @@ def _decentral_chunk(
             block[a, j] = res.completion_time_ratio()
         for pi, (dec, cen) in enumerate(_PAIRS):
             block[len(schedulers) + pi, j] = makespans[dec] / makespans[cen]
-    if telemetry is not None:
-        return block, telemetry.snapshot().to_dict()
     return block
 
 
@@ -174,53 +171,18 @@ def run_decentral_comparison(
     """
     if p_per_type < 1:
         raise ConfigurationError(f"p_per_type must be >= 1, got {p_per_type}")
-    if n_instances < 1:
-        raise ConfigurationError(f"n_instances must be >= 1, got {n_instances}")
-    from repro.experiments.parallel import run_sharded_instances
-    from repro.resultcache.integrate import open_sweep_cache, segments_of
-    from repro.resultcache.keys import decentral_fingerprint
-
     policy = policy if policy is not None else StealPolicy()
     spec = decentral_spec(p_per_type, num_types)
     algorithms = _algorithm_names(policy)
-    n_rows = len(algorithms) + len(_PAIRS)
-    profile = telemetry is not None and telemetry.enabled
-    cache = open_sweep_cache(
+    sweep = Sweep(
         decentral_fingerprint(
             spec, algorithms, p_per_type, seed, policy.fingerprint()
         ),
-        n_rows,
-        telemetry=telemetry,
+        len(algorithms) + len(_PAIRS),
+        n_instances,
+        partial(_decentral_chunk, spec, algorithms, p_per_type, seed),
     )
-    segments = out = on_chunk = None
-    matrix = None
-    if cache is not None:
-        out = np.empty((n_rows, n_instances), dtype=np.float64)
-        misses = cache.fill_hits(out)
-        if not misses:
-            matrix = out
-        else:
-            segments = segments_of(misses)
-            on_chunk = cache.write_chunk
-    if matrix is None:
-        result = run_sharded_instances(
-            partial(
-                _decentral_chunk, spec, algorithms, p_per_type, seed, profile,
-            ),
-            n_rows,
-            n_instances,
-            n_workers=n_workers,
-            collect_extras=profile,
-            segments=segments,
-            out=out,
-            on_chunk=on_chunk,
-        )
-        if profile:
-            matrix, snapshots = result
-            for snap in snapshots:
-                telemetry.merge_snapshot(snap)
-        else:
-            matrix = result
+    matrix = run_sweep(sweep, n_workers, telemetry)
     means = matrix.mean(axis=1)
     ratio = {name: float(means[a]) for a, name in enumerate(algorithms)}
     overhead = {

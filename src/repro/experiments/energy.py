@@ -22,10 +22,9 @@ Per (instance, algorithm) the sweep records three normalized metrics:
   energy free".
 
 **Sharding and caching** mirror the decentral sweep: instance ``i``
-derives all randomness from ``SeedSequence([seed, i])``, so the sweep
-shards bit-identically over
-:func:`repro.experiments.parallel.run_sharded_instances` for any worker
-count, and per-instance columns are memoized under
+derives all randomness from ``SeedSequence([seed, i])``, so each power
+config is a :class:`~repro.experiments.parallel.Sweep`, bit-identical
+for any worker count, whose per-instance columns are memoized under
 :func:`repro.resultcache.keys.energy_fingerprint` (workload, ordered
 algorithm list, seed, every power-model field, and the profit knobs).
 
@@ -49,7 +48,9 @@ import numpy as np
 from repro.energy.metrics import energy_breakdown, schedule_profit
 from repro.energy.models import PowerModel, power_config
 from repro.errors import ConfigurationError
+from repro.experiments.parallel import Sweep, run_sweep
 from repro.obs.telemetry import Telemetry
+from repro.resultcache.keys import energy_fingerprint
 from repro.schedulers.registry import PAPER_ALGORITHMS, make_scheduler
 from repro.sim.engine import simulate
 from repro.workloads.generator import WORKLOAD_CELLS, sample_instance
@@ -140,20 +141,18 @@ def _energy_chunk(
     seed: int,
     deadline_factor: float,
     energy_price_factor: float,
-    profile: bool,
     start: int,
     stop: int,
-):
-    """Sweep worker: the three metrics for instances ``start..stop-1``.
+    telemetry: Telemetry | None,
+) -> np.ndarray:
+    """Sweep chunk: the three metrics for instances ``start..stop-1``.
 
     Returns a ``(3 * len(algorithms), stop - start)`` block: rows
     ``3a..3a+2`` are ratio / normalized energy / normalized profit of
-    algorithm ``a`` (see :data:`ENERGY_METRICS`).  With ``profile`` the
-    block is paired with a telemetry snapshot dict for the parent to
-    merge.
+    algorithm ``a`` (see :data:`ENERGY_METRICS`).
     """
     schedulers = [make_scheduler(name) for name in algorithms]
-    telemetry = Telemetry() if profile else None
+    obs = telemetry if (telemetry is not None and telemetry.enabled) else None
     n_rows = len(ENERGY_METRICS) * len(algorithms)
     block = np.empty((n_rows, stop - start), dtype=np.float64)
     for j, i in enumerate(range(start, stop)):
@@ -180,12 +179,10 @@ def _energy_chunk(
             block[3 * a + 0, j] = res.makespan / lower
             block[3 * a + 1, j] = bd["total"] / denom
             block[3 * a + 2, j] = profit / total_value if total_value else 0.0
-            if telemetry is not None:
-                telemetry.inc("energy.runs")
-                telemetry.inc("energy.gaps", bd["n_gaps"])
-                telemetry.inc("energy.shutdowns", bd["n_shutdowns"])
-    if telemetry is not None:
-        return block, telemetry.snapshot().to_dict()
+            if obs is not None:
+                obs.inc("energy.runs")
+                obs.inc("energy.gaps", bd["n_gaps"])
+                obs.inc("energy.shutdowns", bd["n_shutdowns"])
     return block
 
 
@@ -207,58 +204,25 @@ def run_energy_comparison(
     for every ``n_workers``; per-instance columns are memoized under
     the full energy fingerprint.
     """
-    if n_instances < 1:
-        raise ConfigurationError(f"n_instances must be >= 1, got {n_instances}")
-    from repro.experiments.parallel import run_sharded_instances
-    from repro.resultcache.integrate import open_sweep_cache, segments_of
-    from repro.resultcache.keys import energy_fingerprint
-
     algorithms = tuple(
         str(a).strip().lower()
         for a in (algorithms if algorithms is not None else energy_algorithm_names(power.name))
     )
     _check_algorithms(algorithms, telemetry)
     power.check_types(spec.num_types)
-    n_rows = len(ENERGY_METRICS) * len(algorithms)
-    profile = telemetry is not None and telemetry.enabled
-    cache = open_sweep_cache(
+    sweep = Sweep(
         energy_fingerprint(
             spec, algorithms, seed, power.fingerprint(),
             deadline_factor, energy_price_factor,
         ),
-        n_rows,
-        telemetry=telemetry,
+        len(ENERGY_METRICS) * len(algorithms),
+        n_instances,
+        partial(
+            _energy_chunk, spec, algorithms, power, seed,
+            deadline_factor, energy_price_factor,
+        ),
     )
-    segments = out = on_chunk = None
-    matrix = None
-    if cache is not None:
-        out = np.empty((n_rows, n_instances), dtype=np.float64)
-        misses = cache.fill_hits(out)
-        if not misses:
-            matrix = out
-        else:
-            segments = segments_of(misses)
-            on_chunk = cache.write_chunk
-    if matrix is None:
-        result = run_sharded_instances(
-            partial(
-                _energy_chunk, spec, algorithms, power, seed,
-                deadline_factor, energy_price_factor, profile,
-            ),
-            n_rows,
-            n_instances,
-            n_workers=n_workers,
-            collect_extras=profile,
-            segments=segments,
-            out=out,
-            on_chunk=on_chunk,
-        )
-        if profile:
-            matrix, snapshots = result
-            for snap in snapshots:
-                telemetry.merge_snapshot(snap)
-        else:
-            matrix = result
+    matrix = run_sweep(sweep, n_workers, telemetry)
     means = matrix.mean(axis=1)
     stats: dict = {
         name: {

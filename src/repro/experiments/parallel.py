@@ -1,76 +1,77 @@
-"""Process-parallel paired-comparison sweeps.
+"""One cached, sharded sweep primitive.
 
-:func:`run_comparison_parallel` shards the instance loop of
-:func:`repro.experiments.runner.run_comparison` across a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  Determinism is
-structural, not incidental:
+Every experiment here is a sweep: a matrix of ``n_rows`` numbers per
+instance over ``n_instances`` instances, each column a pure function
+of the instance index.  A :class:`Sweep` declares what is swept and
+:func:`run_sweep` runs it; the paired comparison, the robustness,
+decentral, energy and stream studies and the service's ``/sweep`` are
+all built on the pair.  Determinism is structural, not incidental:
 
-* instance ``i`` derives **all** of its randomness from
-  ``SeedSequence([seed, i])`` — nothing depends on which worker runs
-  it, what ran before it in that worker, or how instances are chunked;
-* every chunk's ratio block is written back at its instance indices,
-  so completion order cannot reorder anything;
-* the summary statistics are computed once, on the fully assembled
-  ``(n_algorithms, n_instances)`` matrix, by the exact code the serial
-  path uses.
+* instance ``i`` derives **all** of its randomness from its index
+  (``SeedSequence([seed, i])`` or similar) — nothing depends on which
+  worker runs it, what ran before it in that worker, or how instances
+  are chunked;
+* every chunk's block is written back at its instance indices, so
+  completion order cannot reorder anything;
+* callers reduce the fully assembled ``(n_rows, n_instances)`` matrix
+  once, by the same code for every worker count.
 
-Hence the results are **bit-for-bit identical** to the serial path for
-every worker count and chunk size (asserted by
-``tests/experiments/test_parallel.py``).
+Hence results are **bit-for-bit identical** for every worker count and
+chunk partition (asserted by ``tests/experiments/test_parallel.py``).
+
+The runner's order is fixed:
+
+1. **hits** — with a fingerprint and ``REPRO_CACHE`` on, the parent
+   resolves every instance against :mod:`repro.resultcache` and fills
+   (and counts) the hits before anything else, so hits never occupy a
+   pool slot and an all-hit sweep builds no pool;
+2. **misses** — in-process for one worker or one remaining instance,
+   in chunks of the sweep's write-back size; otherwise on a process
+   pool, ``_CHUNKS_PER_WORKER`` chunks per worker;
+3. **persistence** — each chunk's columns are stored as the chunk
+   lands, so an interrupted sweep resumes from its last landed chunk
+   (the last finished instance, for one worker);
+4. **telemetry** — in-process chunks record into the caller's
+   telemetry; pool chunks each profile under their own and the parent
+   merges the snapshots in chunk order, so counter totals are the same
+   for every worker count.
+
+:class:`SweepRun` holds steps 1 and 3, which the service's sweep path
+shares, awaiting the chunks on its own pool.
 
 Worker selection: an explicit ``n_workers`` argument wins; otherwise
 the ``REPRO_WORKERS`` environment variable (an integer, or ``auto``
 for the CPU count); otherwise serial.  The offline-info cache
 (:mod:`repro.core.cache`) is per process — each worker warms its own,
 which costs one pass per (job, quantity) per worker and nothing more.
-
-Because instance results are pure functions of ``(seed, i)`` and the
-sweep configuration, they are memoized persistently by
-:mod:`repro.resultcache`: the parent resolves every instance against
-the cache before building a pool, shards only the misses (as
-``segments`` of :func:`run_sharded_instances`), and persists each
-chunk's columns as it lands — a re-run of a finished sweep is pure
-lookups and an interrupted sweep resumes from its last completed
-chunk.  Set ``REPRO_CACHE=0`` to disable.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from functools import partial
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.experiments.runner import (
-    SeriesStats,
-    _instance_ratios,
-    _stats_from_ratios,
-)
 from repro.obs.telemetry import Telemetry
 from repro.resultcache.integrate import open_sweep_cache, segments_of
-from repro.resultcache.keys import comparison_fingerprint
-from repro.schedulers.registry import make_scheduler
-from repro.workloads.params import WorkloadSpec
 
 __all__ = [
+    "Sweep",
+    "SweepRun",
+    "run_sweep",
     "resolve_workers",
     "plan_chunks",
     "terminate_pool",
-    "run_comparison_parallel",
-    "run_sharded_instances",
 ]
 
-#: Chunks per worker the instance range is split into (smaller chunks
-#: balance load across heterogeneous instance costs; larger chunks
-#: amortize per-task dispatch overhead).
+#: Chunks per worker the remaining instances are split into (smaller
+#: chunks balance load across heterogeneous instance costs; larger
+#: chunks amortize per-task dispatch overhead).
 _CHUNKS_PER_WORKER = 4
-
-#: Writeback points a serial cached sweep is split into, so an
-#: interrupted serial run still resumes from a recent chunk.
-_SERIAL_WRITEBACK_CHUNKS = 8
 
 
 def resolve_workers(n_workers: int | None = None) -> int:
@@ -99,51 +100,35 @@ def resolve_workers(n_workers: int | None = None) -> int:
     return value
 
 
-def _ratio_chunk(
-    spec: WorkloadSpec,
-    algorithms: tuple[str, ...],
-    seed: int,
-    preemptive: bool,
-    quantum: float,
-    profile: bool,
-    start: int,
-    stop: int,
-):
-    """Sweep worker: completion-time ratios for instances ``start..stop-1``.
+@dataclass(frozen=True)
+class Sweep:
+    """What a sweep computes; :func:`run_sweep` decides how.
 
-    Constructs its own schedulers (scheduler instances are reusable
-    across instances but not picklable in general) and returns the
-    ``(n_algorithms, stop - start)`` ratio block.  With ``profile``
-    the chunk runs under a fresh local
-    :class:`~repro.obs.telemetry.Telemetry` and returns
-    ``(block, snapshot_dict)`` for the parent to merge.
+    ``chunk(start, stop, telemetry)`` returns the float64
+    ``(n_rows, stop - start)`` block of instances ``start..stop-1``.
+    It must derive all randomness from the instance index, record into
+    ``telemetry`` (possibly ``None`` or disabled) without being
+    influenced by it, and be picklable — a module-level function,
+    possibly wrapped in :func:`functools.partial`.
+
+    ``fingerprint`` is the result-cache base fingerprint
+    (:mod:`repro.resultcache.keys`), or ``None`` for an uncached sweep.
+    ``writeback`` is how many instances one in-process chunk computes:
+    one for the scalar engines, so an interrupted serial sweep resumes
+    from its last finished instance.
     """
-    schedulers = [make_scheduler(name) for name in algorithms]
-    telemetry = Telemetry() if profile else None
-    block = np.empty((len(algorithms), stop - start), dtype=np.float64)
-    for j, i in enumerate(range(start, stop)):
-        _instance_ratios(
-            spec, schedulers, i, seed, preemptive, quantum, block[:, j],
-            telemetry=telemetry,
-        )
-    if telemetry is not None:
-        return block, telemetry.snapshot().to_dict()
-    return block
 
+    fingerprint: dict | None
+    n_rows: int
+    n_instances: int
+    chunk: Callable[[int, int, Telemetry | None], np.ndarray]
+    writeback: int = 1
 
-def _run_chunk(
-    spec: WorkloadSpec,
-    algorithms: tuple[str, ...],
-    start: int,
-    stop: int,
-    seed: int,
-    preemptive: bool,
-    quantum: float,
-) -> tuple[int, np.ndarray]:
-    """Ratio chunk tagged with its start index (kept for direct callers)."""
-    return start, _ratio_chunk(
-        spec, algorithms, seed, preemptive, quantum, False, start, stop
-    )
+    def __post_init__(self) -> None:
+        if self.n_instances < 1:
+            raise ConfigurationError(
+                f"n_instances must be >= 1, got {self.n_instances}"
+            )
 
 
 def plan_chunks(
@@ -163,8 +148,45 @@ def plan_chunks(
     ]
 
 
-def _chunk_bounds(n_instances: int, chunk_size: int) -> list[tuple[int, int]]:
-    return plan_chunks([(0, n_instances)], chunk_size)
+class SweepRun:
+    """One run of a :class:`Sweep`: its matrix, cache hits and misses.
+
+    Construction opens the result cache and fills every hit into
+    :attr:`out` (counting it); :attr:`segments` are the misses.
+    :meth:`chunks` plans them and :meth:`land` writes a computed block
+    back and persists it.
+    """
+
+    def __init__(self, sweep: Sweep, telemetry: Telemetry | None = None) -> None:
+        self.sweep = sweep
+        self.out = np.empty((sweep.n_rows, sweep.n_instances), dtype=np.float64)
+        self.cache = None
+        if sweep.fingerprint is not None:
+            self.cache = open_sweep_cache(
+                sweep.fingerprint, sweep.n_rows, telemetry=telemetry
+            )
+        if self.cache is None:
+            self.segments = [(0, sweep.n_instances)]
+        else:
+            self.segments = segments_of(self.cache.fill_hits(self.out))
+        self.remaining = sum(stop - start for start, stop in self.segments)
+
+    def chunks(self, slots: int | None = None) -> list[tuple[int, int]]:
+        """The misses as ``(start, stop)`` chunks.
+
+        Write-back sized by default; for ``slots`` pool slots,
+        ``_CHUNKS_PER_WORKER`` chunks per slot.
+        """
+        if slots is None:
+            return plan_chunks(self.segments, self.sweep.writeback)
+        size = max(1, -(-self.remaining // (slots * _CHUNKS_PER_WORKER)))
+        return plan_chunks(self.segments, size)
+
+    def land(self, start: int, block: np.ndarray) -> None:
+        """Write a computed block back at ``start`` and persist its columns."""
+        self.out[:, start : start + block.shape[1]] = block
+        if self.cache is not None:
+            self.cache.write_chunk(start, block)
 
 
 def terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -192,237 +214,55 @@ def terminate_pool(pool: ProcessPoolExecutor) -> None:
             pass
 
 
-def _check_segments(
-    segments: Sequence[tuple[int, int]], n_instances: int
-) -> list[tuple[int, int]]:
-    prev = 0
-    out = []
-    for start, stop in segments:
-        if not (prev <= start < stop <= n_instances):
-            raise ConfigurationError(
-                f"segments must be sorted, disjoint and within "
-                f"[0, {n_instances}), got {list(segments)}"
-            )
-        prev = stop
-        out.append((int(start), int(stop)))
-    return out
+def _pool_chunk(chunk: Callable, profile: bool, start: int, stop: int):
+    """Pool worker: one chunk's block, with its telemetry snapshot if profiled."""
+    if not profile:
+        return chunk(start, stop, None), None
+    telemetry = Telemetry()
+    block = chunk(start, stop, telemetry)
+    return block, telemetry.snapshot().to_dict()
 
 
-def run_sharded_instances(
-    worker: Callable[[int, int], np.ndarray],
-    n_rows: int,
-    n_instances: int,
+def run_sweep(
+    sweep: Sweep,
     n_workers: int | None = None,
-    chunk_size: int | None = None,
-    collect_extras: bool = False,
-    segments: Sequence[tuple[int, int]] | None = None,
-    out: np.ndarray | None = None,
-    on_chunk: Callable[[int, np.ndarray], None] | None = None,
-):
-    """Shard ``worker`` over the instance range; assemble the result matrix.
+    telemetry: Telemetry | None = None,
+) -> np.ndarray:
+    """Run ``sweep``; return its assembled ``(n_rows, n_instances)`` matrix.
 
-    ``worker(start, stop)`` must return a float64 block of shape
-    ``(n_rows, stop - start)`` for instances ``start..stop-1``, derive
-    all randomness from the instance index alone, and be picklable (a
-    module-level function, possibly wrapped in ``functools.partial``).
-    Blocks are written back at their instance indices, so for any
-    worker count and chunking the assembled ``(n_rows, n_instances)``
-    matrix is bit-for-bit the serial one.  Both the paired-comparison
-    sweep and the robustness sweep are built on this primitive.
-
-    ``segments`` restricts computation to sorted, disjoint
-    ``(start, stop)`` ranges — the cache-miss portion of a sweep;
-    columns outside them are taken from ``out``, which the caller must
-    then supply prefilled.  The default chunk size is derived from the
-    *remaining* (in-segment) instance count, and every chunk holds at
-    least one instance, so a mostly-cached sweep never plans more
-    chunks (or pool workers) than it has instances left to compute.
-
-    ``on_chunk(start, block)`` runs in the parent as each chunk's
-    result lands (completion order under a pool) — the persistence
-    hook that makes interrupted sweeps resumable.  When set, a serial
-    run is also split into chunks (``_SERIAL_WRITEBACK_CHUNKS`` by
-    default) instead of one monolithic call, bounding how much work an
-    interruption can lose.
-
-    With ``collect_extras`` the worker must return ``(block, extra)``
-    and the call returns ``(matrix, extras)`` where ``extras`` holds
-    each chunk's ``extra`` ordered by chunk start index — a
-    deterministic order regardless of completion order, so merging
-    order-sensitive aggregates (telemetry snapshots) stays stable.
+    Hits first, then the misses in-process (one worker, or one
+    remaining instance) or on a process pool, each chunk persisted as
+    it lands — see the module docstring.  A failed or interrupted pool
+    chunk cancels the queued chunks, kills the running workers and
+    propagates; chunks that landed before it stay persisted.
     """
-    if n_instances < 1:
-        raise ConfigurationError(f"n_instances must be >= 1, got {n_instances}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-    if segments is None:
-        segments = [(0, n_instances)]
-    else:
-        if out is None:
-            raise ConfigurationError(
-                "segments requires a prefilled `out` matrix for the "
-                "columns it skips"
-            )
-        segments = _check_segments(segments, n_instances)
     workers = resolve_workers(n_workers)
-    remaining = sum(stop - start for start, stop in segments)
+    run = SweepRun(sweep, telemetry)
+    if workers == 1 or run.remaining <= 1:
+        for start, stop in run.chunks():
+            run.land(start, sweep.chunk(start, stop, telemetry))
+        return run.out
 
-    if out is None:
-        out = np.empty((n_rows, n_instances), dtype=np.float64)
-    if remaining == 0:
-        return (out, []) if collect_extras else out
-
-    if workers == 1 or remaining == 1:
-        size = chunk_size
-        if size is None:
-            if on_chunk is not None:
-                size = max(1, -(-remaining // _SERIAL_WRITEBACK_CHUNKS))
-            else:
-                size = max(stop - start for start, stop in segments)
-        extras: list[object] = []
-        for start, stop in plan_chunks(segments, size):
-            result = worker(start, stop)
-            if collect_extras:
-                block, extra = result
-                extras.append(extra)
-            else:
-                block = result
-            out[:, start:stop] = block
-            if on_chunk is not None:
-                on_chunk(start, block)
-        return (out, extras) if collect_extras else out
-
-    if chunk_size is None:
-        chunk_size = max(1, -(-remaining // (workers * _CHUNKS_PER_WORKER)))
-    bounds = plan_chunks(segments, chunk_size)
-    workers = min(workers, len(bounds))
-
-    extras_by_start: dict[int, object] = {}
-    pool = ProcessPoolExecutor(max_workers=workers)
+    bounds = run.chunks(workers)
+    profile = telemetry is not None and telemetry.enabled
+    snapshots: dict[int, dict | None] = {}
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(bounds)))
     try:
         pending = {
-            pool.submit(worker, start, stop): start for start, stop in bounds
+            pool.submit(_pool_chunk, sweep.chunk, profile, start, stop): start
+            for start, stop in bounds
         }
         while pending:
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
                 start = pending.pop(future)
-                result = future.result()
-                if collect_extras:
-                    block, extra = result
-                    extras_by_start[start] = extra
-                else:
-                    block = result
-                out[:, start : start + block.shape[1]] = block
-                if on_chunk is not None:
-                    on_chunk(start, block)
+                block, snapshots[start] = future.result()
+                run.land(start, block)
     except BaseException:
-        # KeyboardInterrupt or a failed chunk: don't block on (or leak)
-        # the surviving workers — cancel what never started, kill what
-        # did, and let the failure propagate.  Completed chunks were
-        # already persisted through ``on_chunk``, so an interrupted
-        # cached sweep still resumes from them.
         terminate_pool(pool)
         raise
-    else:
-        pool.shutdown(wait=True)
-    if collect_extras:
-        return out, [extras_by_start[s] for s in sorted(extras_by_start)]
-    return out
-
-
-def run_comparison_parallel(
-    spec: WorkloadSpec,
-    algorithms: Sequence[str],
-    n_instances: int,
-    seed: int,
-    preemptive: bool = False,
-    quantum: float = 1.0,
-    n_workers: int | None = None,
-    chunk_size: int | None = None,
-    telemetry: Telemetry | None = None,
-    engine: str | None = None,
-) -> list[SeriesStats]:
-    """Parallel :func:`~repro.experiments.runner.run_comparison`.
-
-    Bit-for-bit identical to the serial path for any ``n_workers`` and
-    ``chunk_size``; see the module docstring for why.  Falls back to
-    the serial loop when one worker (or one instance) makes a pool
-    pointless.
-
-    When ``engine`` (or ``REPRO_ENGINE``) selects the batch engine and
-    the sweep is non-preemptive, the whole miss segment is simulated
-    in-process by the vectorized lockstep engine — no process pool is
-    created at all: forking workers to each run a slice of a grid the
-    batch engine handles in one engine would cost more in process
-    startup and per-worker offline-cache warmup than it could save.
-
-    With ``telemetry`` enabled each chunk profiles under its own
-    :class:`~repro.obs.telemetry.Telemetry` and the snapshots are
-    merged into the caller's, in chunk order.  Counter totals are
-    therefore identical for every worker count; timer totals reflect
-    the actual wall clock spent, which naturally varies with chunking.
-
-    The result cache (:mod:`repro.resultcache`) is consulted before
-    any dispatch: cached instances are filled into the ratio matrix up
-    front and only the misses are sharded, so hits never occupy a pool
-    slot and an all-hit sweep never forks at all.  Each chunk's
-    columns are persisted as it completes.
-    """
-    if n_instances < 1:
-        raise ConfigurationError(f"n_instances must be >= 1, got {n_instances}")
-    workers = resolve_workers(n_workers)
-    if chunk_size is not None and chunk_size < 1:
-        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-
-    from repro.experiments.runner import resolve_engine, run_comparison
-
-    if resolve_engine(engine) == "batch" and not preemptive:
-        # The batch engine simulates the whole miss grid in-process;
-        # never build a pool for it.
-        return run_comparison(
-            spec, algorithms, n_instances, seed,
-            preemptive=preemptive, quantum=quantum, n_workers=1,
-            telemetry=telemetry, engine="batch",
-        )
-
-    if workers == 1 or n_instances == 1:
-        return run_comparison(
-            spec, algorithms, n_instances, seed,
-            preemptive=preemptive, quantum=quantum, n_workers=1,
-            telemetry=telemetry, engine="scalar",
-        )
-
-    algorithms = tuple(algorithms)
-    profile = telemetry is not None and telemetry.enabled
-    cache = open_sweep_cache(
-        comparison_fingerprint(spec, algorithms, seed, preemptive, quantum),
-        len(algorithms),
-        telemetry=telemetry,
-    )
-    segments = out = on_chunk = None
-    if cache is not None:
-        out = np.empty((len(algorithms), n_instances), dtype=np.float64)
-        misses = cache.fill_hits(out)
-        if not misses:
-            return _stats_from_ratios(algorithms, out, preemptive)
-        segments = segments_of(misses)
-        on_chunk = cache.write_chunk
-    result = run_sharded_instances(
-        partial(_ratio_chunk, spec, algorithms, seed, preemptive, quantum, profile),
-        len(algorithms),
-        n_instances,
-        n_workers=workers,
-        chunk_size=chunk_size,
-        collect_extras=profile,
-        segments=segments,
-        out=out,
-        on_chunk=on_chunk,
-    )
+    pool.shutdown(wait=True)
     if profile:
-        ratios, snapshots = result
-        for snap in snapshots:
-            telemetry.merge_snapshot(snap)
-    else:
-        ratios = result
-    return _stats_from_ratios(algorithms, ratios, preemptive)
+        for start in sorted(snapshots):
+            telemetry.merge_snapshot(snapshots[start])
+    return run.out

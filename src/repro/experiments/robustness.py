@@ -17,12 +17,12 @@ both.
 **Design** mirrors :mod:`repro.experiments.runner`: instance ``i``
 derives all of its randomness from ``SeedSequence([seed, i])`` (and
 its fault timelines from ``SeedSequence([fault_seed, i, rate_index])``,
-shared by every scheduler — a paired design), so the sweep shards over
-:func:`repro.experiments.parallel.run_sharded_instances` with results
+shared by every scheduler — a paired design), so the sweep is a
+:class:`~repro.experiments.parallel.Sweep` whose results are
 bit-for-bit identical for any worker count.  The λ=0 column is the
-fault-free run itself: the engines are bit-identical there (asserted
-by ``tests/faults/test_engine_equivalence.py``), so inflation is
-exactly 1.0 by construction.
+fault-free run itself: with no fault events the fault-aware engine is
+:func:`~repro.sim.engine.simulate`'s own loop, so inflation is exactly
+1.0 by construction and the chunk writes it without a second run.
 
 Per (scheduler, rate) the sweep records three metrics, averaged over
 instances:
@@ -45,9 +45,11 @@ import numpy as np
 from repro.core.properties import lower_bound
 from repro.core.properties import total_work
 from repro.errors import ConfigurationError
+from repro.experiments.parallel import Sweep, run_sweep
 from repro.faults.engine import simulate_with_faults
 from repro.faults.models import ExponentialFaults
 from repro.obs.telemetry import Telemetry
+from repro.resultcache.keys import robustness_fingerprint
 from repro.schedulers.registry import PAPER_ALGORITHMS, make_scheduler
 from repro.sim.engine import simulate
 from repro.workloads.generator import WORKLOAD_CELLS, sample_instance
@@ -84,19 +86,17 @@ def _robustness_chunk(
     mttr_factor: float,
     horizon_factor: float,
     policy: str,
-    profile: bool,
     start: int,
     stop: int,
-):
-    """Sweep worker: robustness metrics for instances ``start..stop-1``.
+    telemetry: Telemetry | None,
+) -> np.ndarray:
+    """Sweep chunk: robustness metrics for instances ``start..stop-1``.
 
     Returns a ``(n_algorithms * n_rates * 3, stop - start)`` block;
     row layout is ``(a * n_rates + r) * 3 + m`` over the
-    ``(inflation, wasted, kills)`` metrics.  With ``profile`` the block
-    is paired with a telemetry snapshot dict for the parent to merge.
+    ``(inflation, wasted, kills)`` metrics.
     """
     schedulers = [make_scheduler(name) for name in algorithms]
-    telemetry = Telemetry() if profile else None
     n_rows = len(algorithms) * len(rates) * len(_METRICS)
     block = np.empty((n_rows, stop - start), dtype=np.float64)
     for j, i in enumerate(range(start, stop)):
@@ -143,8 +143,6 @@ def _robustness_chunk(
                 block[base, j] = res.makespan / fault_free[a].makespan
                 block[base + 1, j] = res.wasted_work / work
                 block[base + 2, j] = float(res.kills)
-    if telemetry is not None:
-        return block, telemetry.snapshot().to_dict()
     return block
 
 
@@ -165,19 +163,15 @@ def run_robustness_comparison(
 
     Returns ``{metric: {algorithm: [mean per rate]}}`` for the metrics
     ``inflation``, ``wasted`` and ``kills``.  Results are identical for
-    every ``n_workers`` — with or without ``telemetry``, which profiles
-    per chunk and merges snapshots as in
-    :func:`repro.experiments.parallel.run_comparison_parallel`.
+    every ``n_workers``, with or without ``telemetry``.
 
     Per-instance metric columns are memoized by
     :mod:`repro.resultcache` under the full sweep fingerprint (cell,
     algorithms, rate grid, both seeds, repair/horizon factors,
-    recovery policy): only cache-miss instances are sharded to
-    workers, and completed chunks persist as they land, so an
+    recovery policy), and :func:`~repro.experiments.parallel.run_sweep`
+    computes only the misses and persists them as they land, so an
     interrupted robustness sweep resumes instead of starting over.
     """
-    if n_instances < 1:
-        raise ConfigurationError(f"n_instances must be >= 1, got {n_instances}")
     for rate in rates:
         if rate < 0 or not math.isfinite(rate):
             raise ConfigurationError(f"failure rates must be finite and >= 0, got {rate}")
@@ -186,61 +180,22 @@ def run_robustness_comparison(
     if horizon_factor <= 0:
         raise ConfigurationError(f"horizon_factor must be > 0, got {horizon_factor}")
 
-    from repro.experiments.parallel import run_sharded_instances
-    from repro.resultcache.integrate import open_sweep_cache, segments_of
-    from repro.resultcache.keys import robustness_fingerprint
-
     algorithms = tuple(algorithms)
     rates = tuple(float(r) for r in rates)
     effective_fault_seed = seed if fault_seed is None else fault_seed
-    n_rows = len(algorithms) * len(rates) * len(_METRICS)
-    profile = telemetry is not None and telemetry.enabled
-    cache = open_sweep_cache(
+    sweep = Sweep(
         robustness_fingerprint(
             spec, algorithms, rates, seed, effective_fault_seed,
             mttr_factor, horizon_factor, policy,
         ),
-        n_rows,
-        telemetry=telemetry,
+        len(algorithms) * len(rates) * len(_METRICS),
+        n_instances,
+        partial(
+            _robustness_chunk, spec, algorithms, rates, seed,
+            effective_fault_seed, mttr_factor, horizon_factor, policy,
+        ),
     )
-    segments = out = on_chunk = None
-    matrix = None
-    if cache is not None:
-        out = np.empty((n_rows, n_instances), dtype=np.float64)
-        misses = cache.fill_hits(out)
-        if not misses:
-            matrix = out
-        else:
-            segments = segments_of(misses)
-            on_chunk = cache.write_chunk
-    if matrix is None:
-        result = run_sharded_instances(
-            partial(
-                _robustness_chunk,
-                spec,
-                algorithms,
-                rates,
-                seed,
-                effective_fault_seed,
-                mttr_factor,
-                horizon_factor,
-                policy,
-                profile,
-            ),
-            n_rows,
-            n_instances,
-            n_workers=n_workers,
-            collect_extras=profile,
-            segments=segments,
-            out=out,
-            on_chunk=on_chunk,
-        )
-        if profile:
-            matrix, snapshots = result
-            for snap in snapshots:
-                telemetry.merge_snapshot(snap)
-        else:
-            matrix = result
+    matrix = run_sweep(sweep, n_workers, telemetry)
     means = matrix.mean(axis=1)
     out: dict[str, dict[str, list[float]]] = {m: {} for m in _METRICS}
     for a, name in enumerate(algorithms):

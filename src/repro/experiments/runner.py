@@ -16,13 +16,13 @@ generator from the same sequence, so
   the compute.
 
 Because each instance's randomness is derived solely from ``(seed,
-i)``, the instance loop shards freely: ``n_workers > 1`` (or the
-``REPRO_WORKERS`` environment variable) routes it through the
-process-pool runner in :mod:`repro.experiments.parallel`, whose
-results are bit-for-bit identical to the serial path.
+i)``, the comparison is a :class:`~repro.experiments.parallel.Sweep`
+(:func:`comparison_sweep`) with one ratio row per algorithm, run by
+:func:`~repro.experiments.parallel.run_sweep`: cached, resumable, and
+bit-for-bit identical for every worker count.
 
-Scheduler instances are constructed once per comparison and reused
-across instances — :meth:`~repro.schedulers.base.Scheduler.prepare`
+Scheduler instances are constructed once per chunk and reused across
+its instances — :meth:`~repro.schedulers.base.Scheduler.prepare`
 fully resets per-run state (guaranteed by
 ``tests/experiments/test_runner.py``).
 """
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +39,9 @@ import numpy as np
 from repro.decentral.engine import simulate_decentralized
 from repro.decentral.schedulers import DecentralScheduler
 from repro.errors import ConfigurationError
+from repro.experiments.parallel import Sweep, run_sweep
 from repro.obs.telemetry import Telemetry
+from repro.resultcache.keys import comparison_fingerprint
 from repro.schedulers.base import Scheduler
 from repro.schedulers.registry import make_scheduler
 from repro.sim.engine import simulate
@@ -46,7 +49,7 @@ from repro.sim.preemptive import simulate_preemptive
 from repro.workloads.generator import sample_instance
 from repro.workloads.params import WorkloadSpec
 
-__all__ = ["SeriesStats", "resolve_engine", "run_comparison"]
+__all__ = ["SeriesStats", "comparison_sweep", "resolve_engine", "run_comparison"]
 
 #: Instances per batch-engine writeback chunk: large enough to
 #: amortize the lockstep rounds over many rows, small enough that an
@@ -125,11 +128,6 @@ def _instance_ratios(
     for a, scheduler in enumerate(schedulers):
         alg_rng = np.random.default_rng(alg_seeds[a])
         if isinstance(scheduler, DecentralScheduler):
-            if preemptive:
-                raise ConfigurationError(
-                    f"{scheduler.name}: decentralized schedulers do not "
-                    f"support the preemptive engine"
-                )
             result = simulate_decentralized(
                 job, system, scheduler, rng=alg_rng, telemetry=telemetry
             )
@@ -145,33 +143,58 @@ def _instance_ratios(
         out[a] = result.completion_time_ratio()
 
 
-def _batch_instance_ratios(
+def _ratio_chunk(
     spec: WorkloadSpec,
-    schedulers: Sequence[Scheduler],
-    indices: Sequence[int],
+    algorithms: tuple[str, ...],
     seed: int,
-    out: np.ndarray,
-    telemetry: Telemetry | None = None,
-) -> None:
-    """Run all algorithms on ``indices`` via the lockstep batch engine.
+    preemptive: bool,
+    quantum: float,
+    start: int,
+    stop: int,
+    telemetry: Telemetry | None,
+) -> np.ndarray:
+    """Comparison chunk: the ratio block of instances ``start..stop-1``.
+
+    Constructs its own schedulers (scheduler instances are reusable
+    across instances but not picklable in general).
+    """
+    schedulers = [make_scheduler(name) for name in algorithms]
+    block = np.empty((len(algorithms), stop - start), dtype=np.float64)
+    for j, i in enumerate(range(start, stop)):
+        _instance_ratios(
+            spec, schedulers, i, seed, preemptive, quantum, block[:, j],
+            telemetry=telemetry,
+        )
+    return block
+
+
+def _batch_ratio_chunk(
+    spec: WorkloadSpec,
+    algorithms: tuple[str, ...],
+    seed: int,
+    start: int,
+    stop: int,
+    telemetry: Telemetry | None,
+) -> np.ndarray:
+    """Comparison chunk on the lockstep batch engine.
 
     Samples each instance with exactly the randomness the scalar path
     derives from ``SeedSequence([seed, i])`` — same spawn layout, same
     per-algorithm generators — then hands the whole (algorithm ×
     instance) grid to :func:`repro.sim.batch.simulate_batch_grid`,
     which simulates every supported pair in lockstep and is
-    bit-identical to the scalar engine per pair.  ``out`` receives the
-    ``(n_algorithms, len(indices))`` ratio block.
+    bit-identical to the scalar engine per pair.
     """
     from repro.sim.batch import simulate_batch_grid
 
+    schedulers = [make_scheduler(name) for name in algorithms]
     obs = telemetry if (telemetry is not None and telemetry.enabled) else None
     instances = []
     rng_grid: list[list[np.random.Generator | None]] = [
-        [None] * len(indices) for _ in schedulers
+        [None] * (stop - start) for _ in schedulers
     ]
-    for j, i in enumerate(indices):
-        ss = np.random.SeedSequence([seed, int(i)])
+    for j, i in enumerate(range(start, stop)):
+        ss = np.random.SeedSequence([seed, i])
         inst_rng, *alg_seeds = ss.spawn(1 + len(schedulers))
         if obs is None:
             instances.append(sample_instance(spec, np.random.default_rng(inst_rng)))
@@ -186,52 +209,51 @@ def _batch_instance_ratios(
     grid = simulate_batch_grid(
         instances, schedulers, rngs=rng_grid, telemetry=telemetry
     )
+    block = np.empty((len(algorithms), stop - start), dtype=np.float64)
     for a in range(len(schedulers)):
-        for j in range(len(indices)):
-            out[a, j] = grid[a][j].completion_time_ratio()
+        for j in range(stop - start):
+            block[a, j] = grid[a][j].completion_time_ratio()
+    return block
 
 
-def _run_comparison_batch(
+def comparison_sweep(
     spec: WorkloadSpec,
     algorithms: Sequence[str],
     n_instances: int,
     seed: int,
-    quantum: float,
-    telemetry: Telemetry | None = None,
-) -> list[SeriesStats]:
-    """The batch-engine sweep: cache-miss instances simulated in lockstep.
+    preemptive: bool = False,
+    quantum: float = 1.0,
+    batch: bool = False,
+) -> Sweep:
+    """The paired comparison as a :class:`~repro.experiments.parallel.Sweep`.
 
-    Cache keys are engine-mode-invariant (no engine field): a batch
-    sweep reads columns a scalar sweep wrote and vice versa, which is
-    sound *because* the batch engine is bit-identical per instance.
-    Misses are computed in writeback chunks so an interrupted cold
-    sweep still resumes from its last persisted chunk.
+    One completion-time-ratio row per algorithm.  A preemptive sweep of
+    a decentralized scheduler is rejected here, before the cache is
+    opened or any instance is sampled.  ``batch`` computes the misses
+    on the lockstep batch engine, ``_BATCH_CHUNK`` instances per
+    in-process chunk; cache keys carry no engine field, which is sound
+    because the engines are bit-identical per instance.
     """
-    from repro.resultcache.integrate import open_sweep_cache
-    from repro.resultcache.keys import comparison_fingerprint
-
-    cache = open_sweep_cache(
-        comparison_fingerprint(spec, algorithms, seed, False, quantum),
-        len(algorithms),
-        telemetry=telemetry,
-    )
-    schedulers = [make_scheduler(name) for name in algorithms]
-    ratios = np.empty((len(algorithms), n_instances), dtype=np.float64)
-    if cache is not None:
-        misses = cache.fill_hits(ratios)
+    algorithms = tuple(algorithms)
+    if preemptive:
+        for name in algorithms:
+            scheduler = make_scheduler(name)
+            if isinstance(scheduler, DecentralScheduler):
+                raise ConfigurationError(
+                    f"{scheduler.name}: decentralized schedulers do not "
+                    f"support the preemptive engine"
+                )
+    if batch:
+        chunk = partial(_batch_ratio_chunk, spec, algorithms, seed)
     else:
-        misses = list(range(n_instances))
-    for c in range(0, len(misses), _BATCH_CHUNK):
-        chunk = misses[c : c + _BATCH_CHUNK]
-        block = np.empty((len(algorithms), len(chunk)), dtype=np.float64)
-        _batch_instance_ratios(
-            spec, schedulers, chunk, seed, block, telemetry=telemetry
-        )
-        for j, i in enumerate(chunk):
-            ratios[:, i] = block[:, j]
-            if cache is not None:
-                cache.write_instance(i, block[:, j])
-    return _stats_from_ratios(algorithms, ratios, False)
+        chunk = partial(_ratio_chunk, spec, algorithms, seed, preemptive, quantum)
+    return Sweep(
+        comparison_fingerprint(spec, algorithms, seed, preemptive, quantum),
+        len(algorithms),
+        n_instances,
+        chunk,
+        writeback=_BATCH_CHUNK if batch else 1,
+    )
 
 
 def _stats_from_ratios(
@@ -296,54 +318,19 @@ def run_comparison(
     not per-event streams.
 
     Instance results are memoized persistently by
-    :mod:`repro.resultcache` (disable with ``REPRO_CACHE=0``): the
-    serial loop consults the cache per instance and persists each
-    fresh result immediately, so a re-run is pure lookups and an
-    interrupted sweep resumes where it stopped.  Cached columns are
-    bit-identical to recomputed ones, so results — cached, fresh, or
-    mixed — are the same for every worker count and cache state.
+    :mod:`repro.resultcache` (disable with ``REPRO_CACHE=0``): hits
+    are filled first, and each fresh instance is persisted as its
+    chunk lands — per instance for one worker — so a re-run is pure
+    lookups and an interrupted sweep resumes where it stopped.  Cached
+    columns are bit-identical to recomputed ones, so results — cached,
+    fresh, or mixed — are the same for every worker count and cache
+    state.
     """
-    if n_instances < 1:
-        raise ConfigurationError(f"n_instances must be >= 1, got {n_instances}")
-
-    from repro.experiments.parallel import resolve_workers, run_comparison_parallel
-    from repro.resultcache.integrate import open_sweep_cache
-    from repro.resultcache.keys import comparison_fingerprint
-
-    if resolve_engine(engine) == "batch" and not preemptive:
-        return _run_comparison_batch(
-            spec, algorithms, n_instances, seed, quantum, telemetry=telemetry
-        )
-
-    if resolve_workers(n_workers) > 1 and n_instances > 1:
-        return run_comparison_parallel(
-            spec,
-            algorithms,
-            n_instances,
-            seed,
-            preemptive=preemptive,
-            quantum=quantum,
-            n_workers=n_workers,
-            telemetry=telemetry,
-        )
-
-    cache = open_sweep_cache(
-        comparison_fingerprint(spec, algorithms, seed, preemptive, quantum),
-        len(algorithms),
-        telemetry=telemetry,
+    batch = resolve_engine(engine) == "batch" and not preemptive
+    sweep = comparison_sweep(
+        spec, algorithms, n_instances, seed, preemptive, quantum, batch
     )
-    schedulers = [make_scheduler(name) for name in algorithms]
-    ratios = np.empty((len(algorithms), n_instances), dtype=np.float64)
-    for i in range(n_instances):
-        if cache is not None:
-            column = cache.lookup(i)
-            if column is not None:
-                ratios[:, i] = column
-                continue
-        _instance_ratios(
-            spec, schedulers, i, seed, preemptive, quantum, ratios[:, i],
-            telemetry=telemetry,
-        )
-        if cache is not None:
-            cache.write_instance(i, ratios[:, i])
+    # The batch engine runs a whole chunk in one lockstep pass; forking
+    # workers for slices of it would cost more than it could save.
+    ratios = run_sweep(sweep, 1 if batch else n_workers, telemetry)
     return _stats_from_ratios(algorithms, ratios, preemptive)

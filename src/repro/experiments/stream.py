@@ -11,12 +11,13 @@ objective) and stream makespan.
 
 Sharding follows the house determinism rule: stream instance ``i``
 derives all of its randomness from ``SeedSequence([seed, load_index,
-i])``, so :func:`run_stream` routes through
-:func:`repro.experiments.parallel.run_sharded_instances` and is
+i])``, so each load level is a
+:class:`~repro.experiments.parallel.Sweep` and :func:`run_stream` is
 bit-for-bit identical for every worker count (asserted by
-``tests/experiments/test_stream.py``).  Stream results are not part of
-the persistent result cache — its fingerprint schema covers the
-single-job comparison and robustness sweeps only.
+``tests/experiments/test_stream.py``).  Its sweeps declare no
+fingerprint: stream results are not part of the persistent result
+cache, whose fingerprint kinds are the single-job ``comparison``,
+``robustness``, ``decentral`` and ``energy`` sweeps.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from functools import partial
 
 import numpy as np
 
+from repro.experiments.parallel import Sweep, run_sweep
 from repro.multijob.arrival import poisson_stream
 from repro.multijob.engine import simulate_stream
 from repro.multijob.schedulers import STREAM_POLICIES, make_stream_scheduler
@@ -64,8 +66,9 @@ def _stream_metrics_chunk(
     load_index: int,
     start: int,
     stop: int,
+    telemetry: Telemetry | None,
 ) -> np.ndarray:
-    """Sweep worker: ``(2 * n_policies, stop - start)`` metric block.
+    """Sweep chunk: ``(2 * n_policies, stop - start)`` metric block.
 
     Rows are ``[flow_time(p0), makespan(p0), flow_time(p1), ...]``.
     Stream ``i`` (and its sampled system) derive all randomness from
@@ -98,25 +101,24 @@ def run_stream(
     — per-round stream-engine instrumentation is available through
     :func:`repro.multijob.engine.simulate_stream` directly.
     """
-    from repro.experiments.parallel import run_sharded_instances
-
     n = n_instances or 10
     obs = telemetry if (telemetry is not None and telemetry.enabled) else None
     panels = []
     for load_index, (label, gap) in enumerate(STREAM_LOADS):
-        worker = partial(
-            _stream_metrics_chunk,
-            STREAM_SPEC, _POLICIES, STREAM_JOBS, gap, seed, load_index,
+        sweep = Sweep(
+            None,
+            2 * len(_POLICIES),
+            n,
+            partial(
+                _stream_metrics_chunk,
+                STREAM_SPEC, _POLICIES, STREAM_JOBS, gap, seed, load_index,
+            ),
         )
         if obs is None:
-            metrics = run_sharded_instances(
-                worker, 2 * len(_POLICIES), n, n_workers=n_workers
-            )
+            metrics = run_sweep(sweep, n_workers)
         else:
             with obs.timer("phase.stream_sweep"):
-                metrics = run_sharded_instances(
-                    worker, 2 * len(_POLICIES), n, n_workers=n_workers
-                )
+                metrics = run_sweep(sweep, n_workers)
             obs.inc("sweep.streams", n)
         series = []
         for p, name in enumerate(_POLICIES):

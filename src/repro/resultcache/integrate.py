@@ -1,22 +1,19 @@
-"""Glue between the result cache and the sweep runners.
+"""Glue between the result cache and the sweep runner.
 
 :class:`SweepCache` binds one sweep's base fingerprint to a
-:class:`~repro.resultcache.store.ResultStore` and speaks the runners'
-language — instance indices and ``(n_rows, n_instances)`` matrices:
+:class:`~repro.resultcache.store.ResultStore` and speaks the runner's
+language — instance indices and ``(n_rows, n_instances)`` matrices.
+:class:`~repro.experiments.parallel.SweepRun` uses it for two of the
+runner's steps:
 
 * :meth:`fill_hits` resolves every instance up front, writes cached
   columns straight into the output matrix, and returns the *miss*
-  indices.  The parallel runners shard only those (cache hits never
-  occupy a pool slot); an all-hit sweep never builds a process pool
-  at all.
-* :meth:`write_chunk` is the ``on_chunk`` callback of
-  :func:`repro.experiments.parallel.run_sharded_instances`: as each
-  chunk's block lands in the parent, its columns are persisted —
-  which is what makes an interrupted sweep resumable from its last
-  completed chunk.
-* :meth:`lookup` / :meth:`write_instance` are the per-instance forms
-  the serial :func:`~repro.experiments.runner.run_comparison` loop
-  uses (serial sweeps resume at instance granularity).
+  indices.  Only those are computed (cache hits never occupy a pool
+  slot); an all-hit sweep never builds a process pool at all.
+* :meth:`write_chunk` persists the columns of each chunk as it lands
+  in the parent — which is what makes an interrupted sweep resumable
+  from its last landed chunk (its last finished instance, for a
+  one-worker sweep).
 
 Cache traffic is counted into the sweep's
 :class:`~repro.obs.telemetry.Telemetry` under ``cache.hits``,
@@ -71,13 +68,6 @@ class SweepCache:
     def key_for(self, instance: int) -> str:
         return instance_key(self.base_fields, instance)
 
-    # -- per-instance (serial loop) -------------------------------------
-    def lookup(self, instance: int) -> np.ndarray | None:
-        """The cached column for ``instance``, or ``None`` on a miss."""
-        column, status = self.store.lookup(self.key_for(instance), self.n_rows)
-        self._count(status)
-        return column
-
     def write_instance(self, instance: int, column: np.ndarray) -> None:
         """Persist one freshly computed instance column."""
         fields = {**self.base_fields, "instance": int(instance)}
@@ -85,7 +75,6 @@ class SweepCache:
         if self._obs is not None:
             self._obs.inc("cache.writes")
 
-    # -- whole-sweep (sharded runners) ----------------------------------
     def fill_hits(self, out: np.ndarray) -> list[int]:
         """Write every cached column into ``out``; return miss indices."""
         misses: list[int] = []

@@ -20,11 +20,12 @@ Deduplication happens at two layers, both keyed by
   as the persistent result cache).
 
 Sweeps additionally go through the *persistent* result cache exactly
-like CLI sweeps do: the sweep path is built from
-:mod:`repro.experiments.parallel` primitives (``plan_chunks`` +
-``_ratio_chunk`` + :class:`~repro.resultcache.integrate.SweepCache`),
-sharding only cache-miss segments across the shared pool and
-persisting chunks as they land.  Distinct sweep requests that overlap
+like CLI sweeps do: a sweep request is the same
+:func:`~repro.experiments.runner.comparison_sweep` that
+:func:`~repro.experiments.runner.run_comparison` runs, driven through
+the same :class:`~repro.experiments.parallel.SweepRun` steps — hits
+first, only the misses sharded across the shared pool, each chunk
+persisted as it lands.  Distinct sweep requests that overlap
 instance-wise therefore still share per-instance work across requests
 — and across daemon restarts.
 
@@ -38,7 +39,6 @@ from __future__ import annotations
 import asyncio
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from time import perf_counter
 from typing import Callable
 
@@ -49,19 +49,12 @@ from repro.decentral.schedulers import DecentralScheduler
 from repro.energy.metrics import energy_breakdown
 from repro.energy.models import power_config
 from repro.errors import ConfigurationError
-from repro.experiments.parallel import (
-    _CHUNKS_PER_WORKER,
-    _ratio_chunk,
-    plan_chunks,
-    terminate_pool,
-)
-from repro.experiments.runner import _stats_from_ratios
+from repro.experiments.parallel import SweepRun, terminate_pool
+from repro.experiments.runner import _stats_from_ratios, comparison_sweep
 from repro.multijob.arrival import poisson_stream
 from repro.multijob.engine import simulate_stream
 from repro.multijob.schedulers import make_stream_scheduler
 from repro.obs.telemetry import Telemetry
-from repro.resultcache.integrate import open_sweep_cache, segments_of
-from repro.resultcache.keys import comparison_fingerprint
 from repro.schedulers.registry import make_scheduler
 from repro.service.protocol import (
     ProtocolError,
@@ -284,8 +277,10 @@ class ServiceExecutor:
 
         ``source`` is ``"cached"`` (warm repeat, no work), ``"joined"``
         (attached to an identical in-flight computation) or ``"fresh"``.
-        Worker failures surface as :class:`ProtocolError` with code
-        ``internal``; errors are never cached, so a retry recomputes.
+        An unsupported combination (:class:`ConfigurationError`)
+        surfaces as :class:`ProtocolError` code ``bad_request``, any
+        other worker failure as ``internal``; errors are never cached,
+        so a retry recomputes.
         """
         key = request_fingerprint(request)
         cached = self._cache_get(key)
@@ -321,6 +316,10 @@ class ServiceExecutor:
             self._telemetry.inc(f"exec.error.{request.kind}")
             self._inflight.pop(key, None)
             raise
+        except ConfigurationError as exc:
+            self._telemetry.inc(f"exec.error.{request.kind}")
+            self._inflight.pop(key, None)
+            raise ProtocolError("bad_request", str(exc)) from exc
         except Exception as exc:
             self._telemetry.inc(f"exec.error.{request.kind}")
             self._inflight.pop(key, None)
@@ -340,60 +339,38 @@ class ServiceExecutor:
         return await loop.run_in_executor(self._pool, fn, *args)
 
     async def _execute_sweep(self, request: SweepRequest) -> dict:
-        """Shard one sweep over the shared pool, through the result cache.
+        """Run one sweep's chunks on the shared pool, through the result cache.
 
-        The same recipe as
-        :func:`~repro.experiments.parallel.run_comparison_parallel`,
-        reshaped for a shared pool: persistent-cache hits are filled in
-        up front (off-loop — they are file reads), only miss segments
-        are planned into chunks, chunks run concurrently wherever the
-        pool has capacity, and each completed chunk is persisted.  The
-        assembled matrix is collapsed by the exact serial-path code, so
-        responses are bit-identical to :func:`run_comparison` for any
-        pool size and interleaving.
+        The steps of :func:`~repro.experiments.parallel.run_sweep` on
+        the shared pool: cache hits are filled in up front and each
+        landed chunk is persisted, both off the event loop (they are
+        file reads and writes); the misses are planned into
+        ``_CHUNKS_PER_WORKER`` chunks per pool slot, which run wherever
+        the pool has capacity.  The sweep always uses the scalar
+        engine, and the assembled matrix is collapsed by the exact
+        serial-path code, so responses are bit-identical to
+        :func:`run_comparison` for any pool size and interleaving.
         """
-        spec = workload_cell(request.cell)
         algorithms = tuple(request.algorithms)
-        n = request.n_instances
-        loop = asyncio.get_running_loop()
-        out = np.empty((len(algorithms), n), dtype=np.float64)
-        segments = [(0, n)]
-        on_chunk = None
-        cache = open_sweep_cache(
-            comparison_fingerprint(
-                spec, algorithms, request.seed, request.preemptive,
-                request.quantum,
-            ),
-            len(algorithms),
-            telemetry=self._telemetry,
+        sweep = comparison_sweep(
+            workload_cell(request.cell), algorithms, request.n_instances,
+            request.seed, request.preemptive, request.quantum,
         )
-        if cache is not None:
-            misses = await loop.run_in_executor(None, cache.fill_hits, out)
-            segments = segments_of(misses)
-            on_chunk = cache.write_chunk
-        remaining = sum(stop - start for start, stop in segments)
-        if remaining:
-            slots = max(1, self.n_workers)
-            chunk_size = max(1, -(-remaining // (slots * _CHUNKS_PER_WORKER)))
-            worker = partial(
-                _ratio_chunk, spec, algorithms, request.seed,
-                request.preemptive, request.quantum, False,
-            )
+        loop = asyncio.get_running_loop()
+        run = await loop.run_in_executor(None, SweepRun, sweep, self._telemetry)
 
-            async def run_chunk(start: int, stop: int) -> None:
-                block = await self._run_in_pool(worker, start, stop)
-                out[:, start:stop] = block
-                if on_chunk is not None:
-                    await loop.run_in_executor(None, on_chunk, start, block)
+        async def run_chunk(start: int, stop: int) -> None:
+            block = await self._run_in_pool(sweep.chunk, start, stop, None)
+            await loop.run_in_executor(None, run.land, start, block)
 
-            await asyncio.gather(
-                *(run_chunk(s, e) for s, e in plan_chunks(segments, chunk_size))
-            )
-        stats = _stats_from_ratios(algorithms, out, request.preemptive)
+        await asyncio.gather(
+            *(run_chunk(s, e) for s, e in run.chunks(max(1, self.n_workers)))
+        )
+        stats = _stats_from_ratios(algorithms, run.out, request.preemptive)
         return {
             "cell": request.cell,
             "algorithms": list(algorithms),
-            "n_instances": n,
+            "n_instances": request.n_instances,
             "seed": request.seed,
             "preemptive": request.preemptive,
             "series": [s.to_dict() for s in stats],

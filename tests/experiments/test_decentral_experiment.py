@@ -3,8 +3,8 @@
 The sweep must be bit-identical for every worker count (paired seeding
 by instance index), answerable from the result cache on a warm repeat,
 and safe with **ragged cells** — large-``P`` cells clamp to fewer
-instances, so consecutive ``run_sharded_instances`` calls in one sweep
-see different instance counts.
+instances, so consecutive cell sweeps in one experiment see different
+instance counts.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Engine selection: ``engine=`` / ``REPRO_ENGINE`` routing of sweeps.
 
 The batch engine must be a pure drop-in: identical SeriesStats from
-``run_comparison`` and ``run_comparison_parallel`` for either engine
-value, selection via argument or environment variable, and — when the
-batch engine owns the whole miss grid — no process pool at all.
+``run_comparison`` for either engine value and any worker count,
+selection via argument or environment variable, and — when the batch
+engine owns the whole miss grid — no process pool at all.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import parallel as parallel_mod
-from repro.experiments.parallel import run_comparison_parallel
 from repro.experiments.runner import resolve_engine, run_comparison
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.workloads.generator import WORKLOAD_CELLS
@@ -87,9 +86,7 @@ class TestParallelPoolSkip:
 
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", boom)
         scalar = run_comparison(SPEC, ALGS, 4, SEED)
-        batch = run_comparison_parallel(
-            SPEC, ALGS, 4, SEED, n_workers=8, engine="batch"
-        )
+        batch = run_comparison(SPEC, ALGS, 4, SEED, n_workers=8, engine="batch")
         assert batch == scalar
 
     def test_env_var_routes_parallel(self, monkeypatch):
@@ -99,7 +96,7 @@ class TestParallelPoolSkip:
             lambda *a, **k: (_ for _ in ()).throw(AssertionError("pool built")),
         )
         scalar = run_comparison(SPEC, ALGS, 4, SEED, engine="scalar")
-        assert run_comparison_parallel(SPEC, ALGS, 4, SEED, n_workers=8) == scalar
+        assert run_comparison(SPEC, ALGS, 4, SEED, n_workers=8) == scalar
 
 
 class TestTelemetryCost:

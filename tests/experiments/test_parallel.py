@@ -1,9 +1,9 @@
-"""Determinism and plumbing tests for the process-parallel sweep runner.
+"""Determinism and plumbing tests for the sweep runner.
 
 The load-bearing property is exact: for any worker count and any chunk
-partition, :func:`run_comparison_parallel` must return *bit-for-bit*
-the same :class:`SeriesStats` as the serial loop — equality below is
-``==`` on floats, never ``approx``.
+partition, :func:`run_sweep` (and so :func:`run_comparison`) must
+return *bit-for-bit* the same result as the serial loop.  Equality
+below is ``==`` on floats, never ``approx``.
 """
 
 from __future__ import annotations
@@ -12,15 +12,21 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import parallel as parallel_mod
 from repro.experiments.parallel import (
-    _chunk_bounds,
-    _run_chunk,
+    Sweep,
+    SweepRun,
     plan_chunks,
     resolve_workers,
-    run_comparison_parallel,
-    run_sharded_instances,
+    run_sweep,
 )
-from repro.experiments.runner import _stats_from_ratios, run_comparison
+from repro.experiments.runner import (
+    _stats_from_ratios,
+    comparison_sweep,
+    run_comparison,
+)
+from repro.resultcache.integrate import SweepCache, open_sweep_cache
+from repro.resultcache.keys import ENGINE_REV
 from repro.workloads.params import EPParams, IRParams, WorkloadSpec
 
 TINY_EP = WorkloadSpec(
@@ -38,6 +44,24 @@ TINY_IR = WorkloadSpec(
 ALGS = ["kgreedy", "mqb", "lspan"]
 
 
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """Enable the result cache, rooted in a fresh per-test directory."""
+    monkeypatch.setenv("REPRO_CACHE", "1")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+
+def _fingerprint(kind: str) -> dict:
+    return {"kind": kind, "engine_rev": ENGINE_REV}
+
+
+def _forbid_pool(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("this sweep must not build a process pool")
+
+    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", forbidden)
+
+
 class TestBitIdentical:
     @pytest.mark.parametrize("spec", [TINY_EP, TINY_IR], ids=["ep", "ir"])
     @pytest.mark.parametrize("workers", [2, 8])
@@ -48,10 +72,11 @@ class TestBitIdentical:
         assert par == serial
 
     def test_chunk_size_one_matches_serial(self):
+        # 7 instances over 2 workers plan ceil(7 / (2 * 4)) = 1 per chunk.
+        sweep = comparison_sweep(TINY_EP, ALGS, 7, seed=12)
+        assert SweepRun(sweep).chunks(2) == [(i, i + 1) for i in range(7)]
         serial = run_comparison(TINY_EP, ALGS, 7, seed=12, n_workers=1)
-        par = run_comparison_parallel(
-            TINY_EP, ALGS, 7, seed=12, n_workers=2, chunk_size=1
-        )
+        par = run_comparison(TINY_EP, ALGS, 7, seed=12, n_workers=2)
         assert par == serial
 
     def test_preemptive_matches_serial(self):
@@ -74,17 +99,14 @@ class TestChunkAssembly:
     """Chunks computed out of order must assemble identically."""
 
     def _ratios_via_chunks(self, bounds):
-        blocks = [
-            _run_chunk(TINY_EP, tuple(ALGS), s, e, 21, False, 1.0)
-            for s, e in bounds
-        ]
-        ratios = np.empty((len(ALGS), 9), dtype=np.float64)
-        for start, block in blocks:
-            ratios[:, start : start + block.shape[1]] = block
-        return _stats_from_ratios(ALGS, ratios, False)
+        sweep = comparison_sweep(TINY_EP, ALGS, 9, 21)
+        run = SweepRun(sweep)
+        for start, stop in bounds:
+            run.land(start, sweep.chunk(start, stop, None))
+        return _stats_from_ratios(ALGS, run.out, False)
 
     def test_interleaved_and_reversed_chunk_order(self):
-        forward = _chunk_bounds(9, 2)
+        forward = plan_chunks([(0, 9)], 2)
         reference = self._ratios_via_chunks(forward)
         assert self._ratios_via_chunks(list(reversed(forward))) == reference
         interleaved = forward[::2] + forward[1::2]
@@ -93,12 +115,12 @@ class TestChunkAssembly:
         assert reference == run_comparison(TINY_EP, ALGS, 9, 21, n_workers=1)
 
     def test_chunk_bounds_cover_range_exactly(self):
-        bounds = _chunk_bounds(10, 3)
+        bounds = plan_chunks([(0, 10)], 3)
         assert bounds == [(0, 3), (3, 6), (6, 9), (9, 10)]
-        assert _chunk_bounds(4, 100) == [(0, 4)]
+        assert plan_chunks([(0, 4)], 100) == [(0, 4)]
 
 
-def _identity_block(start: int, stop: int) -> np.ndarray:
+def _identity_block(start: int, stop: int, telemetry=None) -> np.ndarray:
     """1-row block whose entries are the instance indices themselves."""
     return np.arange(start, stop, dtype=np.float64)[None, :]
 
@@ -114,6 +136,8 @@ class TestChunkPlanning:
         for workers in (8, 64):
             size = max(1, -(-3 // (workers * 4)))
             assert len(plan_chunks([(0, 3)], size)) <= 3
+            run = SweepRun(Sweep(None, 1, 3, _identity_block))
+            assert run.chunks(workers) == [(0, 1), (1, 2), (2, 3)]
 
     def test_segments_chunk_independently(self):
         assert plan_chunks([(0, 2), (5, 9)], 3) == [(0, 2), (5, 8), (8, 9)]
@@ -122,41 +146,58 @@ class TestChunkPlanning:
     def test_small_sweep_more_workers_than_instances(self):
         # Regression (ISSUE 4): n_instances < n_workers must still
         # assemble the exact serial matrix.
-        out = run_sharded_instances(_identity_block, 1, 3, n_workers=8)
+        out = run_sweep(Sweep(None, 1, 3, _identity_block), n_workers=8)
         assert out.tolist() == [[0.0, 1.0, 2.0]]
         stats = run_comparison(TINY_EP, ["kgreedy"], 2, seed=44, n_workers=16)
         assert stats == run_comparison(TINY_EP, ["kgreedy"], 2, seed=44, n_workers=1)
 
-    def test_segments_restrict_computation(self):
-        out = np.full((1, 6), -1.0)
-        result = run_sharded_instances(
-            _identity_block, 1, 6, n_workers=1,
-            segments=[(1, 3), (5, 6)], out=out,
-        )
-        assert result is out
+    def test_segments_restrict_computation(self, cache_dir):
+        """Only the cache-miss segments are computed; hits fill the rest."""
+        fingerprint = _fingerprint("identity")
+        cache = open_sweep_cache(fingerprint, 1)
+        for i in (0, 3, 4):
+            cache.write_instance(i, np.array([-1.0]))
+        computed = []
+
+        def chunk(start, stop, telemetry):
+            computed.append((start, stop))
+            return _identity_block(start, stop)
+
+        out = run_sweep(Sweep(fingerprint, 1, 6, chunk), n_workers=1)
         assert out.tolist() == [[-1.0, 1.0, 2.0, -1.0, -1.0, 5.0]]
+        assert computed == [(1, 2), (2, 3), (5, 6)]
 
-    def test_segments_require_prefilled_out(self):
-        with pytest.raises(ConfigurationError):
-            run_sharded_instances(_identity_block, 1, 6, segments=[(0, 2)])
+    def test_one_remaining_instance_runs_in_process(
+        self, cache_dir, monkeypatch
+    ):
+        fingerprint = _fingerprint("identity")
+        cache = open_sweep_cache(fingerprint, 1)
+        for i in (0, 1, 3, 4):
+            cache.write_instance(i, np.array([float(i)]))
+        _forbid_pool(monkeypatch)
+        out = run_sweep(Sweep(fingerprint, 1, 5, _identity_block), n_workers=4)
+        assert out.tolist() == [[0.0, 1.0, 2.0, 3.0, 4.0]]
 
-    def test_bad_segments_rejected(self):
-        out = np.empty((1, 4))
-        for segments in ([(2, 1)], [(0, 2), (1, 3)], [(0, 9)]):
-            with pytest.raises(ConfigurationError):
-                run_sharded_instances(
-                    _identity_block, 1, 4, segments=segments, out=out
-                )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_land_persists_every_computed_block(
+        self, cache_dir, monkeypatch, workers
+    ):
+        persisted: dict[int, list[float]] = {}
+        write_chunk = SweepCache.write_chunk
 
-    def test_on_chunk_sees_every_computed_block(self):
-        seen: dict[int, list[float]] = {}
-        run_sharded_instances(
-            _identity_block, 1, 7, n_workers=1, chunk_size=3,
-            on_chunk=lambda start, block: seen.__setitem__(
-                start, block[0].tolist()
-            ),
-        )
-        assert seen == {0: [0.0, 1.0, 2.0], 3: [3.0, 4.0, 5.0], 6: [6.0]}
+        def spy(self, start, block):
+            persisted[start] = block[0].tolist()
+            write_chunk(self, start, block)
+
+        monkeypatch.setattr(SweepCache, "write_chunk", spy)
+        # One instance per chunk: in-process by the default write-back
+        # size, on the pool by ceil(4 / (2 * 4)).
+        run_sweep(Sweep(_fingerprint("identity"), 1, 4, _identity_block), workers)
+        assert persisted == {i: [float(i)] for i in range(4)}
+        persisted.clear()
+        sweep = Sweep(_fingerprint("identity-3"), 1, 7, _identity_block, writeback=3)
+        run_sweep(sweep, n_workers=1)
+        assert persisted == {0: [0.0, 1.0, 2.0], 3: [3.0, 4.0, 5.0], 6: [6.0]}
 
 
 class TestResolveWorkers:
@@ -200,22 +241,19 @@ class TestResolveWorkers:
 
 
 class TestValidation:
-    def test_bad_chunk_size(self):
-        with pytest.raises(ConfigurationError):
-            run_comparison_parallel(
-                TINY_EP, ALGS, 4, seed=1, n_workers=2, chunk_size=0
-            )
-
     def test_bad_instances(self):
         with pytest.raises(ConfigurationError):
-            run_comparison_parallel(TINY_EP, ALGS, 0, seed=1, n_workers=2)
+            run_comparison(TINY_EP, ALGS, 0, seed=1, n_workers=2)
+        with pytest.raises(ConfigurationError):
+            Sweep(None, 1, 0, _identity_block)
 
-    def test_single_instance_falls_back_to_serial(self):
-        stats = run_comparison_parallel(TINY_EP, ALGS, 1, seed=2, n_workers=4)
-        assert stats == run_comparison(TINY_EP, ALGS, 1, seed=2, n_workers=1)
+    def test_single_instance_falls_back_to_serial(self, monkeypatch):
+        serial = run_comparison(TINY_EP, ALGS, 1, seed=2, n_workers=1)
+        _forbid_pool(monkeypatch)
+        assert run_comparison(TINY_EP, ALGS, 1, seed=2, n_workers=4) == serial
 
 
-def _failing_block(start: int, stop: int) -> np.ndarray:
+def _failing_block(start: int, stop: int, telemetry=None) -> np.ndarray:
     """Worker that computes the first chunks, then blows up at index 6."""
     if start >= 6:
         raise RuntimeError(f"injected failure in chunk [{start}, {stop})")
@@ -227,9 +265,7 @@ class TestPoolShutdown:
 
     def test_worker_failure_propagates(self):
         with pytest.raises(RuntimeError, match="injected failure"):
-            run_sharded_instances(
-                _failing_block, 1, 12, n_workers=2, chunk_size=3
-            )
+            run_sweep(Sweep(None, 1, 12, _failing_block), n_workers=2)
 
     def test_worker_failure_reaps_children(self):
         import multiprocessing
@@ -237,9 +273,7 @@ class TestPoolShutdown:
 
         before = {p.pid for p in multiprocessing.active_children()}
         with pytest.raises(RuntimeError):
-            run_sharded_instances(
-                _failing_block, 1, 12, n_workers=2, chunk_size=3
-            )
+            run_sweep(Sweep(None, 1, 12, _failing_block), n_workers=2)
         # _terminate_pool joins with a timeout; give stragglers a beat.
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
@@ -258,14 +292,16 @@ class TestPoolShutdown:
 
         t0 = time.monotonic()
         with pytest.raises(RuntimeError):
-            run_sharded_instances(
-                _failing_block_after_slow_start, 1, 16, n_workers=4,
-                chunk_size=2,
+            run_sweep(
+                Sweep(None, 1, 16, _failing_block_after_slow_start),
+                n_workers=4,
             )
         assert time.monotonic() - t0 < 10.0
 
 
-def _failing_block_after_slow_start(start: int, stop: int) -> np.ndarray:
+def _failing_block_after_slow_start(
+    start: int, stop: int, telemetry=None
+) -> np.ndarray:
     import time
 
     if start == 0:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import parallel as parallel_mod
 from repro.experiments.runner import _instance_ratios, run_comparison
+from repro.obs.telemetry import Telemetry
 from repro.schedulers.registry import make_scheduler
 from repro.workloads.params import EPParams, WorkloadSpec
 
@@ -58,8 +60,33 @@ class TestRunComparison:
         assert set(d) == {"key", "mean", "max", "std", "stderr", "n"}
 
 
+class TestPreemptiveDecentralRejected:
+    """A preemptive sweep of a decentralized scheduler fails before any work."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rejected_before_cache_sampling_or_pool(
+        self, tmp_path, monkeypatch, workers
+    ):
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a rejected sweep must not build a pool")
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", forbidden)
+        telemetry = Telemetry()
+        with pytest.raises(ConfigurationError, match="preemptive"):
+            run_comparison(
+                TINY_EP, ["kgreedy", "dkgreedy"], 4, seed=1, preemptive=True,
+                n_workers=workers, telemetry=telemetry,
+            )
+        # No instance sampled, no cache lookup counted or written.
+        assert telemetry.counters == {}
+        assert not (tmp_path / "cache").exists()
+
+
 class TestSchedulerReuse:
-    """run_comparison constructs schedulers once and reuses them.
+    """Comparison chunks construct schedulers once and reuse them.
 
     prepare() must fully reset per-run state, so a scheduler instance
     that just finished one instance produces the same ratios as a

@@ -136,6 +136,25 @@ class TestErrors:
         assert excinfo.value.code == "internal"
         assert "boom" in excinfo.value.message
 
+    def test_preemptive_decentral_sweep_is_bad_request(self):
+        from repro.service.protocol import SweepRequest
+
+        telemetry = Telemetry()
+        executor = make_executor(telemetry)
+        request = SweepRequest(
+            cell=CELL, algorithms=("kgreedy", "dmqb"), n_instances=3,
+            preemptive=True,
+        )
+
+        async def main():
+            await executor.execute(request)
+
+        with pytest.raises(ProtocolError) as excinfo:
+            asyncio.run(main())
+        assert excinfo.value.code == "bad_request"
+        assert "preemptive" in excinfo.value.message
+        assert telemetry.counters["exec.error.sweep"] == 1
+
     def test_errors_are_never_cached(self):
         telemetry = Telemetry()
         attempts = []

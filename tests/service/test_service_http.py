@@ -82,6 +82,15 @@ class TestEndpoints:
         assert response.status == 400
         assert response.error_code == "bad_request"
 
+    def test_preemptive_decentral_sweep_is_400(self, client):
+        response = client.post(
+            "sweep",
+            {"cell": CELL, "algorithms": ["dkgreedy"], "n_instances": 2,
+             "preemptive": True},
+        )
+        assert response.status == 400
+        assert response.error_code == "bad_request"
+
     def test_wrong_protocol_version_rejected(self, client):
         response = client.request(
             "POST", "/schedule", {"protocol": 999, "cell": CELL}

@@ -14,9 +14,8 @@ timelines include an outage that starts at t=0, failures at a
 completion-and-dispatch instant, random renewal timelines, and a
 maintenance schedule that trips the ``max_kills`` livelock guard.
 
-Faulty traces are pinned as a multiset of segments; every other trace
-is pinned in segment order.  Re-record after an intended output change
-with::
+Traces are pinned in segment order, which is dispatch order for both
+kinds of run.  Re-record after an intended output change with::
 
     PYTHONPATH=src python tests/sim/test_loop_golden.py
 """
@@ -144,9 +143,8 @@ def _digest(obj) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _segments(trace, ordered: bool) -> list:
-    rows = [[s.task, s.alpha, s.proc, s.start, s.end, s.killed] for s in trace]
-    return rows if ordered else sorted(rows)
+def _segments(trace) -> list:
+    return [[s.task, s.alpha, s.proc, s.start, s.end, s.killed] for s in trace]
 
 
 def _events(stream: EventStream) -> list[str]:
@@ -173,13 +171,13 @@ def _observed(t: Telemetry | None, stream: EventStream | None) -> dict:
     }
 
 
-def _pin(res, t, stream, ordered: bool) -> dict:
+def _pin(res, t, stream) -> dict:
     out = {"makespan": res.makespan, "decisions": res.decisions}
     if hasattr(res, "kills"):
         out["kills"] = res.kills
         out["wasted_work"] = res.wasted_work
     out["trace"] = (
-        None if res.trace is None else _digest(_segments(res.trace, ordered))
+        None if res.trace is None else _digest(_segments(res.trace))
     )
     out.update(_observed(t, stream))
     return out
@@ -198,7 +196,7 @@ def _cases() -> dict[str, callable]:
                 job, system, make_scheduler(name),
                 rng=np.random.default_rng(11), record_trace=record, telemetry=t,
             )
-            return _pin(res, t, stream, ordered=True)
+            return _pin(res, t, stream)
         return run
 
     def faulty(name, job, system, timeline, policy, observe=True):
@@ -210,7 +208,7 @@ def _cases() -> dict[str, callable]:
                 policy=policy, rng=np.random.default_rng(13),
                 record_trace=True, telemetry=t,
             )
-            return _pin(res, t, stream, ordered=False)
+            return _pin(res, t, stream)
         return run
 
     for jname, (job, system) in jobs.items():
