@@ -88,7 +88,7 @@ def measure() -> dict[str, float]:
     )
     # Native compiled selection kernel (src/repro/native): the same
     # run with MQB's pick loop in C — bit-identical results, guarded
-    # by scripts/check_native_identity.py.  Skipped (entry absent)
+    # by tests/test_differential.py.  Skipped (entry absent)
     # when no kernel can be built on this host.
     from repro import native as _native
 

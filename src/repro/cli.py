@@ -48,6 +48,7 @@ import argparse
 import sys
 import time
 
+from repro.errors import ConfigurationError
 from repro.experiments.figures import EXPERIMENTS, run_experiment
 from repro.experiments.report import render_result
 from repro.experiments.store import load_result, save_result
@@ -345,47 +346,21 @@ def _cmd_cells() -> int:
     return 0
 
 
-def _reject_preemptive_decentral(scheduler, preemptive: bool) -> None:
-    from repro.decentral.schedulers import DecentralScheduler
-    from repro.errors import ConfigurationError
-
-    if preemptive and isinstance(scheduler, DecentralScheduler):
-        raise ConfigurationError(
-            f"{scheduler.name}: decentralized schedulers do not support "
-            f"the preemptive engine"
-        )
-
-
-def _reject_power_decentral(scheduler) -> None:
-    from repro.decentral.schedulers import DecentralScheduler
-    from repro.errors import ConfigurationError
-
-    if isinstance(scheduler, DecentralScheduler):
-        raise ConfigurationError(
-            f"{scheduler.name}: energy accounting is not supported for "
-            f"decentralized schedulers — steal costs occupy processors "
-            f"outside the recorded trace segments, so idle energy would "
-            f"silently be wrong"
-        )
-
-
 def _cmd_demo(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.decentral.engine import dispatch_simulate
+    from repro.capabilities import plan_run
     from repro.schedulers.registry import make_scheduler
     from repro.sim.gantt import render_gantt
     from repro.sim.metrics import average_utilization
-    from repro.sim.preemptive import simulate_preemptive
     from repro.workloads.generator import sample_instance, workload_cell
 
     spec = workload_cell(args.cell)
-    job, system = sample_instance(spec, np.random.default_rng(args.seed))
     scheduler = make_scheduler(args.scheduler)
-    _reject_preemptive_decentral(scheduler, args.preemptive)
-    if args.power is not None:
-        _reject_power_decentral(scheduler)
-    engine = simulate_preemptive if args.preemptive else dispatch_simulate
+    engine = plan_run(
+        scheduler, preemptive=args.preemptive, energy=args.power is not None
+    )
+    job, system = sample_instance(spec, np.random.default_rng(args.seed))
     result = engine(
         job, system, scheduler,
         rng=np.random.default_rng(args.seed), record_trace=True,
@@ -424,24 +399,22 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     import numpy as np
 
+    from repro.capabilities import plan_run
     from repro.obs.events import EventStream
     from repro.obs.export import (
         render_summary,
         write_chrome_trace,
         write_events_jsonl,
     )
-    from repro.decentral.engine import dispatch_simulate
     from repro.obs.telemetry import Telemetry
     from repro.schedulers.registry import make_scheduler
-    from repro.sim.preemptive import simulate_preemptive
     from repro.workloads.generator import sample_instance, workload_cell
 
     spec = workload_cell(args.cell)
+    scheduler = make_scheduler(args.scheduler)
+    engine = plan_run(scheduler, preemptive=args.preemptive)
     job, system = sample_instance(spec, np.random.default_rng(args.seed))
     telemetry = Telemetry(events=EventStream(capacity=args.capacity))
-    scheduler = make_scheduler(args.scheduler)
-    _reject_preemptive_decentral(scheduler, args.preemptive)
-    engine = simulate_preemptive if args.preemptive else dispatch_simulate
     result = engine(
         job, system, scheduler,
         rng=np.random.default_rng(args.seed), telemetry=telemetry,
@@ -495,8 +468,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code (2 with ``repro:
+    error: <message>`` for a :class:`ConfigurationError`, like argparse)."""
     args = build_parser().parse_args(argv)
+    try:
+        return _command(args)
+    except ConfigurationError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _command(args: argparse.Namespace) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

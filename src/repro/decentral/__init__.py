@@ -8,7 +8,7 @@ scheduling, so it runs :func:`repro.sim.engine.simulate` itself and is
 identical to the centralized schedulers by construction.
 """
 
-from repro.decentral.engine import dispatch_simulate, simulate_decentralized
+from repro.decentral.engine import simulate_decentralized
 from repro.decentral.policies import StealPolicy, parse_steal_options
 from repro.decentral.schedulers import (
     DKGreedy,
@@ -19,7 +19,6 @@ from repro.decentral.schedulers import (
 
 __all__ = [
     "simulate_decentralized",
-    "dispatch_simulate",
     "StealPolicy",
     "parse_steal_options",
     "DecentralScheduler",

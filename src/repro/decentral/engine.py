@@ -55,38 +55,11 @@ from repro.sim.result import ScheduleResult
 from repro.sim.trace import ScheduleTrace
 from repro.system.resources import ResourceConfig
 
-__all__ = ["simulate_decentralized", "dispatch_simulate"]
+__all__ = ["simulate_decentralized"]
 
 # Event-kind tags inside the heap tuples of the stealing loop.
 _EV_COMPLETE = 0
 _EV_STEAL = 1
-
-
-def dispatch_simulate(
-    job: KDag,
-    resources: ResourceConfig,
-    scheduler: Scheduler,
-    rng: np.random.Generator | None = None,
-    record_trace: bool = False,
-    telemetry: Telemetry | None = None,
-) -> ScheduleResult:
-    """Route to the engine matching the scheduler.
-
-    Decentralized schedulers (the ``dkgreedy``/``dmqb`` family) run
-    under :func:`simulate_decentralized`; everything else under the
-    centralized :func:`~repro.sim.engine.simulate`.  Call sites that
-    accept arbitrary registry names (runner, service, CLI, batch
-    fallback) use this instead of hard-coding the centralized engine.
-    """
-    if isinstance(scheduler, DecentralScheduler):
-        return simulate_decentralized(
-            job, resources, scheduler, rng=rng,
-            record_trace=record_trace, telemetry=telemetry,
-        )
-    return simulate(
-        job, resources, scheduler, rng=rng,
-        record_trace=record_trace, telemetry=telemetry,
-    )
 
 
 def simulate_decentralized(

@@ -45,11 +45,16 @@ __all__ = ["DecentralScheduler", "DKGreedy", "DMQB", "make_decentral_scheduler"]
 class DecentralScheduler:
     """Mixin marking a scheduler as decentralized-engine capable.
 
-    Engines and the batch router test ``isinstance(s, DecentralScheduler)``
-    to pick the execution path; the mixin carries the steal policy and
+    It declares ``decentral = True``, which
+    :func:`repro.capabilities.plan_run` routes to the work-stealing
+    engine, and ``lockstep = None``, which keeps the batch engine off
+    it.  It must come first in a subclass's bases so these values win
+    over the centralized class's.  It also carries the steal policy and
     the two extra protocol hooks.
     """
 
+    decentral = True
+    lockstep = None
     steal_policy: StealPolicy
 
     def pick_local(

@@ -35,7 +35,6 @@ from repro.energy.models import (
 from repro.energy.schedulers import (
     EMQB,
     KGreedyConsolidate,
-    is_energy_scheduler,
     make_energy_scheduler,
 )
 
@@ -55,5 +54,4 @@ __all__ = [
     "EMQB",
     "KGreedyConsolidate",
     "make_energy_scheduler",
-    "is_energy_scheduler",
 ]

@@ -2,8 +2,7 @@
 
 Two families, both thin layers over the paper's algorithms so that the
 energy knob degenerates to the base scheduler *bit-for-bit* when turned
-off (the correctness anchor CI asserts via
-``scripts/check_energy_identity.py``):
+off (the correctness anchor ``tests/test_differential.py`` asserts):
 
 * :class:`EMQB` (``emqb[w=0.5]``, optionally ``power=<config>``) —
   MQB's lexicographic utilization balancing with each type's
@@ -24,9 +23,10 @@ off (the correctness anchor CI asserts via
 
 Both names flow through the scheduler registry's bracket-suffix
 parsing (:func:`make_energy_scheduler`), so sweeps, the result cache,
-and the service pick them up unchanged.  The batch engine excludes
-them explicitly (they subclass MQB/KGreedy and would otherwise be
-lockstep-run as their bases) and falls back to the scalar engine.
+and the service pick them up unchanged.  Both declare
+``lockstep = None``: they subclass MQB/KGreedy, whose lockstep rows
+would run their bases, so the batch engine runs them on the scalar
+engine.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "EMQB",
     "KGreedyConsolidate",
     "make_energy_scheduler",
-    "is_energy_scheduler",
     "DEFAULT_EMQB_POWER",
 ]
 
@@ -73,6 +72,7 @@ class EMQB(MQB):
     """
 
     requires_offline = True
+    lockstep = None
 
     def __init__(self, w: float = 0.5, power: str | PowerModel = DEFAULT_EMQB_POWER) -> None:
         super().__init__(balance_mode="lex", carry_projection=True)
@@ -159,6 +159,7 @@ class KGreedyConsolidate(KGreedy):
     """
 
     requires_offline = False
+    lockstep = None
 
     def __init__(self, ratio: float = 0.5) -> None:
         super().__init__()
@@ -222,17 +223,6 @@ class KGreedyConsolidate(KGreedy):
 # ----------------------------------------------------------------------
 # registry glue
 # ----------------------------------------------------------------------
-def is_energy_scheduler(scheduler: object) -> bool:
-    """True for the energy variants (batch router exclusion hook).
-
-    They subclass MQB/KGreedy, so ``isinstance`` checks against the
-    bases would silently run them as their bases in the lockstep
-    engine; the batch router calls this first and falls back to the
-    scalar engine instead.
-    """
-    return isinstance(scheduler, (EMQB, KGreedyConsolidate))
-
-
 def _parse_options(text: str, name: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for raw in text.split(","):

@@ -34,10 +34,11 @@ any worker count (the regression test in
 from __future__ import annotations
 
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.capabilities import plan_run
 from repro.decentral.policies import StealPolicy
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import Sweep, run_sweep
@@ -116,6 +117,7 @@ def _algorithm_names(policy: StealPolicy) -> tuple[str, ...]:
 def _decentral_chunk(
     spec: WorkloadSpec,
     algorithms: tuple[str, ...],
+    engines: tuple[Callable, ...],
     p_per_type: int,
     seed: int,
     start: int,
@@ -129,8 +131,6 @@ def _decentral_chunk(
     algorithm, rows ``A..`` are makespan overheads ``T_dec / T_cen``
     per :data:`_PAIRS` entry.
     """
-    from repro.decentral.engine import dispatch_simulate
-
     schedulers = [make_scheduler(name) for name in algorithms]
     system = ResourceConfig((p_per_type,) * spec.num_types)
     n_rows = len(algorithms) + len(_PAIRS)
@@ -141,7 +141,7 @@ def _decentral_chunk(
         job = sample_job(spec, np.random.default_rng(inst_rng))
         makespans = []
         for a, sched in enumerate(schedulers):
-            res = dispatch_simulate(
+            res = engines[a](
                 job, system, sched,
                 rng=np.random.default_rng(alg_seeds[a]), telemetry=telemetry,
             )
@@ -174,13 +174,14 @@ def run_decentral_comparison(
     policy = policy if policy is not None else StealPolicy()
     spec = decentral_spec(p_per_type, num_types)
     algorithms = _algorithm_names(policy)
+    engines = tuple(plan_run(make_scheduler(name)) for name in algorithms)
     sweep = Sweep(
         decentral_fingerprint(
             spec, algorithms, p_per_type, seed, policy.fingerprint()
         ),
         len(algorithms) + len(_PAIRS),
         n_instances,
-        partial(_decentral_chunk, spec, algorithms, p_per_type, seed),
+        partial(_decentral_chunk, spec, algorithms, engines, p_per_type, seed),
     )
     matrix = run_sweep(sweep, n_workers, telemetry)
     means = matrix.mean(axis=1)

@@ -28,23 +28,19 @@ for any worker count, whose per-instance columns are memoized under
 :func:`repro.resultcache.keys.energy_fingerprint` (workload, ordered
 algorithm list, seed, every power-model field, and the profit knobs).
 
-**Rejection paths are explicit** (the PR's bugfix satellite): the batch
-engine runs lockstep rows that never materialize per-instance traces,
-and the decentralized engine's steal costs occupy processors outside
-the recorded segments — both would silently report wrong (zero) idle
-energy, so requesting either raises
-:class:`~repro.errors.ConfigurationError` and bumps an
-``energy.rejected.*`` counter instead of degrading silently, mirroring
-the preemptive+decentral guard.
+Decentralized schedulers are refused when the sweep is built
+(:func:`repro.capabilities.plan_run`): their steal costs fall outside
+the recorded trace.  The sweep takes no engine selection.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.capabilities import plan_run
 from repro.energy.metrics import energy_breakdown, schedule_profit
 from repro.energy.models import PowerModel, power_config
 from repro.errors import ConfigurationError
@@ -52,7 +48,6 @@ from repro.experiments.parallel import Sweep, run_sweep
 from repro.obs.telemetry import Telemetry
 from repro.resultcache.keys import energy_fingerprint
 from repro.schedulers.registry import PAPER_ALGORITHMS, make_scheduler
-from repro.sim.engine import simulate
 from repro.workloads.generator import WORKLOAD_CELLS, sample_instance
 from repro.workloads.params import WorkloadSpec
 
@@ -106,37 +101,10 @@ def energy_algorithm_names(power_name: str) -> tuple[str, ...]:
     )
 
 
-def _check_algorithms(algorithms: Sequence[str], telemetry: Telemetry | None) -> None:
-    """Reject schedulers whose engines cannot honor energy accounting."""
-    for name in algorithms:
-        if str(name).strip().lower().startswith(("dkgreedy", "dmqb")):
-            if telemetry is not None and telemetry.enabled:
-                telemetry.inc("energy.rejected.decentral")
-            raise ConfigurationError(
-                f"{name}: decentralized schedulers are not supported by the "
-                f"energy sweep — steal costs occupy processors outside the "
-                f"recorded trace segments, so idle-gap energy accounting "
-                f"would silently be wrong"
-            )
-
-
-def _check_engine(engine: str | None, telemetry: Telemetry | None) -> None:
-    """Reject the batch engine: lockstep rows record no usable traces."""
-    from repro.experiments.runner import resolve_engine
-
-    if resolve_engine(engine) == "batch":
-        if telemetry is not None and telemetry.enabled:
-            telemetry.inc("energy.rejected.engine")
-        raise ConfigurationError(
-            "the energy experiment requires the scalar engine (per-instance "
-            "traces feed the idle-gap energy accounting); rerun with "
-            "--engine scalar or unset REPRO_ENGINE"
-        )
-
-
 def _energy_chunk(
     spec: WorkloadSpec,
     algorithms: tuple[str, ...],
+    engines: tuple[Callable, ...],
     power: PowerModel,
     seed: int,
     deadline_factor: float,
@@ -162,7 +130,7 @@ def _energy_chunk(
         values = job.work.astype(np.float64)
         total_value = float(values.sum())
         for a, sched in enumerate(schedulers):
-            res = simulate(
+            res = engines[a](
                 job, system, sched,
                 rng=np.random.default_rng(alg_seeds[a]),
                 record_trace=True, telemetry=telemetry,
@@ -208,7 +176,9 @@ def run_energy_comparison(
         str(a).strip().lower()
         for a in (algorithms if algorithms is not None else energy_algorithm_names(power.name))
     )
-    _check_algorithms(algorithms, telemetry)
+    engines = tuple(
+        plan_run(make_scheduler(name), energy=True) for name in algorithms
+    )
     power.check_types(spec.num_types)
     sweep = Sweep(
         energy_fingerprint(
@@ -218,7 +188,7 @@ def run_energy_comparison(
         len(ENERGY_METRICS) * len(algorithms),
         n_instances,
         partial(
-            _energy_chunk, spec, algorithms, power, seed,
+            _energy_chunk, spec, algorithms, engines, power, seed,
             deadline_factor, energy_price_factor,
         ),
     )
@@ -259,7 +229,6 @@ def run_energy(
     seed: int = 2021,
     n_workers: int | None = None,
     telemetry: Telemetry | None = None,
-    engine: str | None = None,
     power_names: Sequence[str] | None = None,
     cell: str = ENERGY_CELL,
     deadline_factor: float = DEFAULT_DEADLINE_FACTOR,
@@ -274,7 +243,6 @@ def run_energy(
     algorithm) with front membership marked.
     """
     n = n_instances or 12
-    _check_engine(engine, telemetry)
     if cell not in WORKLOAD_CELLS:
         raise ConfigurationError(
             f"unknown energy cell {cell!r}; known: {sorted(WORKLOAD_CELLS)}"

@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.capabilities import plan_run
 from repro.core.properties import lower_bound
 from repro.core.properties import total_work
 from repro.errors import ConfigurationError
@@ -51,7 +52,6 @@ from repro.faults.models import ExponentialFaults
 from repro.obs.telemetry import Telemetry
 from repro.resultcache.keys import robustness_fingerprint
 from repro.schedulers.registry import PAPER_ALGORITHMS, make_scheduler
-from repro.sim.engine import simulate
 from repro.workloads.generator import WORKLOAD_CELLS, sample_instance
 from repro.workloads.params import WorkloadSpec
 
@@ -80,6 +80,7 @@ _METRICS = ("inflation", "wasted", "kills")
 def _robustness_chunk(
     spec: WorkloadSpec,
     algorithms: tuple[str, ...],
+    engines: tuple[Callable, ...],
     rates: tuple[float, ...],
     seed: int,
     fault_seed: int,
@@ -107,7 +108,7 @@ def _robustness_chunk(
         work = total_work(job)
 
         fault_free = [
-            simulate(
+            engines[a](
                 job, system, sched, rng=np.random.default_rng(alg_seeds[a]),
                 telemetry=telemetry,
             )
@@ -171,6 +172,7 @@ def run_robustness_comparison(
     recovery policy), and :func:`~repro.experiments.parallel.run_sweep`
     computes only the misses and persists them as they land, so an
     interrupted robustness sweep resumes instead of starting over.
+    Decentralized schedulers are refused before any work.
     """
     for rate in rates:
         if rate < 0 or not math.isfinite(rate):
@@ -181,6 +183,9 @@ def run_robustness_comparison(
         raise ConfigurationError(f"horizon_factor must be > 0, got {horizon_factor}")
 
     algorithms = tuple(algorithms)
+    engines = tuple(
+        plan_run(make_scheduler(name), faults=True) for name in algorithms
+    )
     rates = tuple(float(r) for r in rates)
     effective_fault_seed = seed if fault_seed is None else fault_seed
     sweep = Sweep(
@@ -191,7 +196,7 @@ def run_robustness_comparison(
         len(algorithms) * len(rates) * len(_METRICS),
         n_instances,
         partial(
-            _robustness_chunk, spec, algorithms, rates, seed,
+            _robustness_chunk, spec, algorithms, engines, rates, seed,
             effective_fault_seed, mttr_factor, horizon_factor, policy,
         ),
     )

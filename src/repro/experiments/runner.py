@@ -32,20 +32,17 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.decentral.engine import simulate_decentralized
-from repro.decentral.schedulers import DecentralScheduler
+from repro.capabilities import plan_run
 from repro.errors import ConfigurationError
-from repro.experiments.parallel import Sweep, run_sweep
+from repro.experiments.parallel import Sweep, resolve_workers, run_sweep
 from repro.obs.telemetry import Telemetry
 from repro.resultcache.keys import comparison_fingerprint
 from repro.schedulers.base import Scheduler
 from repro.schedulers.registry import make_scheduler
-from repro.sim.engine import simulate
-from repro.sim.preemptive import simulate_preemptive
 from repro.workloads.generator import sample_instance
 from repro.workloads.params import WorkloadSpec
 
@@ -102,10 +99,9 @@ class SeriesStats:
 def _instance_ratios(
     spec: WorkloadSpec,
     schedulers: Sequence[Scheduler],
+    engines: Sequence[Callable],
     i: int,
     seed: int,
-    preemptive: bool,
-    quantum: float,
     out: np.ndarray,
     telemetry: Telemetry | None = None,
 ) -> None:
@@ -126,29 +122,18 @@ def _instance_ratios(
             job, system = sample_instance(spec, np.random.default_rng(inst_rng))
         telemetry.inc("sweep.instances")
     for a, scheduler in enumerate(schedulers):
-        alg_rng = np.random.default_rng(alg_seeds[a])
-        if isinstance(scheduler, DecentralScheduler):
-            result = simulate_decentralized(
-                job, system, scheduler, rng=alg_rng, telemetry=telemetry
-            )
-        elif preemptive:
-            result = simulate_preemptive(
-                job, system, scheduler, rng=alg_rng, quantum=quantum,
-                telemetry=telemetry,
-            )
-        else:
-            result = simulate(
-                job, system, scheduler, rng=alg_rng, telemetry=telemetry
-            )
+        result = engines[a](
+            job, system, scheduler, rng=np.random.default_rng(alg_seeds[a]),
+            telemetry=telemetry,
+        )
         out[a] = result.completion_time_ratio()
 
 
 def _ratio_chunk(
     spec: WorkloadSpec,
     algorithms: tuple[str, ...],
+    engines: tuple[Callable, ...],
     seed: int,
-    preemptive: bool,
-    quantum: float,
     start: int,
     stop: int,
     telemetry: Telemetry | None,
@@ -162,7 +147,7 @@ def _ratio_chunk(
     block = np.empty((len(algorithms), stop - start), dtype=np.float64)
     for j, i in enumerate(range(start, stop)):
         _instance_ratios(
-            spec, schedulers, i, seed, preemptive, quantum, block[:, j],
+            spec, schedulers, engines, i, seed, block[:, j],
             telemetry=telemetry,
         )
     return block
@@ -227,26 +212,23 @@ def comparison_sweep(
 ) -> Sweep:
     """The paired comparison as a :class:`~repro.experiments.parallel.Sweep`.
 
-    One completion-time-ratio row per algorithm.  A preemptive sweep of
-    a decentralized scheduler is rejected here, before the cache is
-    opened or any instance is sampled.  ``batch`` computes the misses
-    on the lockstep batch engine, ``_BATCH_CHUNK`` instances per
-    in-process chunk; cache keys carry no engine field, which is sound
-    because the engines are bit-identical per instance.
+    One completion-time-ratio row per algorithm, each planned here
+    (:func:`~repro.capabilities.plan_run`), before any work.  ``batch``
+    computes the misses on the lockstep batch engine, ``_BATCH_CHUNK``
+    instances per in-process chunk; cache keys carry no engine field,
+    which is sound because the engines are bit-identical per instance.
     """
     algorithms = tuple(algorithms)
+    engines = tuple(
+        plan_run(make_scheduler(name), preemptive=preemptive)
+        for name in algorithms
+    )
     if preemptive:
-        for name in algorithms:
-            scheduler = make_scheduler(name)
-            if isinstance(scheduler, DecentralScheduler):
-                raise ConfigurationError(
-                    f"{scheduler.name}: decentralized schedulers do not "
-                    f"support the preemptive engine"
-                )
+        engines = tuple(partial(engine, quantum=quantum) for engine in engines)
     if batch:
         chunk = partial(_batch_ratio_chunk, spec, algorithms, seed)
     else:
-        chunk = partial(_ratio_chunk, spec, algorithms, seed, preemptive, quantum)
+        chunk = partial(_ratio_chunk, spec, algorithms, engines, seed)
     return Sweep(
         comparison_fingerprint(spec, algorithms, seed, preemptive, quantum),
         len(algorithms),
@@ -307,7 +289,8 @@ def run_comparison(
 
     ``n_workers`` selects how many worker processes shard the instance
     loop (``None`` defers to ``REPRO_WORKERS``, defaulting to serial).
-    Results are identical for every worker count.
+    Results are identical for every worker count (the batch engine
+    runs one).
 
     ``telemetry`` enables profiling (:mod:`repro.obs`): engine phase
     timers, per-scheduler decision costs and sweep counters accumulate
@@ -326,11 +309,12 @@ def run_comparison(
     fresh, or mixed — are the same for every worker count and cache
     state.
     """
+    workers = resolve_workers(n_workers)
     batch = resolve_engine(engine) == "batch" and not preemptive
     sweep = comparison_sweep(
         spec, algorithms, n_instances, seed, preemptive, quantum, batch
     )
     # The batch engine runs a whole chunk in one lockstep pass; forking
     # workers for slices of it would cost more than it could save.
-    ratios = run_sweep(sweep, 1 if batch else n_workers, telemetry)
+    ratios = run_sweep(sweep, 1 if batch else workers, telemetry)
     return _stats_from_ratios(algorithms, ratios, preemptive)

@@ -7,8 +7,8 @@ scalar scheduler (:class:`repro.schedulers.mqb.MQB`) and the batched
 lockstep engine (:mod:`repro.sim.batch`).  The kernel performs the
 identical IEEE-double arithmetic in the identical order as the numpy
 formulation, so winners — and therefore traces, processor ids and
-decision counts — are bit-identical to the pure-numpy path (CI-asserted
-by ``scripts/check_native_identity.py``).
+decision counts — are bit-identical to the pure-numpy path (asserted
+by the native column of ``tests/test_differential.py``).
 
 Backend selection is environment-driven via ``REPRO_NATIVE``:
 

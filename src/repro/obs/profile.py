@@ -123,27 +123,20 @@ def render_energy_line(snapshot: TelemetrySnapshot) -> str | None:
 
     Reads the ``energy.*`` counters the energy sweep
     (:mod:`repro.experiments.energy`) maintains — traced runs
-    accounted, idle gaps decomposed, gaps long enough to engage a
-    shutdown window, and rejected configurations — so
-    ``repro profile energy`` surfaces how much shutdown actually
-    happened without the full ``--full`` report.
+    accounted, idle gaps decomposed, and gaps long enough to engage a
+    shutdown window — so ``repro profile energy`` surfaces how much
+    shutdown actually happened without the full ``--full`` report.
     """
     runs = snapshot.counters.get("energy.runs", 0)
-    rejected = snapshot.counters.get(
-        "energy.rejected.engine", 0
-    ) + snapshot.counters.get("energy.rejected.decentral", 0)
-    if runs + rejected == 0:
+    if runs == 0:
         return None
     gaps = snapshot.counters.get("energy.gaps", 0)
     slept = snapshot.counters.get("energy.shutdowns", 0)
     frac = f" ({slept / gaps:.0%} slept)" if gaps else ""
-    line = (
+    return (
         f"energy accounting: {runs} runs, {gaps} idle gaps, "
         f"{slept} shutdowns{frac}"
     )
-    if rejected:
-        line += f", {rejected} rejected requests"
-    return line
 
 
 def render_native_line(snapshot: TelemetrySnapshot) -> str | None:

@@ -52,6 +52,15 @@ class Scheduler(ABC):
     #: Whether :meth:`prepare` reads the job structure beyond K (offline).
     requires_offline: bool = True
 
+    #: Whether runs need per-processor deques (the work-stealing
+    #: engine); :func:`repro.capabilities.plan_run` reads it.
+    decentral: bool = False
+
+    #: The batch engine's row kind (``"static"`` or ``"mqb"``), or
+    #: ``None`` to run on the scalar engine; :mod:`repro.sim.batch`
+    #: reads it.
+    lockstep: str | None = None
+
     def __init__(self) -> None:
         self._job: "KDag | None" = None
         self._resources: "ResourceConfig | None" = None
@@ -195,6 +204,8 @@ class QueueScheduler(Scheduler):
     ``(key, ready sequence)`` so ties resolve in FIFO arrival order and
     runs are fully deterministic.
     """
+
+    lockstep = "static"
 
     def __init__(self) -> None:
         super().__init__()

@@ -38,6 +38,7 @@ class KGreedy(Scheduler):
 
     name = "kgreedy"
     requires_offline = False
+    lockstep = "static"
 
     def __init__(self) -> None:
         super().__init__()

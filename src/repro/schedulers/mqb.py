@@ -64,6 +64,7 @@ class MQB(Scheduler):
 
     name = "mqb"
     requires_offline = True
+    lockstep = "mqb"
 
     def __init__(
         self,

@@ -29,8 +29,9 @@ The decentralized names accept a bracket-option suffix selecting the
 steal policy — ``dkgreedy[half]``, ``dmqb[global]``,
 ``dkgreedy[half,cost=0.25]`` — parsed by
 :func:`repro.decentral.policies.parse_steal_options`.  They run under
-:func:`repro.decentral.engine.simulate_decentralized`; the sweep
-runner, batch router, service and CLI dispatch on the scheduler type.
+:func:`repro.decentral.engine.simulate_decentralized`, which
+:func:`repro.capabilities.plan_run` picks from their ``decentral``
+declaration.
 """
 
 from __future__ import annotations

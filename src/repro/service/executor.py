@@ -44,8 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.decentral.engine import dispatch_simulate
-from repro.decentral.schedulers import DecentralScheduler
+from repro.capabilities import plan_run
 from repro.energy.metrics import energy_breakdown
 from repro.energy.models import power_config
 from repro.errors import ConfigurationError
@@ -65,7 +64,6 @@ from repro.service.protocol import (
     parse_request,
     request_fingerprint,
 )
-from repro.sim.preemptive import simulate_preemptive
 from repro.workloads.generator import sample_instance, sample_system, workload_cell
 
 __all__ = [
@@ -80,42 +78,27 @@ def run_schedule_request(payload: dict) -> dict:
 
     Seeding mirrors ``repro demo`` exactly (sample from
     ``default_rng(seed)``, simulate with a fresh ``default_rng(seed)``)
-    so responses are bit-identical to a direct :func:`simulate` call —
-    the contract ``tests/service/test_service_http.py`` asserts per
-    scheduler.
+    so responses are bit-identical to a direct run of the engine
+    :func:`~repro.capabilities.plan_run` picks — the contract
+    ``tests/service/test_service_http.py`` asserts per scheduler.  A
+    refused combination raises its
+    :class:`~repro.errors.ConfigurationError` before sampling; the
+    executor answers it with ``bad_request``.
     """
     request = parse_request(payload)
     assert isinstance(request, ScheduleRequest)
     spec = workload_cell(request.cell)
-    job, system = sample_instance(spec, np.random.default_rng(request.seed))
     scheduler = make_scheduler(request.scheduler)
     want_energy = request.power is not None
-    if want_energy and isinstance(scheduler, DecentralScheduler):
-        # Steal costs are paid outside trace segments, so a trace-based
-        # energy account would undercount decentralized busy time.
-        # Reject explicitly rather than report wrong joules.
-        raise ProtocolError(
-            "bad_request",
-            f"{scheduler.name}: decentralized schedulers do not "
-            f"support energy accounting",
-        )
-    if request.preemptive:
-        if isinstance(scheduler, DecentralScheduler):
-            raise ProtocolError(
-                "bad_request",
-                f"{scheduler.name}: decentralized schedulers do not "
-                f"support preemptive scheduling",
-            )
-        result = simulate_preemptive(
-            job, system, scheduler,
-            rng=np.random.default_rng(request.seed), quantum=request.quantum,
-            record_trace=want_energy,
-        )
-    else:
-        result = dispatch_simulate(
-            job, system, scheduler, rng=np.random.default_rng(request.seed),
-            record_trace=want_energy,
-        )
+    engine = plan_run(
+        scheduler, preemptive=request.preemptive, energy=want_energy
+    )
+    options = {"quantum": request.quantum} if request.preemptive else {}
+    job, system = sample_instance(spec, np.random.default_rng(request.seed))
+    result = engine(
+        job, system, scheduler, rng=np.random.default_rng(request.seed),
+        record_trace=want_energy, **options,
+    )
     energy: dict | None = None
     if want_energy:
         power = power_config(request.power, system.num_types)

@@ -34,14 +34,14 @@ start times, MQB's carry projection arithmetic, tie-breaks, processor
 ids, event orderings), asserted per instance across schedulers and
 cells by ``tests/sim/test_batch_identity.py``.
 
-Fallback contract: rows the batch engine does not support — unknown
-scheduler families, MQB on non-integer work amounts (where float
-summation *order* in the balance bookkeeping could diverge), or
-degenerate batches whose packed keys would overflow 62 bits — are
-simulated by the scalar engine instead, and counted on the
-``batch.fallback`` telemetry counter.  The batch path never silently
-differs: it either reproduces the scalar engine exactly or delegates
-to it.
+Fallback contract: rows the batch engine does not support — schedulers
+that declare no ``lockstep`` row kind, MQB on non-integer work amounts
+(where float summation *order* in the balance bookkeeping could
+diverge), or degenerate batches whose packed keys would overflow 62
+bits — run on the engine :func:`repro.capabilities.plan_run` picks,
+and are counted on the ``batch.fallback`` telemetry counter.  The
+batch path never silently differs: it either reproduces the scalar
+engine exactly or delegates to it.
 """
 
 from __future__ import annotations
@@ -51,14 +51,14 @@ from typing import Sequence
 import numpy as np
 
 from repro import native as _native
+from repro.capabilities import plan_run
 from repro.core.kdag import KDag
 from repro.errors import SchedulingError
 from repro.obs.telemetry import Telemetry
-from repro.schedulers.base import QueueScheduler, Scheduler
+from repro.schedulers.base import Scheduler
 from repro.schedulers.kgreedy import KGreedy
 from repro.schedulers.mqb import MQB
 from repro.schedulers.registry import make_scheduler
-from repro.sim.engine import simulate
 from repro.sim.result import ScheduleResult
 from repro.sim.trace import ScheduleTrace
 from repro.system.resources import ResourceConfig
@@ -875,57 +875,31 @@ class _MQBLockstep(_LockstepBase):
 # ----------------------------------------------------------------------
 # public API
 # ----------------------------------------------------------------------
-def _is_decentral(scheduler: Scheduler) -> bool:
-    # Lazy import: repro.decentral imports this package at load time.
-    from repro.decentral.schedulers import DecentralScheduler
-
-    return isinstance(scheduler, DecentralScheduler)
-
-
-def _is_energy(scheduler: Scheduler) -> bool:
-    # Lazy import: repro.energy.schedulers imports the scheduler
-    # package, whose registry this module imports at load time.
-    from repro.energy.schedulers import is_energy_scheduler
-
-    return is_energy_scheduler(scheduler)
-
-
-def _is_static(scheduler: Scheduler) -> bool:
-    # DKGreedy subclasses KGreedy but must not stack into the static
-    # lockstep rows — it runs under the decentralized engine.  The
-    # energy variants subclass KGreedy/MQB but override assignment, so
-    # lockstep rows would silently run their bases.
-    if _is_decentral(scheduler) or _is_energy(scheduler):
-        return False
-    return isinstance(scheduler, (QueueScheduler, KGreedy))
-
-
 def batch_supported(scheduler: Scheduler, job: KDag) -> bool:
     """Whether the batch engine can run ``scheduler`` on ``job``.
 
-    Static-priority schedulers (KGreedy and every
+    Reads the scheduler's ``lockstep`` declaration: static-priority
+    rows (KGreedy and every
     :class:`~repro.schedulers.base.QueueScheduler`) always qualify;
-    the MQB family qualifies on integral work amounts (every library
+    MQB rows qualify on integral work amounts (every library
     workload), where the balance bookkeeping is exact in any
     summation order.  Everything else — e.g. the random control, whose
     per-decision draws are inherently sequential, or the energy
-    variants, whose assignment differs from their base classes — falls
-    back to the scalar engine.
+    variants, whose assignment differs from their base classes — runs
+    on the scalar engine.
     """
-    if _is_decentral(scheduler) or _is_energy(scheduler):
-        return False
-    if _is_static(scheduler):
+    if scheduler.lockstep == "static":
         return True
-    if isinstance(scheduler, MQB):
-        cls = type(scheduler)
-        if cls._pick_best is not MQB._pick_best or cls.assign is not MQB.assign:
-            # A subclass with its own scoring or assignment (e.g. a
-            # third-party variant not caught by the energy/decentral
-            # family checks) would silently run its base class here.
-            return False
-        work = job.work
-        return bool(np.all(work == np.floor(work)))
-    return False
+    if scheduler.lockstep != "mqb":
+        return False
+    cls = type(scheduler)
+    if cls._pick_best is not MQB._pick_best or cls.assign is not MQB.assign:
+        # A subclass with its own scoring or assignment that inherits
+        # MQB's declaration (e.g. an unregistered variant) would
+        # silently run its base class here.
+        return False
+    work = job.work
+    return bool(np.all(work == np.floor(work)))
 
 
 def _static_row(sch: Scheduler, job: KDag, resources: ResourceConfig) -> _Row:
@@ -1035,22 +1009,18 @@ def simulate_batch_grid(
     fallback_pairs: list[tuple[int, int]] = []
     for a, sch in enumerate(sch_list):
         for i, (job, _resources) in enumerate(instances):
-            if _is_static(sch):
+            if sch.lockstep == "static":
                 static_pairs.append((a, i))
-            elif isinstance(sch, MQB) and batch_supported(sch, job):
+            elif batch_supported(sch, job):
                 key = (sch._balance_mode, sch._carry, job.num_types)
                 mqb_groups.setdefault(key, []).append((a, i))
             else:
                 fallback_pairs.append((a, i))
 
     def _run_fallback(pairs: list[tuple[int, int]]) -> None:
-        # dispatch_simulate routes decentralized schedulers to their
-        # engine; everything else goes to the scalar engine as before.
-        from repro.decentral.engine import dispatch_simulate
-
         for a, i in pairs:
             job, resources = instances[i]
-            results[a][i] = dispatch_simulate(
+            results[a][i] = plan_run(sch_list[a])(
                 job,
                 resources,
                 sch_list[a],

@@ -14,11 +14,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.capabilities import plan_run
 from repro.decentral import (
     DKGreedy,
     DMQB,
     StealPolicy,
-    dispatch_simulate,
     make_decentral_scheduler,
     simulate_decentralized,
 )
@@ -95,17 +95,19 @@ class TestDegenerateIdentity:
 class TestDispatch:
     def test_routes_decentral_scheduler(self):
         job, system = _instance()
-        res = dispatch_simulate(
-            job, system, make_scheduler("dkgreedy"),
-            rng=np.random.default_rng(0),
-        )
+        scheduler = make_scheduler("dkgreedy")
+        engine = plan_run(scheduler)
+        assert engine is simulate_decentralized
+        res = engine(job, system, scheduler, rng=np.random.default_rng(0))
         assert res.scheduler == "dkgreedy"
 
     def test_routes_centralized_scheduler_through_simulate(self):
         job, system = _instance()
         rng = lambda: np.random.default_rng(5)
-        via_dispatch = dispatch_simulate(
-            job, system, make_scheduler("mqb"), rng=rng(), record_trace=True
+        scheduler = make_scheduler("mqb")
+        assert plan_run(scheduler) is simulate
+        via_dispatch = plan_run(scheduler)(
+            job, system, scheduler, rng=rng(), record_trace=True
         )
         direct = simulate(
             job, system, make_scheduler("mqb"), rng=rng(), record_trace=True

@@ -9,6 +9,14 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def _error(capsys, argv: list[str]) -> str:
+    """``main(argv)``'s one-line error, asserting exit code 2."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: ") and err.count("\n") == 1
+    return err
+
+
 class TestParser:
     def test_list_command(self):
         args = build_parser().parse_args(["list"])
@@ -80,11 +88,8 @@ class TestMain:
         assert main(["report", str(tmp_path / "lemma1.json")]) == 0
         assert "closed form" in capsys.readouterr().out
 
-    def test_unknown_experiment_raises(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            main(["run", "fig99"])
+    def test_unknown_experiment_raises(self, capsys):
+        assert "unknown experiment 'fig99'" in _error(capsys, ["run", "fig99"])
 
     def test_run_robustness_saves_json(self, tmp_path, capsys):
         assert (
@@ -102,11 +107,9 @@ class TestMain:
         assert data["config"]["fault_seed"] == 3
         assert data["config"]["rates"] == [0.0, 0.25]
 
-    def test_fault_flags_rejected_for_other_experiments(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="fault parameters"):
-            main(["run", "lemma1", "--instances", "10", "--mtbf", "2.0"])
+    def test_fault_flags_rejected_for_other_experiments(self, capsys):
+        argv = ["run", "lemma1", "--instances", "10", "--mtbf", "2.0"]
+        assert "fault parameters" in _error(capsys, argv)
 
 
 class TestCells:
@@ -156,11 +159,8 @@ class TestDemo:
         )
         assert "makespan" in capsys.readouterr().out
 
-    def test_unknown_cell(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            main(["demo", "nope-cell"])
+    def test_unknown_cell(self, capsys):
+        assert "unknown workload cell" in _error(capsys, ["demo", "nope-cell"])
 
 
 class TestTrace:
@@ -221,11 +221,9 @@ class TestTrace:
         )
         assert "per-type utilization" in capsys.readouterr().out
 
-    def test_unknown_cell(self, tmp_path):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="unknown workload cell"):
-            main(["trace", "nope-cell", "--out", str(tmp_path / "t.json")])
+    def test_unknown_cell(self, tmp_path, capsys):
+        argv = ["trace", "nope-cell", "--out", str(tmp_path / "t.json")]
+        assert "unknown workload cell" in _error(capsys, argv)
 
 
 class TestProfile:
@@ -241,14 +239,9 @@ class TestProfile:
         assert "engine phases" in out
         assert "counters" in out
 
-    def test_unknown_experiment(self):
-        from repro.errors import ConfigurationError
+    def test_unknown_experiment(self, capsys):
+        assert "unknown experiment 'fig99'" in _error(capsys, ["profile", "fig99"])
 
-        with pytest.raises(ConfigurationError):
-            main(["profile", "fig99"])
-
-    def test_theory_experiment_rejects_profiling(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="profiling"):
-            main(["profile", "lemma1", "--instances", "10"])
+    def test_theory_experiment_rejects_profiling(self, capsys):
+        argv = ["profile", "lemma1", "--instances", "10"]
+        assert "does not support profiling" in _error(capsys, argv)

@@ -2,9 +2,8 @@
 
 Same contract family as the decentral sweep tests: bit-identical for
 every worker count, answerable from the result cache on a warm repeat,
-invalidated by any power-model flip — plus the explicit rejection
-paths (batch engine, decentralized schedulers) this PR's bugfix
-satellite pins.
+invalidated by any power-model flip — plus the refusal of
+decentralized schedulers and of engine selection.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from repro.experiments.energy import (
     run_energy,
     run_energy_comparison,
 )
-from repro.experiments.figures import DEFAULT_INSTANCES, EXPERIMENTS
+from repro.experiments.figures import DEFAULT_INSTANCES, EXPERIMENTS, run_experiment
 from repro.obs.telemetry import Telemetry
 from repro.schedulers.registry import PAPER_ALGORITHMS
 from repro.workloads.generator import WORKLOAD_CELLS
@@ -89,12 +88,16 @@ class TestComparison:
 
     def test_rejects_decentral_algorithms(self):
         telemetry = Telemetry()
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(
+            ConfigurationError,
+            match="dkgreedy: decentralized schedulers do not support energy accounting",
+        ):
             run_energy_comparison(
                 SPEC, _power(), 2, SEED,
                 algorithms=("kgreedy", "dkgreedy"), telemetry=telemetry,
             )
-        assert telemetry.counters.get("energy.rejected.decentral") == 1
+        # Refused before any instance was sampled or simulated.
+        assert telemetry.counters == {}
 
     def test_worker_count_invariance(self):
         serial = run_energy_comparison(
@@ -156,15 +159,18 @@ class TestComparison:
 
 class TestRunEnergy:
     def test_rejects_batch_engine(self):
+        # The sweep always simulates on the scalar engine and takes no
+        # engine selection, like the other non-comparison experiments.
         telemetry = Telemetry()
-        with pytest.raises(ConfigurationError):
-            run_energy(n_instances=1, engine="batch", telemetry=telemetry)
-        assert telemetry.counters.get("energy.rejected.engine") == 1
+        with pytest.raises(ConfigurationError, match="does not support engine selection"):
+            run_experiment("energy", n_instances=1, engine="batch", telemetry=telemetry)
+        assert telemetry.counters == {}
 
-    def test_rejects_batch_engine_from_env(self, monkeypatch):
+    def test_ignores_batch_engine_from_env(self, monkeypatch):
+        kwargs = dict(n_instances=1, power_names=("baseline",))
+        scalar = run_energy(**kwargs)
         monkeypatch.setenv("REPRO_ENGINE", "batch")
-        with pytest.raises(ConfigurationError):
-            run_energy(n_instances=1)
+        assert run_energy(**kwargs) == scalar
 
     def test_rejects_unknown_cell(self):
         with pytest.raises(ConfigurationError):

@@ -98,6 +98,16 @@ class TestParallelPoolSkip:
         scalar = run_comparison(SPEC, ALGS, 4, SEED, engine="scalar")
         assert run_comparison(SPEC, ALGS, 4, SEED, n_workers=8) == scalar
 
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_worker_count_validated_for_either_engine(self, engine, monkeypatch):
+        # The batch engine runs one worker but still rejects a bad
+        # count, with the scalar engine's message.
+        with pytest.raises(ConfigurationError, match="n_workers must be >= 1, got 0"):
+            run_comparison(SPEC, ALGS, 2, SEED, n_workers=0, engine=engine)
+        monkeypatch.setenv("REPRO_WORKERS", "-3")
+        with pytest.raises(ConfigurationError, match="REPRO_WORKERS must be >= 1, got -3"):
+            run_comparison(SPEC, ALGS, 2, SEED, engine=engine)
+
 
 class TestTelemetryCost:
     def test_disabled_telemetry_changes_nothing(self):

@@ -5,11 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import parallel as parallel_mod
 from repro.experiments.robustness import (
     FAILURE_RATES,
     run_robustness,
     run_robustness_comparison,
 )
+from repro.obs.telemetry import Telemetry
 from repro.schedulers.registry import PAPER_ALGORITHMS
 from repro.workloads.generator import WORKLOAD_CELLS
 
@@ -85,6 +87,38 @@ class TestComparison:
         base.update(kwargs)
         with pytest.raises(ConfigurationError):
             run_robustness_comparison(**base)
+
+
+class TestDecentralRejected:
+    """A fault sweep of a decentralized scheduler fails before any work.
+
+    The fault engine runs the centralized loop, which would report a
+    decentralized scheduler's centralized numbers under its name.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rejected_before_cache_sampling_or_pool(
+        self, tmp_path, monkeypatch, workers
+    ):
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a rejected sweep must not build a pool")
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", forbidden)
+        telemetry = Telemetry()
+        with pytest.raises(
+            ConfigurationError,
+            match="dkgreedy: decentralized schedulers do not support fault injection",
+        ):
+            run_robustness_comparison(
+                SPEC, ("kgreedy", "dkgreedy"), RATES, 3, 1,
+                n_workers=workers, telemetry=telemetry,
+            )
+        # No instance sampled, no cache lookup counted or written.
+        assert telemetry.counters == {}
+        assert not (tmp_path / "cache").exists()
 
 
 class TestRunRobustness:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.capabilities import plan_run
 from repro.errors import ConfigurationError
 from repro.experiments import parallel as parallel_mod
 from repro.experiments.runner import _instance_ratios, run_comparison
@@ -102,16 +103,18 @@ class TestSchedulerReuse:
         ratios = np.empty((len(self.ALGS), n), dtype=np.float64)
         for i in range(n):
             schedulers = [make_scheduler(a) for a in self.ALGS]
-            _instance_ratios(TINY_EP, schedulers, i, 77, False, 1.0, ratios[:, i])
+            engines = [plan_run(s) for s in schedulers]
+            _instance_ratios(TINY_EP, schedulers, engines, i, 77, ratios[:, i])
         return ratios
 
     def test_reused_equals_fresh_construction(self):
         n = 6
         reference = self._fresh_reference(n)
         schedulers = [make_scheduler(a) for a in self.ALGS]  # reused across i
+        engines = [plan_run(s) for s in schedulers]
         reused = np.empty_like(reference)
         for i in range(n):
-            _instance_ratios(TINY_EP, schedulers, i, 77, False, 1.0, reused[:, i])
+            _instance_ratios(TINY_EP, schedulers, engines, i, 77, reused[:, i])
         np.testing.assert_array_equal(reused, reference)
 
     def test_run_comparison_matches_fresh_reference(self):

@@ -1,8 +1,8 @@
 """Native MQB kernel: parity with numpy, dispatch gating, telemetry.
 
-The heavyweight bit-identity matrix lives in
-``scripts/check_native_identity.py`` (CI runs it after an explicit
-compile step); these tests cover the unit-level contract — direct
+The heavyweight bit-identity matrix is the native column of
+``tests/test_differential.py`` (CI compiles the kernel before the
+suite); these tests cover the unit-level contract — direct
 kernel calls against a numpy replica of ``MQB._pick_best`` + ``_pop``,
 the subclass/dimension dispatch gates, and the ``native.*`` telemetry
 counters — and skip cleanly on hosts where no kernel can be built.

@@ -221,14 +221,17 @@ class TestRealWork:
         assert result["energy"]["total"] > 0
 
     def test_power_with_decentral_scheduler_is_bad_request(self):
+        telemetry = Telemetry()
+        executor = make_executor(telemetry)
+        request = ScheduleRequest(cell=CELL, scheduler="dkgreedy", power="baseline")
+
         with pytest.raises(ProtocolError) as excinfo:
-            run_schedule_request(
-                ScheduleRequest(
-                    cell=CELL, scheduler="dkgreedy", power="baseline"
-                ).to_payload()
-            )
+            asyncio.run(executor.execute(request))
         assert excinfo.value.code == "bad_request"
-        assert "energy" in excinfo.value.message
+        assert excinfo.value.message == (
+            "dkgreedy: decentralized schedulers do not support energy accounting"
+        )
+        assert telemetry.counters["exec.error.schedule"] == 1
 
     def test_sweep_runs_through_shared_pool_path(self):
         """The built-in sweep path (no injected work fn) shards itself."""

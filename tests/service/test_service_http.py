@@ -103,17 +103,18 @@ class TestBitIdentity:
     def test_schedule_matches_direct_simulate_for_every_scheduler(self, client):
         """The acceptance criterion: /schedule ≡ the engine, bit for bit.
 
-        ``dispatch_simulate`` is ``simulate()`` for every centralized
+        ``plan_run`` picks ``simulate()`` for every centralized
         scheduler and the work-stealing engine for the decentral ones
         — the same routing the service itself uses.
         """
-        from repro.decentral import dispatch_simulate
+        from repro.capabilities import plan_run
 
         spec = workload_cell(CELL)
         for name in available_schedulers():
             job, system = sample_instance(spec, np.random.default_rng(5))
-            direct = dispatch_simulate(
-                job, system, make_scheduler(name), rng=np.random.default_rng(5)
+            scheduler = make_scheduler(name)
+            direct = plan_run(scheduler)(
+                job, system, scheduler, rng=np.random.default_rng(5)
             )
             result = client.schedule(CELL, scheduler=name, seed=5)["result"]
             assert result["makespan"] == direct.makespan, name

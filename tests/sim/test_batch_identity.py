@@ -19,6 +19,7 @@ from repro import (
     simulate,
     validate_schedule,
 )
+from repro.capabilities import plan_run
 from repro.errors import SchedulingError
 from repro.obs.telemetry import Telemetry
 from repro.sim.batch import batch_supported, simulate_batch, simulate_batch_grid
@@ -65,16 +66,15 @@ def test_every_scheduler_bit_identical(name: str, cell: str):
     Covers both engine paths: natively batched schedulers exercise the
     lockstep loop, unsupported ones exercise the scalar fallback — the
     result must be indistinguishable either way.  The scalar reference
-    is ``dispatch_simulate``: ``simulate()`` for centralized schedulers
-    and the work-stealing engine for the decentral ones, mirroring the
-    batch engine's own fallback routing.
+    is the engine ``plan_run`` picks: ``simulate()`` for centralized
+    schedulers and the work-stealing engine for the decentral ones,
+    mirroring the batch engine's own fallback routing.
     """
-    from repro.decentral import dispatch_simulate
-
     instances = _instances(cell)
     scalar_rngs, batch_rngs = zip(*(_rng_pair(i) for i in range(len(instances))))
+    engine = plan_run(make_scheduler(name))
     scalar = [
-        dispatch_simulate(job, res, make_scheduler(name), rng=rng, record_trace=True)
+        engine(job, res, make_scheduler(name), rng=rng, record_trace=True)
         for (job, res), rng in zip(instances, scalar_rngs)
     ]
     batch = simulate_batch(
