@@ -86,16 +86,21 @@ def measure() -> dict[str, float]:
     after["engine_mqb_ir"] = _best_of(
         lambda: simulate(job, system, make_scheduler("mqb"), rng=rng), repeat=10
     )
-    # Native compiled selection kernel (src/repro/native): the same
-    # run with MQB's pick loop in C — bit-identical results, guarded
-    # by tests/test_differential.py.  Skipped (entry absent)
-    # when no kernel can be built on this host.
+    # Native kernel (src/repro/native): the same runs as whole C runs
+    # (simulate() hands a static-priority or MQB run to the kernel's
+    # list-scheduling loop) — bit-identical results, guarded by
+    # tests/test_differential.py.  Skipped (entries absent) when no
+    # kernel can be built on this host.
     from repro import native as _native
 
     os.environ["REPRO_NATIVE"] = "1"
     if _native.load_kernel() is not None:
         after["engine_mqb_ir_native"] = _best_of(
             lambda: simulate(job, system, make_scheduler("mqb"), rng=rng),
+            repeat=10,
+        )
+        after["engine_kgreedy_ir_native"] = _best_of(
+            lambda: simulate(job, system, make_scheduler("kgreedy")),
             repeat=10,
         )
     os.environ["REPRO_NATIVE"] = "0"
@@ -140,15 +145,21 @@ def measure() -> dict[str, float]:
     after["fig4_ir_sweep_256_serial"] = sweep(1, "scalar", 256)
     after["fig4_ir_sweep_256_batch"] = sweep(1, "batch", 256)
 
-    # The same batch sweeps with the native MQB kernel carrying the
-    # selection picks — the headline fig4 numbers move only as much as
-    # MQB selection dominates the sweep, so record both honestly.
+    # The same sweeps with the native kernel: the batch engine with
+    # MQB's picks in C, and the scalar engine with every static-priority
+    # and MQB run in the kernel's whole-run loop.  The serial_native vs
+    # batch_native pair decides whether the batch engine still earns
+    # its place.
     os.environ["REPRO_NATIVE"] = "1"
     if _native.load_kernel() is not None:
         after["fig4_ir_sweep_16_batch_native"] = min(
             sweep(1, "batch") for _ in range(2)
         )
         after["fig4_ir_sweep_256_batch_native"] = sweep(1, "batch", 256)
+        after["fig4_ir_sweep_16_serial_native"] = min(
+            sweep(1) for _ in range(2)
+        )
+        after["fig4_ir_sweep_256_serial_native"] = sweep(1, "scalar", 256)
     os.environ["REPRO_NATIVE"] = "0"
 
     # Decentralized work-stealing engine (src/repro/decentral): one
@@ -236,6 +247,19 @@ def main() -> int:
             / after["fig4_ir_sweep_256_batch_native"],
             3,
         )
+    for n in (16, 256):
+        serial = f"fig4_ir_sweep_{n}_serial_native"
+        if serial in after:
+            speedups[f"{serial}_vs_batch_native"] = round(
+                after[f"fig4_ir_sweep_{n}_batch_native"] / after[serial], 3
+            )
+            speedups[f"{serial}_vs_python"] = round(
+                after[f"fig4_ir_sweep_{n}_serial"] / after[serial], 3
+            )
+    if "engine_kgreedy_ir_native" in after:
+        speedups["engine_kgreedy_ir_native_vs_python"] = round(
+            after["engine_kgreedy_ir"] / after["engine_kgreedy_ir_native"], 3
+        )
     payload = {
         "description": (
             "Engine/offline-pass hot-path timings, seconds (min over "
@@ -244,11 +268,18 @@ def main() -> int:
             "algorithms, 16 instances, seed 2011); the _batch variants "
             "run the same sweep through the batched lockstep engine "
             "(bit-identical per instance), at 16 and 256 instances, "
-            "cache off. Un-suffixed entries pin REPRO_NATIVE=0; the "
-            "paired _native entries rerun the same work with the "
-            "compiled MQB selection kernel (src/repro/native, "
-            "bit-identical picks) and are absent on hosts without a "
-            "C toolchain. The _telemetry "
+            "cache off. Un-suffixed entries pin REPRO_NATIVE=0 (the "
+            "Python loop, numpy picks); the paired _native entries "
+            "rerun the same work with the compiled kernel "
+            "(src/repro/native, bit-identical) and are absent on hosts "
+            "without a C toolchain. On the scalar engine (engine_*_native, "
+            "fig4_ir_sweep_*_serial_native) a _native entry times whole "
+            "runs in the kernel's list-scheduling loop, every "
+            "static-priority and MQB run of the sweep; on the batch "
+            "engine (_batch_native) it times MQB's picks in C. "
+            "*_serial_native_vs_batch_native = batch_native time / "
+            "serial_native time (above 1: the scalar engine with the C "
+            "loop is faster). The _telemetry "
             "variant runs the same instance under an enabled Telemetry "
             "(aggregates only, no event stream). The _cold_cache / "
             "_warm_cache pair times the same sweep against a fresh "

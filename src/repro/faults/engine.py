@@ -55,7 +55,7 @@ from repro.faults.models import FaultTimeline
 from repro.obs.events import FAIL, KILL, REPAIR, SLICE
 from repro.obs.telemetry import Telemetry
 from repro.schedulers.base import Scheduler
-from repro.sim.engine import _list_schedule
+from repro.sim.engine import _list_schedule, _prepare
 from repro.sim.result import ScheduleResult
 from repro.system.resources import ResourceConfig
 
@@ -137,15 +137,14 @@ def simulate_with_faults(
     timeline.check_procs(resources)
     kill_budget = max_kills if max_kills is not None else 10 * job.n_tasks + 1000
     seam = _FaultSeam(job, resources, scheduler, timeline, policy, kill_budget)
-    res = _list_schedule(
-        job, resources, scheduler, rng, record_trace, telemetry, seam
-    )
-    if telemetry is not None and telemetry.enabled:
+    obs = _prepare(job, resources, scheduler, rng, telemetry)
+    res = _list_schedule(job, resources, scheduler, record_trace, obs, seam)
+    if obs is not None:
         # The loop counts the dispatches it pushed; the timeline's
         # entries count as pushed events too.
-        telemetry.inc("engine.events_pushed", len(seam.timeline_events))
-        telemetry.inc("engine.kills", seam.kills)
-        telemetry.observe("engine.wasted_work", seam.wasted)
+        obs.inc("engine.events_pushed", len(seam.timeline_events))
+        obs.inc("engine.kills", seam.kills)
+        obs.observe("engine.wasted_work", seam.wasted)
 
     return FaultScheduleResult(
         **vars(res), timeline=timeline, policy=policy, kills=seam.kills,

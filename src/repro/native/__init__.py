@@ -1,30 +1,39 @@
-"""Native compiled backend for the MQB selection loop.
+"""Native compiled backend: MQB selection and whole list-scheduling runs.
 
-The hot inner loop of every MQB commit — score each ready candidate of
-one type, compare lexicographically, swap-remove the winner — lives in
-``_mqbkernel.c`` and is consumed through :mod:`ctypes` by both the
-scalar scheduler (:class:`repro.schedulers.mqb.MQB`) and the batched
-lockstep engine (:mod:`repro.sim.batch`).  The kernel performs the
-identical IEEE-double arithmetic in the identical order as the numpy
-formulation, so winners — and therefore traces, processor ids and
-decision counts — are bit-identical to the pure-numpy path (asserted
-by the native column of ``tests/test_differential.py``).
+``_mqbkernel.c`` holds two things, consumed through :mod:`ctypes`:
+
+* the hot inner loop of every MQB commit — score each ready candidate
+  of one type, compare lexicographically, swap-remove the winner — for
+  the scalar scheduler (:class:`repro.schedulers.mqb.MQB`) and the
+  batched lockstep engine (:mod:`repro.sim.batch`);
+* a whole non-preemptive run of :func:`repro.sim.engine.simulate`'s
+  loop (:meth:`MQBKernel.run`) for schedulers with a row kind
+  (:func:`repro.capabilities.row_kind`): static-priority heaps, or MQB
+  rounds with the same pick inline.  ``simulate`` calls it once per
+  run; everything else keeps the Python loop.
+
+Both perform the identical IEEE-double arithmetic in the identical
+order as the Python and numpy formulation, so winners — and therefore
+traces, processor ids and decision counts — are bit-identical to the
+pure-Python path (asserted by the native column of
+``tests/test_differential.py``).
 
 Backend selection is environment-driven via ``REPRO_NATIVE``:
 
 ``auto`` (default)
     Use the kernel when a prebuilt extension or a working C compiler is
-    available; fall back to numpy silently otherwise (one warning).
+    available; fall back to Python and numpy otherwise (one warning).
 ``1`` / ``on``
     Same dispatch, but the fallback is considered noteworthy — the
     warning names the failure reason.
 ``0`` / ``off``
-    Never load or build anything; pure numpy.
+    Never load or build anything; pure Python and numpy.
 
 Three load strategies are tried in order, all memoized process-wide:
 
 1. the setuptools-built extension ``repro.native._mqbkernel`` (importing
    it only locates the shared object; symbols are read via ctypes),
+   passed over when stale (another ABI, a missing entry point),
 2. a previously cached shared object under ``$XDG_CACHE_HOME/repro/native``
    keyed by a hash of the C source,
 3. a lazy ``cc -O2 -fPIC -shared -DREPRO_NO_PYTHON`` build into that
@@ -50,9 +59,13 @@ import sysconfig
 import tempfile
 import warnings
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "MQBKernel",
+    "NativeRun",
     "ABI_VERSION",
     "MODE_CODES",
     "mode",
@@ -64,8 +77,11 @@ __all__ = [
     "native_status",
 ]
 
-ABI_VERSION = 1
+ABI_VERSION = 2
 MODE_CODES = {"lex": 0, "min": 1, "sum": 2}
+
+#: repro_list_schedule's status codes.
+_RUN_OK, _RUN_NO_MEMORY, _RUN_STALLED = 0, -2, -3
 
 #: numpy row sums are plain sequential accumulation only below this K.
 _PAIRWISE_SAFE_K = 8
@@ -116,6 +132,97 @@ class MQBKernel:
             _c_ll, _c_ll, _c_ll, _c_ll, _c_ll, _c_p,
         )
         self.pick_commit = pick_commit
+
+        list_schedule = lib.repro_list_schedule
+        list_schedule.restype = _c_ll
+        # kind, n, K, types, work, child_ptr, child_idx, counts, keys,
+        # d, mode, carry, timing, trace_task, trace_proc, trace_start,
+        # trace_end, out_f, out_i
+        list_schedule.argtypes = (
+            _c_ll, _c_ll, _c_ll, _c_p, _c_p, _c_p, _c_p, _c_p, _c_p,
+            _c_p, _c_ll, _c_ll, _c_ll, _c_p, _c_p, _c_p, _c_p, _c_p, _c_p,
+        )
+        self.list_schedule = list_schedule
+
+    def run(
+        self, kind: str, job, counts, keys=None, d=None, mode: str = "lex",
+        carry: bool = True, record_trace: bool = False, timing: bool = False,
+    ) -> "NativeRun":
+        """One whole non-preemptive run of ``job`` in C.
+
+        ``kind`` is ``"static"`` (``keys``: one priority per task) or
+        ``"mqb"`` (``d``: the ``(n, K)`` descendant matrix, balance
+        ``mode`` and ``carry``).  ``counts`` are the processor counts.
+        Raises :class:`ValueError` for arrays of the wrong shape and
+        :class:`OSError` for input the loop rejects or a failed
+        allocation; a stall comes back as ``NativeRun.stalled``.
+        """
+        n, k = job.n_tasks, job.num_types
+        types, child_ptr, child_idx, counts = (
+            np.ascontiguousarray(a, dtype=np.int64)
+            for a in (job.types, job.child_ptr, job.child_idx, counts)
+        )
+        work = np.ascontiguousarray(job.work, dtype=np.float64)
+        static = kind == "static"
+        state = np.ascontiguousarray(keys if static else d, dtype=np.float64)
+        if (
+            state.shape != ((n,) if static else (n, k))
+            or types.shape != (n,) or work.shape != (n,)
+            or child_ptr.shape != (n + 1,)
+            or child_idx.shape != (int(child_ptr[-1]),)
+            or counts.shape != (k,)
+        ):
+            raise ValueError(
+                f"native {kind} run: arrays do not match n={n}, K={k}"
+            )
+        keys_ptr = state.ctypes.data if static else None
+        d_ptr = None if static else state.ctypes.data
+        out_f = np.zeros(3, dtype=np.float64)
+        out_i = np.zeros(6, dtype=np.int64)
+        if record_trace:
+            trace = (
+                np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64),
+                np.empty(n, dtype=np.float64), np.empty(n, dtype=np.float64),
+            )
+            trace_ptrs = [a.ctypes.data for a in trace]
+        else:
+            trace = None
+            trace_ptrs = [None] * 4
+        rc = self.list_schedule(
+            0 if static else 1, n, k, types.ctypes.data, work.ctypes.data,
+            child_ptr.ctypes.data, child_idx.ctypes.data,
+            counts.ctypes.data, keys_ptr, d_ptr, MODE_CODES[mode],
+            1 if carry else 0, 1 if timing else 0, *trace_ptrs,
+            out_f.ctypes.data, out_i.ctypes.data,
+        )
+        if rc not in (_RUN_OK, _RUN_STALLED):
+            raise OSError(
+                "native list-scheduling loop failed: "
+                + ("allocation failed" if rc == _RUN_NO_MEMORY else "bad input")
+            )
+        f, i = out_f.tolist(), out_i.tolist()
+        return NativeRun(
+            makespan=f[0], decision_s=f[1], decisions=i[0],
+            events_pushed=i[1], heap_peak=i[2], picks=i[3],
+            trace=trace, stalled=None if rc == _RUN_OK else (f[2], i[4], i[5]),
+        )
+
+
+class NativeRun(NamedTuple):
+    """What one whole run in C reports (:meth:`MQBKernel.run`)."""
+
+    makespan: float
+    #: wall seconds inside decision rounds (0.0 unless timed)
+    decision_s: float
+    decisions: int
+    events_pushed: int
+    heap_peak: int
+    #: MQB picks scored in C (take-all rounds make none)
+    picks: int
+    #: (task, proc, start, end) arrays in dispatch order, or None
+    trace: tuple | None
+    #: (time, ready, unfinished) when the run stalled, else None
+    stalled: tuple | None
 
 
 def mode() -> str:
@@ -238,7 +345,12 @@ def load_kernel() -> MQBKernel | None:
         return _kernel
     _load_attempted = True
     try:
-        _kernel = _try_extension()
+        try:
+            _kernel = _try_extension()
+        except (OSError, AttributeError):
+            # A stale in-place build (another ABI, a missing symbol):
+            # today's source, cached or compiled, replaces it.
+            _kernel = None
         if _kernel is None:
             _kernel = _build_shared_object()
     except Exception as exc:  # noqa: BLE001 - fallback must never raise

@@ -1,10 +1,14 @@
-/* Native MQB selection kernel.
+/* Native MQB selection kernel and whole-run list-scheduling loop.
  *
  * Implements the hot inner loop of MQB scheduling — score every ready
  * candidate of one type, pick the lexicographically best balance
  * vector, and swap-remove the winner from the ready-pool buffers —
  * for the scalar scheduler (repro.schedulers.mqb.MQB) and the batched
- * lockstep engine (repro.sim.batch._MQBLockstep).
+ * lockstep engine (repro.sim.batch._MQBLockstep), and, around it,
+ * repro_list_schedule: one complete non-preemptive run of the scalar
+ * engine's loop for a static-priority or MQB scheduler, which
+ * repro.sim.engine.simulate calls once per run (the section at the end
+ * of the file lists the orders it mirrors).
  *
  * Bit-identity contract: every floating-point operation here replays
  * the numpy formulation in the same order on the same operands —
@@ -28,12 +32,15 @@
  * a toolchain ships a prebuilt .so) and as a plain shared library for
  * the lazy `cc -shared -DREPRO_NO_PYTHON` ctypes build path; the
  * symbols are always consumed through ctypes, never through the
- * (empty) Python module.
+ * (empty) Python module.  Entry points (ABI 2): repro_native_abi,
+ * repro_mqb_pick_pop, repro_mqb_pick_commit, repro_list_schedule.
  */
 
 #include <stddef.h>
+#include <stdlib.h>
+#include <time.h>
 
-#define REPRO_NATIVE_ABI 1
+#define REPRO_NATIVE_ABI 2
 #define MODE_LEX 0
 #define MODE_MIN 1
 #define MODE_SUM 2
@@ -171,6 +178,52 @@ EXPORT i64 repro_mqb_pick_pop(double *dpool, double *wpool, i64 *spool,
     return best;
 }
 
+/* One MQB pick + commit over a pool of task ids: score candidates
+ * ptask[0..*plen) (descendant rows d[t*K..], own works work[t])
+ * against l + extra, then update extra (when carry) and l[alpha],
+ * swap-remove the winner (the last slot moves into its place) and
+ * return its task id.  s, key_a and key_b are K-double scratch. */
+static i64 pool_pick_commit(const double *d, const double *work,
+                            i64 *ptask, i64 *pseq, i64 *plen,
+                            double *lrow, double *erow,
+                            const double *prow, i64 K, i64 alpha,
+                            i64 mode, i64 carry,
+                            double *s, double *key_a, double *key_b) {
+    i64 b = *plen;
+    for (i64 j = 0; j < K; j++) s[j] = lrow[j] + erow[j];
+
+    double *best_key = key_a, *cand_key = key_b;
+    i64 t0 = ptask[0];
+    i64 klen = score_candidate(d + t0 * K, work[t0], s, prow, K, alpha,
+                               mode, best_key);
+    i64 best = 0;
+    i64 best_seq = pseq[0];
+    for (i64 i = 1; i < b; i++) {
+        i64 t = ptask[i];
+        score_candidate(d + t * K, work[t], s, prow, K, alpha, mode,
+                        cand_key);
+        if (key_better(cand_key, pseq[i], best_key, best_seq, klen)) {
+            best = i;
+            best_seq = pseq[i];
+            double *tmp = best_key;
+            best_key = cand_key;
+            cand_key = tmp;
+        }
+    }
+
+    i64 wtask = ptask[best];
+    if (carry) {
+        const double *drow = d + wtask * K;
+        for (i64 j = 0; j < K; j++) erow[j] += drow[j];
+    }
+    lrow[alpha] -= work[wtask];
+    i64 last = b - 1;
+    ptask[best] = ptask[last];
+    pseq[best] = pseq[last];
+    *plen = last;
+    return wtask;
+}
+
 /* Batched lockstep pick + commit over n independent (row, alpha)
  * pairs (each row appears at most once per call, so pairs never read
  * each other's updates — exactly the vectorized _pick_multi contract).
@@ -206,48 +259,418 @@ EXPORT i64 repro_mqb_pick_commit(const double *d_g, const double *work_g,
 
     for (i64 p = 0; p < n; p++) {
         i64 r = rows[p];
-        i64 alpha = alphas[p];
-        i64 g = r * K + alpha;
-        i64 b = pool_len[g];
-        i64 base = g * M;
-        const double *lrow = l + r * K;
-        double *erow = extra + r * K;
-        const double *prow = parr + r * K;
-        for (i64 j = 0; j < K; j++) s[j] = lrow[j] + erow[j];
-
-        double *best_key = key_a, *cand_key = key_b;
-        i64 t0 = pool_task[base];
-        i64 klen = score_candidate(d_g + t0 * K, work_g[t0], s, prow, K,
-                                   alpha, mode, best_key);
-        i64 best = 0;
-        i64 best_seq = pool_seq[base];
-        for (i64 i = 1; i < b; i++) {
-            i64 t = pool_task[base + i];
-            score_candidate(d_g + t * K, work_g[t], s, prow, K, alpha,
-                            mode, cand_key);
-            if (key_better(cand_key, pool_seq[base + i], best_key, best_seq,
-                           klen)) {
-                best = i;
-                best_seq = pool_seq[base + i];
-                double *tmp = best_key;
-                best_key = cand_key;
-                cand_key = tmp;
-            }
-        }
-
-        i64 wtask = pool_task[base + best];
-        if (carry) {
-            const double *drow = d_g + wtask * K;
-            for (i64 j = 0; j < K; j++) erow[j] += drow[j];
-        }
-        l[g] -= work_g[wtask];
-        i64 last = b - 1;
-        pool_task[base + best] = pool_task[base + last];
-        pool_seq[base + best] = pool_seq[base + last];
-        pool_len[g] = last;
-        out_tasks[p] = wtask;
+        i64 g = r * K + alphas[p];
+        out_tasks[p] = pool_pick_commit(
+            d_g, work_g, pool_task + g * M, pool_seq + g * M, &pool_len[g],
+            l + r * K, extra + r * K, parr + r * K, K, alphas[p], mode,
+            carry, s, key_a, key_b);
     }
     return 0;
+}
+
+/* ------------------------------------------------------------------
+ * Whole-run list scheduling (repro.sim.engine.simulate's C loop)
+ * ------------------------------------------------------------------
+ *
+ * One complete non-preemptive run of _list_schedule for a scheduler
+ * whose protocol is QueueScheduler's ("static") or MQB's ("mqb"),
+ * statement for statement:
+ *
+ *   - ready heaps (static) and the completion heap hold Python's tuples
+ *     (key, seq, task) and (finish, seq, task, proc), compared the way
+ *     tuples compare (first unequal field decides, by `<`), and are
+ *     sifted by heapq's own _siftdown/_siftup, so pop order is
+ *     Python's even for NaN or infinite keys;
+ *   - free-processor stacks start as [P-1, ..., 0] and pop from the end;
+ *   - a decision round runs when a task is ready and some type has both
+ *     a free processor and a pending task; static rounds pop each
+ *     type's heap in type order, MQB rounds replay MQB.assign (per
+ *     pass, per type: take the whole pool in ascending ready seq when
+ *     it fits the free count, else one pool_pick_commit); tasks are
+ *     dispatched in chosen order, which sets their completion seq;
+ *   - completions at one instant pop in (finish, seq) order, and a
+ *     completed task's children become ready in child_idx order,
+ *     taking the next ready seq.
+ *
+ * Buffers are allocated per call; nothing is process wide. */
+
+#define ROW_STATIC 0
+#define ROW_MQB 1
+
+#define RUN_OK 0
+#define RUN_BAD_INPUT -1
+#define RUN_NO_MEMORY -2
+#define RUN_STALLED -3
+
+typedef struct { double key; i64 seq; i64 task; } ready_item;
+typedef struct { double finish; i64 seq; i64 task; i64 proc; } event_item;
+
+/* Python tuple `<`: the first field that compares unequal decides. */
+static int ready_lt(const ready_item *a, const ready_item *b) {
+    if (!(a->key == b->key)) return a->key < b->key;
+    if (a->seq != b->seq) return a->seq < b->seq;
+    return a->task < b->task;
+}
+
+static int event_lt(const event_item *a, const event_item *b) {
+    if (!(a->finish == b->finish)) return a->finish < b->finish;
+    if (a->seq != b->seq) return a->seq < b->seq;
+    if (a->task != b->task) return a->task < b->task;
+    return a->proc < b->proc;
+}
+
+/* heapq._siftdown / _siftup / heappush / heappop, one copy per item
+ * type. */
+#define DEFINE_HEAP(T, LT)                                               \
+    static void T##_siftdown(T *h, i64 start, i64 pos) {                 \
+        T item = h[pos];                                                 \
+        while (pos > start) {                                            \
+            i64 parent = (pos - 1) >> 1;                                 \
+            if (LT(&item, &h[parent])) {                                 \
+                h[pos] = h[parent];                                      \
+                pos = parent;                                            \
+                continue;                                                \
+            }                                                            \
+            break;                                                       \
+        }                                                                \
+        h[pos] = item;                                                   \
+    }                                                                    \
+    static void T##_siftup(T *h, i64 len, i64 pos) {                     \
+        i64 start = pos;                                                 \
+        T item = h[pos];                                                 \
+        i64 child = 2 * pos + 1;                                         \
+        while (child < len) {                                            \
+            i64 right = child + 1;                                       \
+            if (right < len && !LT(&h[child], &h[right])) child = right; \
+            h[pos] = h[child];                                           \
+            pos = child;                                                 \
+            child = 2 * pos + 1;                                         \
+        }                                                                \
+        h[pos] = item;                                                   \
+        T##_siftdown(h, start, pos);                                     \
+    }                                                                    \
+    static void T##_push(T *h, i64 *len, T item) {                       \
+        h[*len] = item;                                                  \
+        *len += 1;                                                       \
+        T##_siftdown(h, 0, *len - 1);                                    \
+    }                                                                    \
+    static T T##_pop(T *h, i64 *len) {                                   \
+        *len -= 1;                                                       \
+        T last = h[*len];                                                \
+        if (*len == 0) return last;                                      \
+        T top = h[0];                                                    \
+        h[0] = last;                                                     \
+        T##_siftup(h, *len, 0);                                          \
+        return top;                                                      \
+    }
+
+DEFINE_HEAP(ready_item, ready_lt)
+DEFINE_HEAP(event_item, event_lt)
+
+static double clock_seconds(void) {
+#if defined(CLOCK_MONOTONIC)
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+#else
+    return (double)clock() / CLOCKS_PER_SEC;
+#endif
+}
+
+/* Per-call state of one run. */
+typedef struct {
+    i64 kind, K, mode, carry;
+    const i64 *types;
+    const double *work, *keys, *d;
+    i64 *type_off;          /* K+1 offsets of per-type regions (tasks) */
+    i64 *proc_off;          /* K+1 offsets of free-processor stacks */
+    i64 *free_procs, *n_free;
+    ready_item *heap;       /* static: per-type ready heaps */
+    i64 *ptask, *pseq;      /* mqb: per-type ready pools */
+    i64 *n_pending;
+    double *l, *extra, *parr, *s, *key_a, *key_b;
+    event_item *events;
+    i64 n_events, ready_seq, event_seq, n_ready;
+    i64 *trace_task, *trace_proc;
+    double *trace_start, *trace_end;
+} run_state;
+
+static void task_ready(run_state *st, i64 task) {
+    i64 a = st->types[task];
+    i64 base = st->type_off[a];
+    st->n_ready++;
+    if (st->kind == ROW_STATIC) {
+        ready_item item = {st->keys[task], st->ready_seq++, task};
+        ready_item_push(st->heap + base, &st->n_pending[a], item);
+    } else {
+        i64 m = st->n_pending[a]++;
+        st->ptask[base + m] = task;
+        st->pseq[base + m] = st->ready_seq++;
+        st->l[a] += st->work[task];
+    }
+}
+
+static void dispatch(run_state *st, i64 task, double now) {
+    i64 a = st->types[task];
+    i64 proc = st->free_procs[st->proc_off[a] + --st->n_free[a]];
+    double finish = now + st->work[task];
+    event_item ev = {finish, st->event_seq, task, proc};
+    event_item_push(st->events, &st->n_events, ev);
+    if (st->trace_task != NULL) {
+        st->trace_task[st->event_seq] = task;
+        st->trace_proc[st->event_seq] = proc;
+        st->trace_start[st->event_seq] = now;
+        st->trace_end[st->event_seq] = finish;
+    }
+    st->event_seq++;
+    st->n_ready--;
+}
+
+/* QueueScheduler.assign: each type's heap, in type order. */
+static void static_round(run_state *st, double now) {
+    for (i64 a = 0; a < st->K; a++) {
+        i64 slots = st->n_free[a];
+        ready_item *heap = st->heap + st->type_off[a];
+        for (i64 taken = 0; taken < slots && st->n_pending[a] > 0; taken++) {
+            dispatch(st, ready_item_pop(heap, &st->n_pending[a]).task, now);
+        }
+    }
+}
+
+/* MQB.assign: one pick per type per pass until saturated.  Returns
+ * the number of kernel picks. */
+static i64 mqb_round(run_state *st, double now) {
+    i64 K = st->K, picks = 0;
+    for (i64 j = 0; j < K; j++) st->extra[j] = 0.0;
+    int progress = 1;
+    while (progress) {
+        progress = 0;
+        for (i64 a = 0; a < K; a++) {
+            i64 m = st->n_pending[a];
+            if (st->n_free[a] <= 0 || m == 0) continue;
+            i64 base = st->type_off[a];
+            i64 *ptask = st->ptask + base, *pseq = st->pseq + base;
+            if (m <= st->n_free[a]) {
+                /* Take all, in ascending ready seq (MQB._pos's
+                 * insertion order). */
+                for (i64 i = 1; i < m; i++) {
+                    i64 t = ptask[i], q = pseq[i], j = i - 1;
+                    while (j >= 0 && pseq[j] > q) {
+                        ptask[j + 1] = ptask[j];
+                        pseq[j + 1] = pseq[j];
+                        j--;
+                    }
+                    ptask[j + 1] = t;
+                    pseq[j + 1] = q;
+                }
+                for (i64 i = 0; i < m; i++) {
+                    i64 v = ptask[i];
+                    st->l[a] -= st->work[v];
+                    if (st->carry) {
+                        const double *drow = st->d + v * K;
+                        for (i64 j = 0; j < K; j++) st->extra[j] += drow[j];
+                    }
+                }
+                st->n_pending[a] = 0;
+                for (i64 i = 0; i < m; i++) dispatch(st, ptask[i], now);
+            } else {
+                i64 v = pool_pick_commit(
+                    st->d, st->work, ptask, pseq, &st->n_pending[a], st->l,
+                    st->extra, st->parr, K, a, st->mode, st->carry, st->s,
+                    st->key_a, st->key_b);
+                picks++;
+                dispatch(st, v, now);
+            }
+            progress = 1;
+        }
+    }
+    return picks;
+}
+
+/* Run one whole simulation.
+ *
+ * kind: ROW_STATIC (keys: n priority keys) or ROW_MQB (d: n x K
+ * descendant rows, mode, carry).  types/work: per task; child_ptr
+ * (n+1) / child_idx: the CSR child adjacency; counts: K processor
+ * counts.  timing: accumulate decision-round wall time.  trace_*: n
+ * slots each, written in dispatch order, or all NULL.
+ *
+ * out_f: [makespan, decision seconds, stall time]; out_i: [decisions,
+ * events pushed, heap peak, kernel picks, stall ready, stall
+ * unfinished].  Returns RUN_OK, RUN_STALLED (out_f[2], out_i[4..5]
+ * describe the stall), RUN_BAD_INPUT or RUN_NO_MEMORY. */
+EXPORT i64 repro_list_schedule(i64 kind, i64 n, i64 K,
+                               const i64 *types, const double *work,
+                               const i64 *child_ptr, const i64 *child_idx,
+                               const i64 *counts, const double *keys,
+                               const double *d, i64 mode, i64 carry,
+                               i64 timing,
+                               i64 *trace_task, i64 *trace_proc,
+                               double *trace_start, double *trace_end,
+                               double *out_f, i64 *out_i) {
+    run_state st = {0};
+    i64 *indeg = NULL;
+    i64 rc = RUN_OK;
+
+    if (n < 0 || K <= 0) return RUN_BAD_INPUT;
+    if (kind == ROW_STATIC) {
+        if (n > 0 && keys == NULL) return RUN_BAD_INPUT;
+    } else if (kind == ROW_MQB) {
+        if (n > 0 && d == NULL) return RUN_BAD_INPUT;
+        if (mode < MODE_LEX || mode > MODE_SUM) return RUN_BAD_INPUT;
+        if (mode == MODE_SUM && K >= 8) return RUN_BAD_INPUT;
+    } else {
+        return RUN_BAD_INPUT;
+    }
+    if (child_ptr[0] != 0) return RUN_BAD_INPUT;
+    for (i64 v = 0; v < n; v++) {
+        if (types[v] < 0 || types[v] >= K) return RUN_BAD_INPUT;
+        if (child_ptr[v + 1] < child_ptr[v]) return RUN_BAD_INPUT;
+    }
+    for (i64 e = 0; e < child_ptr[n]; e++) {
+        if (child_idx[e] < 0 || child_idx[e] >= n) return RUN_BAD_INPUT;
+    }
+    for (i64 a = 0; a < K; a++) {
+        if (counts[a] < 0) return RUN_BAD_INPUT;
+    }
+
+    st.kind = kind;
+    st.K = K;
+    st.mode = mode;
+    st.carry = carry;
+    st.types = types;
+    st.work = work;
+    st.keys = keys;
+    st.d = d;
+    st.trace_task = trace_task;
+    st.trace_proc = trace_proc;
+    st.trace_start = trace_start;
+    st.trace_end = trace_end;
+
+    indeg = calloc((size_t)n + 1, sizeof(i64));
+    st.type_off = calloc((size_t)K + 1, sizeof(i64));
+    st.proc_off = calloc((size_t)K + 1, sizeof(i64));
+    st.n_free = calloc((size_t)K, sizeof(i64));
+    st.n_pending = calloc((size_t)K, sizeof(i64));
+    st.events = malloc(((size_t)n + 1) * sizeof(event_item));
+    if (!indeg || !st.type_off || !st.proc_off || !st.n_free ||
+        !st.n_pending || !st.events) {
+        rc = RUN_NO_MEMORY;
+        goto done;
+    }
+    for (i64 v = 0; v < n; v++) st.type_off[types[v] + 1]++;
+    for (i64 a = 0; a < K; a++) {
+        st.type_off[a + 1] += st.type_off[a];
+        st.proc_off[a + 1] = st.proc_off[a] + counts[a];
+    }
+    st.free_procs = malloc(((size_t)st.proc_off[K] + 1) * sizeof(i64));
+    if (!st.free_procs) {
+        rc = RUN_NO_MEMORY;
+        goto done;
+    }
+    for (i64 a = 0; a < K; a++) {
+        i64 *stack = st.free_procs + st.proc_off[a];
+        for (i64 i = 0; i < counts[a]; i++) stack[i] = counts[a] - 1 - i;
+        st.n_free[a] = counts[a];
+    }
+    if (kind == ROW_STATIC) {
+        st.heap = malloc(((size_t)n + 1) * sizeof(ready_item));
+        if (!st.heap) {
+            rc = RUN_NO_MEMORY;
+            goto done;
+        }
+    } else {
+        st.ptask = malloc(((size_t)n + 1) * sizeof(i64));
+        st.pseq = malloc(((size_t)n + 1) * sizeof(i64));
+        st.l = calloc((size_t)K, sizeof(double));
+        st.extra = calloc((size_t)K, sizeof(double));
+        st.parr = malloc((size_t)K * sizeof(double));
+        st.s = malloc((size_t)K * sizeof(double));
+        st.key_a = malloc((size_t)K * sizeof(double));
+        st.key_b = malloc((size_t)K * sizeof(double));
+        if (!st.ptask || !st.pseq || !st.l || !st.extra || !st.parr ||
+            !st.s || !st.key_a || !st.key_b) {
+            rc = RUN_NO_MEMORY;
+            goto done;
+        }
+        for (i64 a = 0; a < K; a++) st.parr[a] = (double)counts[a];
+    }
+
+    for (i64 e = 0; e < child_ptr[n]; e++) indeg[child_idx[e]]++;
+
+    i64 completed = 0, decisions = 0, heap_peak = 0, picks = 0;
+    double now = 0.0, makespan = 0.0, decision_s = 0.0;
+    for (i64 v = 0; v < n; v++) {
+        if (indeg[v] == 0) task_ready(&st, v);
+    }
+    while (completed < n) {
+        /* ---- decision round at time `now` ---- */
+        int round = 0;
+        if (st.n_ready > 0) {
+            for (i64 a = 0; a < K; a++) {
+                if (st.n_free[a] > 0 && st.n_pending[a] > 0) {
+                    round = 1;
+                    break;
+                }
+            }
+        }
+        if (round) {
+            decisions++;
+            double t0 = timing ? clock_seconds() : 0.0;
+            if (kind == ROW_STATIC) {
+                static_round(&st, now);
+            } else {
+                picks += mqb_round(&st, now);
+            }
+            if (timing) decision_s += clock_seconds() - t0;
+            if (st.n_events > heap_peak) heap_peak = st.n_events;
+        }
+        if (st.n_events == 0) {
+            out_f[2] = now;
+            out_i[4] = st.n_ready;
+            out_i[5] = n - completed;
+            rc = RUN_STALLED;
+            goto done;
+        }
+        /* ---- advance to the next event instant ---- */
+        now = st.events[0].finish;
+        while (st.n_events > 0 && st.events[0].finish == now) {
+            event_item ev = event_item_pop(st.events, &st.n_events);
+            i64 a = types[ev.task];
+            completed++;
+            st.free_procs[st.proc_off[a] + st.n_free[a]++] = ev.proc;
+            makespan = now;
+            for (i64 e = child_ptr[ev.task]; e < child_ptr[ev.task + 1]; e++) {
+                i64 c = child_idx[e];
+                if (--indeg[c] == 0) task_ready(&st, c);
+            }
+        }
+    }
+    out_f[0] = makespan;
+    out_f[1] = decision_s;
+    out_i[0] = decisions;
+    out_i[1] = st.event_seq;
+    out_i[2] = heap_peak;
+    out_i[3] = picks;
+
+done:
+    free(indeg);
+    free(st.type_off);
+    free(st.proc_off);
+    free(st.n_free);
+    free(st.n_pending);
+    free(st.events);
+    free(st.free_procs);
+    free(st.heap);
+    free(st.ptask);
+    free(st.pseq);
+    free(st.l);
+    free(st.extra);
+    free(st.parr);
+    free(st.s);
+    free(st.key_a);
+    free(st.key_b);
+    return rc;
 }
 
 #ifndef REPRO_NO_PYTHON

@@ -142,17 +142,20 @@ def render_energy_line(snapshot: TelemetrySnapshot) -> str | None:
 def render_native_line(snapshot: TelemetrySnapshot) -> str | None:
     """One-line native-kernel summary, or ``None`` without native traffic.
 
-    Reads the ``native.*`` counters the MQB schedulers and the batch
-    engine maintain — selection picks committed by the compiled kernel
-    (:mod:`repro.native`) and runs that requested the kernel but fell
-    back to numpy — so ``repro profile`` shows which backend actually
-    carried the MQB selection work.
+    Reads the ``native.*`` counters the engines and the MQB schedulers
+    maintain — whole runs the C loop carried, selection picks committed
+    by the compiled kernel (:mod:`repro.native`) and runs that requested
+    the kernel but fell back to the Python path — so ``repro profile``
+    shows which backend actually carried the work.
     """
+    runs = snapshot.counters.get("native.runs", 0)
     calls = snapshot.counters.get("native.calls", 0)
     fallbacks = snapshot.counters.get("native.fallbacks", 0)
-    if calls + fallbacks == 0:
+    if runs + calls + fallbacks == 0:
         return None
     line = f"native kernel: {calls} picks in C"
+    if runs:
+        line = f"native kernel: {runs} whole runs and {calls} picks in C"
     if fallbacks:
         line += f", {fallbacks} numpy fallbacks"
     return line

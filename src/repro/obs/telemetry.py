@@ -147,14 +147,14 @@ class Telemetry:
         """Add ``value`` to counter ``name`` (created at 0)."""
         self.counters[name] = self.counters.get(name, 0) + value
 
-    def add_time(self, name: str, seconds: float) -> None:
-        """Accumulate one timed interval under ``name``."""
+    def add_time(self, name: str, seconds: float, calls: int = 1) -> None:
+        """Accumulate ``calls`` timed intervals totalling ``seconds``."""
         t = self.timers.get(name)
         if t is None:
-            self.timers[name] = [seconds, 1]
+            self.timers[name] = [seconds, calls]
         else:
             t[0] += seconds
-            t[1] += 1
+            t[1] += calls
 
     @contextmanager
     def timer(self, name: str) -> Iterator[None]:
@@ -236,7 +236,9 @@ class NullTelemetry(Telemetry):
     def inc(self, name: str, value: int = 1) -> None:  # pragma: no cover
         pass
 
-    def add_time(self, name: str, seconds: float) -> None:  # pragma: no cover
+    def add_time(
+        self, name: str, seconds: float, calls: int = 1
+    ) -> None:  # pragma: no cover
         pass
 
     def observe(self, name: str, value: float) -> None:  # pragma: no cover

@@ -56,9 +56,10 @@ class Scheduler(ABC):
     #: engine); :func:`repro.capabilities.plan_run` reads it.
     decentral: bool = False
 
-    #: The batch engine's row kind (``"static"`` or ``"mqb"``), or
-    #: ``None`` to run on the scalar engine; :mod:`repro.sim.batch`
-    #: reads it.
+    #: The row kind (``"static"`` or ``"mqb"``) the batch engine and
+    #: the native whole-run loop may run this family as, or ``None``
+    #: for the Python loop; :func:`repro.capabilities.row_kind` reads
+    #: it, together with the protocol methods it stands for.
     lockstep: str | None = None
 
     def __init__(self) -> None:
@@ -202,7 +203,9 @@ class QueueScheduler(Scheduler):
     Subclasses implement :meth:`priorities` returning one scalar key per
     task; at run time each type's ready pool is a binary heap ordered by
     ``(key, ready sequence)`` so ties resolve in FIFO arrival order and
-    runs are fully deterministic.
+    runs are fully deterministic.  The prepared vector is public as
+    :attr:`keys`: the batch engine and the native whole-run loop read
+    it instead of calling the protocol per task.
     """
 
     lockstep = "static"
@@ -210,7 +213,11 @@ class QueueScheduler(Scheduler):
     def __init__(self) -> None:
         super().__init__()
         self._heaps: list[list[tuple[float, int, int]]] = []
-        self._keys: np.ndarray | None = None
+        #: Per-task priority keys (float64) of the prepared run.
+        self.keys: np.ndarray | None = None
+        # The Python loop's heaps read plain floats and ints per task.
+        self._key_list: list[float] = []
+        self._types: list[int] = []
         self._seq = 0
         self._first_seq: dict[int, int] = {}
 
@@ -231,14 +238,15 @@ class QueueScheduler(Scheduler):
                 f"{self.name}: priorities() returned shape {keys.shape}, "
                 f"expected ({job.n_tasks},)"
             )
-        self._keys = keys
+        self.keys = keys
+        self._key_list = keys.tolist()
+        self._types = job.types.tolist()
         self._heaps = [[] for _ in range(job.num_types)]
         self._seq = 0
         self._first_seq = {}
 
     def task_ready(self, task: int, time: float, work: float) -> None:
-        assert self._keys is not None
-        alpha = int(self.job.types[task])
+        alpha = self._types[task]
         # Ties break on the FIRST time a task became ready, and the
         # order is sticky across preemptive re-announcements — a task
         # returned to the pool at a quantum boundary keeps its place
@@ -247,7 +255,7 @@ class QueueScheduler(Scheduler):
         seq = self._first_seq.setdefault(task, self._seq)
         if seq == self._seq:
             self._seq += 1
-        heapq.heappush(self._heaps[alpha], (float(self._keys[task]), seq, task))
+        heapq.heappush(self._heaps[alpha], (self._key_list[task], seq, task))
 
     def pending(self, alpha: int) -> int:
         return len(self._heaps[alpha])

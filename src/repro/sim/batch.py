@@ -35,7 +35,9 @@ ids, event orderings), asserted per instance across schedulers and
 cells by ``tests/sim/test_batch_identity.py``.
 
 Fallback contract: rows the batch engine does not support — schedulers
-that declare no ``lockstep`` row kind, MQB on non-integer work amounts
+without a row kind (:func:`repro.capabilities.row_kind`: no
+``lockstep`` declaration, or a protocol override), MQB on non-integer
+work amounts
 (where float summation *order* in the balance bookkeeping could
 diverge), or degenerate batches whose packed keys would overflow 62
 bits — run on the engine :func:`repro.capabilities.plan_run` picks,
@@ -51,13 +53,11 @@ from typing import Sequence
 import numpy as np
 
 from repro import native as _native
-from repro.capabilities import plan_run
+from repro.capabilities import plan_run, row_kind
 from repro.core.kdag import KDag
 from repro.errors import SchedulingError
 from repro.obs.telemetry import Telemetry
 from repro.schedulers.base import Scheduler
-from repro.schedulers.kgreedy import KGreedy
-from repro.schedulers.mqb import MQB
 from repro.schedulers.registry import make_scheduler
 from repro.sim.result import ScheduleResult
 from repro.sim.trace import ScheduleTrace
@@ -356,7 +356,7 @@ class _LockstepBase:
 
 
 class _StaticLockstep(_LockstepBase):
-    """Static-priority rows: KGreedy and every ``QueueScheduler``.
+    """Static-priority rows: every ``QueueScheduler``, KGreedy included.
 
     The ready structure is one globally sorted int64 array of packed
     keys ``(row*K + alpha | priority rank | FIFO seq | global task)``;
@@ -878,37 +878,28 @@ class _MQBLockstep(_LockstepBase):
 def batch_supported(scheduler: Scheduler, job: KDag) -> bool:
     """Whether the batch engine can run ``scheduler`` on ``job``.
 
-    Reads the scheduler's ``lockstep`` declaration: static-priority
-    rows (KGreedy and every
-    :class:`~repro.schedulers.base.QueueScheduler`) always qualify;
-    MQB rows qualify on integral work amounts (every library
-    workload), where the balance bookkeeping is exact in any
+    Reads the scheduler's row kind (:func:`repro.capabilities.row_kind`):
+    static-priority rows (every
+    :class:`~repro.schedulers.base.QueueScheduler`, KGreedy included)
+    always qualify; MQB rows qualify on integral work amounts (every
+    library workload), where the balance bookkeeping is exact in any
     summation order.  Everything else — e.g. the random control, whose
-    per-decision draws are inherently sequential, or the energy
-    variants, whose assignment differs from their base classes — runs
-    on the scalar engine.
+    per-decision draws are inherently sequential, the energy variants,
+    whose assignment differs from their base classes, or a subclass
+    that overrides the protocol its declaration stands for — runs on
+    the scalar engine.
     """
-    if scheduler.lockstep == "static":
+    kind = row_kind(scheduler)
+    if kind == "static":
         return True
-    if scheduler.lockstep != "mqb":
-        return False
-    cls = type(scheduler)
-    if cls._pick_best is not MQB._pick_best or cls.assign is not MQB.assign:
-        # A subclass with its own scoring or assignment that inherits
-        # MQB's declaration (e.g. an unregistered variant) would
-        # silently run its base class here.
+    if kind != "mqb":
         return False
     work = job.work
     return bool(np.all(work == np.floor(work)))
 
 
 def _static_row(sch: Scheduler, job: KDag, resources: ResourceConfig) -> _Row:
-    keys = (
-        np.zeros(job.n_tasks, dtype=np.float64)
-        if isinstance(sch, KGreedy)
-        else np.asarray(sch._keys, dtype=np.float64)  # type: ignore[attr-defined]
-    )
-    return _Row(job, resources, sch.name, keys)
+    return _Row(job, resources, sch.name, np.asarray(sch.keys, dtype=np.float64))
 
 
 def simulate_batch(
@@ -1008,8 +999,9 @@ def simulate_batch_grid(
     mqb_groups: dict[tuple[str, bool, int], list[tuple[int, int]]] = {}
     fallback_pairs: list[tuple[int, int]] = []
     for a, sch in enumerate(sch_list):
+        kind = row_kind(sch)
         for i, (job, _resources) in enumerate(instances):
-            if sch.lockstep == "static":
+            if kind == "static":
                 static_pairs.append((a, i))
             elif batch_supported(sch, job):
                 key = (sch._balance_mode, sch._carry, job.num_types)

@@ -23,6 +23,17 @@ runs it with a *seam* that feeds processor failures and repairs
 through it.  The degenerate work-stealing policy is :func:`simulate`
 itself, with its steal accounting read off the trace afterwards.
 
+The same loop exists once more, in C (:meth:`repro.native.MQBKernel.run`).
+:func:`simulate` hands it the whole run when ``REPRO_NATIVE`` allows
+the kernel and it loads, the scheduler has a row kind
+(:func:`repro.capabilities.row_kind`: a static-priority or MQB
+scheduler whose protocol is its family's own) and no event stream
+watches the run.  The C loop reads the prepared key vector or
+descendant matrix instead of calling the protocol, mirrors the Python
+loop's orders statement for statement, and reports the same counters
+and timers.  This loop, in Python, stays the reference and the only
+path for seams, event streams and overridden protocols.
+
 The seam is resolved once before the loop, like ``obs`` and
 ``assign``; a fault-free run passes ``None`` and executes the bare
 loop's statements.  A seam object provides:
@@ -54,13 +65,15 @@ from time import perf_counter
 
 import numpy as np
 
+from repro import native as _native
+from repro.capabilities import row_kind
 from repro.core.kdag import KDag
 from repro.errors import SchedulingError
 from repro.obs.events import COMPLETE, DECISION, SAMPLE, SLICE
 from repro.obs.telemetry import Telemetry
 from repro.schedulers.base import Scheduler
 from repro.sim.result import ScheduleResult
-from repro.sim.trace import ScheduleTrace
+from repro.sim.trace import ScheduleTrace, Segment
 from repro.system.resources import ResourceConfig
 
 __all__ = ["simulate"]
@@ -103,23 +116,26 @@ def simulate(
         (no running tasks, pending work, but no assignment) — all six
         library schedulers are work conserving and never trigger this.
     """
-    return _list_schedule(
-        job, resources, scheduler, rng, record_trace, telemetry, None
-    )
+    obs = _prepare(job, resources, scheduler, rng, telemetry)
+    if (obs is None or obs.events is None) and _native.requested():
+        result = _native_run(job, resources, scheduler, record_trace, obs)
+        if result is not None:
+            return result
+    return _list_schedule(job, resources, scheduler, record_trace, obs, None)
 
 
-def _list_schedule(
+def _prepare(
     job: KDag,
     resources: ResourceConfig,
     scheduler: Scheduler,
     rng: np.random.Generator | None,
-    record_trace: bool,
     telemetry: Telemetry | None,
-    seam,
-) -> ScheduleResult:
-    """The loop behind :func:`simulate` (``seam=None``) and the
-    fault-aware engine; the seam protocol is in the module docstring."""
-    # Resolve observability once; the loops below never re-check it.
+) -> Telemetry | None:
+    """Resolve observability once, attach it and prepare ``scheduler``.
+
+    Returns the enabled telemetry or ``None``; the loops below never
+    re-check it.
+    """
     obs = telemetry if (telemetry is not None and telemetry.enabled) else None
     scheduler.attach_telemetry(obs)
     if obs is None:
@@ -128,6 +144,99 @@ def _list_schedule(
         _t0 = perf_counter()
         scheduler.prepare(job, resources, rng)
         obs.add_time("phase.prepare", perf_counter() - _t0)
+    return obs
+
+
+def _native_run(
+    job: KDag,
+    resources: ResourceConfig,
+    scheduler: Scheduler,
+    record_trace: bool,
+    obs: Telemetry | None,
+) -> ScheduleResult | None:
+    """The whole run in the native kernel, or ``None`` for the Python loop.
+
+    Runs when the scheduler has a row kind
+    (:func:`repro.capabilities.row_kind`), the kernel loads and, for
+    MQB, supports its balance mode at this K.  A kernel that cannot
+    load counts one ``native.fallbacks`` per run: here for static
+    rows, in ``MQB.prepare`` for MQB rows.  Reports the counters and
+    timers of the Python loop (DESIGN.md, "Native whole-run loop").
+    """
+    kind = row_kind(scheduler)
+    if kind is None:
+        return None
+    # The row kind vouches for the prepared state read below.
+    state = vars(scheduler)
+    if kind == "mqb":
+        mode = state["_balance_mode"]
+        if not _native.supported(mode, job.num_types):
+            return None
+        kernel = _native.load_kernel()
+        state = {"d": state["_d"], "mode": mode, "carry": state["_carry"]}
+    else:
+        kernel = _native.load_kernel()
+        if kernel is None:
+            _native.note_fallback(obs)
+        state = {"keys": state["keys"]}
+    if kernel is None:
+        return None
+    _t_loop = perf_counter() if obs is not None else 0.0
+    run = kernel.run(
+        kind, job, resources.counts, record_trace=record_trace,
+        timing=obs is not None, **state,
+    )
+    if run.stalled is not None:
+        now, n_ready, unfinished = run.stalled
+        raise SchedulingError(
+            f"{scheduler.name} stalled at t={now}: {n_ready} ready, "
+            f"{unfinished} unfinished, nothing running"
+        )
+    trace = None
+    if run.trace is not None:
+        tasks, procs, starts, ends = (a.tolist() for a in run.trace)
+        alphas = job.types[run.trace[0]].tolist()
+        trace = ScheduleTrace(
+            segments=list(map(Segment, tasks, alphas, procs, starts, ends))
+        )
+    if obs is not None:
+        obs.add_time("phase.engine_loop", perf_counter() - _t_loop)
+        n = job.n_tasks
+        name = scheduler.name
+        if run.decisions:
+            obs.add_time("decision." + name, run.decision_s, run.decisions)
+            obs.inc("decisions." + name, run.decisions)
+            obs.inc("dispatched." + name, n)
+        if run.picks:
+            obs.inc("native.calls", run.picks)
+        obs.inc("native.runs")
+        obs.inc("engine.runs")
+        obs.inc("engine.tasks", n)
+        obs.inc("engine.decisions", run.decisions)
+        obs.inc("engine.events_pushed", run.events_pushed)
+        obs.observe("engine.heap_peak", run.heap_peak)
+    return ScheduleResult(
+        makespan=run.makespan,
+        scheduler=scheduler.name,
+        job=job,
+        resources=resources,
+        preemptive=False,
+        trace=trace,
+        decisions=run.decisions,
+    )
+
+
+def _list_schedule(
+    job: KDag,
+    resources: ResourceConfig,
+    scheduler: Scheduler,
+    record_trace: bool,
+    obs: Telemetry | None,
+    seam,
+) -> ScheduleResult:
+    """The Python loop behind :func:`simulate` (``seam=None``) and the
+    fault-aware engine, for a scheduler :func:`_prepare` has prepared;
+    the seam protocol is in the module docstring."""
     k = job.num_types
     n = job.n_tasks
     # The decision/completion loop is pure Python; bind the per-task

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
@@ -11,8 +13,21 @@ import pytest
 # sweep result cache (~/.cache/repro).  Cache tests opt back in with
 # monkeypatch.setenv("REPRO_CACHE", "1") plus a tmp_path REPRO_CACHE_DIR.
 os.environ.setdefault("REPRO_CACHE", "0")
+# Nor its native kernel cache: the kernel compiles once per session into
+# a temporary directory (an in-place extension build is still found
+# first), removed when the session ends.
+_NATIVE_DIR = None
+if "REPRO_NATIVE_DIR" not in os.environ:
+    _NATIVE_DIR = os.environ["REPRO_NATIVE_DIR"] = tempfile.mkdtemp(
+        prefix="repro-native-"
+    )
 
 from repro import KDag, KDagBuilder, ResourceConfig  # noqa: E402
+
+
+def pytest_sessionfinish(session, exitstatus):
+    if _NATIVE_DIR is not None:
+        shutil.rmtree(_NATIVE_DIR, ignore_errors=True)
 
 
 @pytest.fixture

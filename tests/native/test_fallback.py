@@ -11,6 +11,9 @@ they run (and matter) even on hosts where the real kernel builds fine.
 
 from __future__ import annotations
 
+import subprocess
+import sys
+import types
 import warnings
 
 import numpy as np
@@ -57,6 +60,70 @@ class TestDisabled:
         snap = tel.snapshot()
         assert "native.calls" not in snap.counters
         assert "native.fallbacks" not in snap.counters
+
+
+class TestDisabledWholeRun:
+    @pytest.mark.parametrize("name", ["kgreedy", "mqb"])
+    def test_no_load_and_no_c_call(self, fresh_loader_state, monkeypatch, rng,
+                                   name):
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+
+        def boom(*args, **kwargs):  # pragma: no cover - must never run
+            raise AssertionError("REPRO_NATIVE=0 must not load or call C")
+
+        monkeypatch.setattr(native, "_try_extension", boom)
+        monkeypatch.setattr(native, "_build_shared_object", boom)
+        monkeypatch.setattr(native.MQBKernel, "run", boom)
+        tel = Telemetry()
+        simulate(make_random_job(rng, n=40, k=3), ResourceConfig((2, 2, 2)),
+                 make_scheduler(name), telemetry=tel)
+        assert not any(key.startswith("native.") for key in tel.counters)
+
+
+class TestStaleExtension:
+    """A prebuilt extension from older source gives way to today's."""
+
+    @pytest.fixture
+    def compiler(self, fresh_loader_state, monkeypatch, tmp_path):
+        cc = native._find_compiler()
+        if cc is None:
+            pytest.skip("no C compiler")
+        monkeypatch.setenv("REPRO_NATIVE", "1")
+        monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path / "cache"))
+        return cc
+
+    def test_abi_mismatch_rebuilds(self, compiler, monkeypatch):
+        def stale():
+            raise OSError(
+                f"native kernel ABI mismatch: built {native.ABI_VERSION - 1}, "
+                f"expected {native.ABI_VERSION} (_mqbkernel.so)"
+            )
+
+        monkeypatch.setattr(native, "_try_extension", stale)
+        kernel = native.load_kernel()
+        assert kernel is not None, native.native_status()
+        assert kernel.backend in ("cached", "compiled")
+        assert kernel.abi == native.ABI_VERSION
+
+    def test_missing_symbol_rebuilds(self, compiler, monkeypatch, tmp_path):
+        # An extension that has today's ABI number but not its entry
+        # points, imported through the real _try_extension.
+        source = tmp_path / "stub.c"
+        source.write_text(
+            f"long long repro_native_abi(void) {{ return {native.ABI_VERSION}; }}\n"
+        )
+        stub = tmp_path / "_mqbkernel_stub.so"
+        subprocess.run(
+            [compiler, "-shared", "-fPIC", str(source), "-o", str(stub)],
+            check=True, capture_output=True,
+        )
+        module = types.ModuleType("repro.native._mqbkernel")
+        module.__file__ = str(stub)
+        monkeypatch.setitem(sys.modules, "repro.native._mqbkernel", module)
+        monkeypatch.setattr(native, "_mqbkernel", module, raising=False)
+        kernel = native.load_kernel()
+        assert kernel is not None, native.native_status()
+        assert kernel.backend == "compiled"
 
 
 class TestForcedFallback:
@@ -112,6 +179,30 @@ class TestForcedFallback:
         for r, n_ in zip(ref, nat):
             assert n_.makespan == r.makespan
             assert n_.trace.segments == r.trace.segments
+
+    @pytest.mark.parametrize("name", ["kgreedy", "mqb"])
+    def test_whole_run_fallback_counted_once(
+        self, broken_build, monkeypatch, rng, name
+    ):
+        # The run that wanted the C loop counts one fallback: the engine
+        # for a static run, MQB.prepare (not the engine again) for MQB.
+        job = make_random_job(rng, n=60, k=3)
+        system = ResourceConfig((2, 3, 2))
+
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        ref = simulate(job, system, make_scheduler(name), record_trace=True)
+
+        monkeypatch.setenv("REPRO_NATIVE", "1")
+        tel = Telemetry()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = simulate(job, system, make_scheduler(name),
+                           record_trace=True, telemetry=tel)
+        assert tel.counters.get("native.fallbacks") == 1
+        assert "native.runs" not in tel.counters
+        assert res.makespan == ref.makespan
+        assert res.decisions == ref.decisions
+        assert res.trace.segments == ref.trace.segments
 
     def test_load_error_surfaced_in_status(self, broken_build, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "1")

@@ -205,3 +205,6 @@ class TestTelemetry:
         line = render_native_line(tel.snapshot())
         assert "2 numpy fallbacks" in line
         assert render_native_line(Telemetry().snapshot()) is None
+        tel.inc("native.runs", 4)
+        line = render_native_line(tel.snapshot())
+        assert line.startswith("native kernel: 4 whole runs and 123 picks in C")

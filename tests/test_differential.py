@@ -13,6 +13,10 @@ through every run kind and checks one of two outcomes:
   engine at rate 0 and enabled telemetry; the degenerate steal policy
   and the energy off-switches reproduce their base schedulers; and
   preemptive and energy runs validate and compute;
+* for the names with a row kind, the native whole-run loop's
+  **telemetry**: the counters, histograms and timers of the Python
+  loop (which an attached event stream keeps), over the loop-golden
+  inputs and the native matrix's cells;
 * the planner's **refusal**, with one message from every entry point
   that can express the combination: ``plan_run``, the CLI (exit 2),
   the sweeps and the service (``bad_request``).
@@ -43,7 +47,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import native
-from repro.capabilities import DECENTRAL_REFUSALS, plan_run
+from repro.capabilities import DECENTRAL_REFUSALS, plan_run, row_kind
 from repro.cli import main
 from repro.energy.metrics import energy_breakdown
 from repro.energy.models import power_config
@@ -53,6 +57,7 @@ from repro.experiments.robustness import run_robustness_comparison
 from repro.experiments.runner import run_comparison
 from repro.faults.engine import simulate_with_faults
 from repro.faults.models import FaultTimeline
+from repro.obs.events import EventStream
 from repro.obs.telemetry import Telemetry
 from repro.schedulers.registry import available_schedulers, make_scheduler
 from repro.service.executor import ServiceExecutor
@@ -115,6 +120,8 @@ IDENTICAL_TO = {
 #: Names whose picks the native kernel must carry.  EMQB's scoring
 #: override and the stealing loop's local picks stay on numpy.
 KERNEL = {name for name in NAMES if name.startswith("mqb")} | {"dmqb[global]"}
+#: Names with a row kind: the native whole-run loop carries their runs.
+ROW_NAMES = [name for name in NAMES if DECLARATIONS[name][1] is not None]
 
 SEED = 7
 #: The loop-golden inputs: six edge shapes, then three generated cells.
@@ -211,6 +218,15 @@ def _check_kernel(telemetry: Telemetry, picks: bool) -> None:
         assert telemetry.counters.get("native.calls", 0) > 0
 
 
+def _whole_run(name: str, job) -> bool:
+    """Whether a native run of ``name`` on ``job`` takes the C loop."""
+    scheduler = make_scheduler(name)
+    kind = row_kind(scheduler)
+    if kind == "mqb":
+        return native.supported(scheduler._balance_mode, job.num_types)
+    return kind == "static"
+
+
 # ----------------------------------------------------------------------
 # the declarations
 # ----------------------------------------------------------------------
@@ -243,6 +259,9 @@ def _check_scalar(name: str, inputs: list, refs: list, bare: bool = True) -> Non
                     f"{name} scalar, input {i}",
                 )
     _check_kernel(telemetry, name in KERNEL and len(inputs) > 1)
+    if native.load_kernel() is not None:
+        whole = sum(_whole_run(name, job) for job, _ in inputs)
+        assert telemetry.counters.get("native.runs", 0) == whole, name
 
 
 def _check_batch(
@@ -335,6 +354,30 @@ def test_native_column_on_cells():
     telemetry = Telemetry()
     _check_batch(list(VARIANTS), NATIVE_CELLS, refs, True, telemetry)
     _check_kernel(telemetry, picks=True)
+
+
+@pytest.mark.parametrize("name", ROW_NAMES)
+def test_counters_column(name):
+    # Native on: ``Telemetry()`` runs take the C loop, and an attached
+    # event stream keeps the Python loop.  Both report the same
+    # counters (but the C loop's ``native.runs``), histograms, timer
+    # keys and decision-round counts.
+    if native.load_kernel() is None:
+        pytest.skip(f"native kernel unavailable: {native.native_status()['error']}")
+    engine = plan_run(make_scheduler(name))
+    with _native(True):
+        for i, (job, system) in enumerate(INPUTS + NATIVE_CELLS):
+            fast, slow = Telemetry(), Telemetry(events=EventStream())
+            res = _run(engine, name, job, system, i, telemetry=fast)
+            _run(engine, name, job, system, i, telemetry=slow)
+            label = f"{name}, input {i}"
+            assert fast.counters.pop("native.runs", 0) == _whole_run(name, job), label
+            assert "native.runs" not in slow.counters, label
+            assert fast.counters == slow.counters, label
+            assert fast.histograms == slow.histograms, label
+            assert fast.timers.keys() == slow.timers.keys(), label
+            key = "decision." + res.scheduler
+            assert fast.timers[key][1] == slow.timers[key][1] == res.decisions, label
 
 
 @pytest.mark.parametrize("name", sorted(IDENTICAL_TO))
