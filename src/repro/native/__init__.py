@@ -9,8 +9,9 @@
 * a whole non-preemptive run of :func:`repro.sim.engine.simulate`'s
   loop (:meth:`MQBKernel.run`) for schedulers with a row kind
   (:func:`repro.capabilities.row_kind`): static-priority heaps, or MQB
-  rounds with the same pick inline.  ``simulate`` calls it once per
-  run; everything else keeps the Python loop.
+  rounds with the same pick inline, scoring one head per class of
+  bit-identical (type, work, descendant row) ready tasks.  ``simulate``
+  calls it once per run; everything else keeps the Python loop.
 
 Both perform the identical IEEE-double arithmetic in the identical
 order as the Python and numpy formulation, so winners — and therefore
@@ -77,7 +78,7 @@ __all__ = [
     "native_status",
 ]
 
-ABI_VERSION = 2
+ABI_VERSION = 3
 MODE_CODES = {"lex": 0, "min": 1, "sum": 2}
 
 #: repro_list_schedule's status codes.

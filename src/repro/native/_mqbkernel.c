@@ -26,21 +26,28 @@
  * Ties between equal score vectors break on the *smallest* FIFO ready
  * sequence, exactly like the numpy lexsort's trailing -seq key.  Seqs
  * are unique within a pool, so the winner is a strict maximum and
- * independent of scan order.
+ * independent of scan order.  The same holds for repro_list_schedule's
+ * class pools, which hold one head per class of bit-identical (type,
+ * work, descendant row) tasks: members of a class score bit-identically
+ * against any l + extra, so only the class's lowest ready seq (its
+ * head) can win the tie-break, and for NaN-free keys (key, seq) is a
+ * strict total order, so the best head is the best member.
  *
  * The file doubles as a CPython extension (so `pip install -e .` with
  * a toolchain ships a prebuilt .so) and as a plain shared library for
  * the lazy `cc -shared -DREPRO_NO_PYTHON` ctypes build path; the
  * symbols are always consumed through ctypes, never through the
- * (empty) Python module.  Entry points (ABI 2): repro_native_abi,
+ * (empty) Python module.  Entry points (ABI 3): repro_native_abi,
  * repro_mqb_pick_pop, repro_mqb_pick_commit, repro_list_schedule.
  */
 
 #include <stddef.h>
+#include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 #include <time.h>
 
-#define REPRO_NATIVE_ABI 2
+#define REPRO_NATIVE_ABI 3
 #define MODE_LEX 0
 #define MODE_MIN 1
 #define MODE_SUM 2
@@ -285,14 +292,23 @@ EXPORT i64 repro_mqb_pick_commit(const double *d_g, const double *work_g,
  *   - a decision round runs when a task is ready and some type has both
  *     a free processor and a pending task; static rounds pop each
  *     type's heap in type order, MQB rounds replay MQB.assign (per
- *     pass, per type: take the whole pool in ascending ready seq when
- *     it fits the free count, else one pool_pick_commit); tasks are
+ *     pass, per type: take every ready task in ascending ready seq when
+ *     they fit the free count, else one pool_pick_commit); tasks are
  *     dispatched in chosen order, which sets their completion seq;
  *   - completions at one instant pop in (finish, seq) order, and a
  *     completed task's children become ready in child_idx order,
  *     taking the next ready seq.
  *
- * Buffers are allocated per call; nothing is process wide. */
+ * MQB's pools hold class heads, not tasks: one hash pass per run groups
+ * the tasks into classes of bit-identical type, work and descendant
+ * row (tree leaves: a handful of classes for thousands of tasks), each
+ * class keeps its ready members in a FIFO in ready-seq order, and a
+ * type's pool holds the head of each non-empty class.  A pick scores
+ * heads only (exact; see the top of the file) and the winner's next
+ * member takes its class's place in the pool.
+ *
+ * Buffers are allocated per call and sized by what they hold; nothing
+ * is process wide. */
 
 #define ROW_STATIC 0
 #define ROW_MQB 1
@@ -382,12 +398,19 @@ typedef struct {
     i64 kind, K, mode, carry;
     const i64 *types;
     const double *work, *keys, *d;
-    i64 *type_off;          /* K+1 offsets of per-type regions (tasks) */
+    i64 *type_off;          /* K+1 offsets of per-type regions: static
+                             * heaps (by tasks), mqb pools (by classes) */
     i64 *proc_off;          /* K+1 offsets of free-processor stacks */
     i64 *free_procs, *n_free;
     ready_item *heap;       /* static: per-type ready heaps */
-    i64 *ptask, *pseq;      /* mqb: per-type ready pools */
-    i64 *n_pending;
+    i64 *ptask, *pseq;      /* mqb: per-type pools of class heads */
+    i64 *plen;              /* mqb: heads in each type's pool */
+    i64 *cls;               /* mqb: each task's class */
+    i64 *cls_last;          /* mqb: each class's newest ready member, -1 */
+    i64 *next;              /* mqb: next ready member of the class, -1 */
+    i64 *seq;               /* mqb: each task's ready seq */
+    i64 *take;              /* mqb: take-all scratch */
+    i64 *n_pending;         /* ready tasks per type */
     double *l, *extra, *parr, *s, *key_a, *key_b;
     event_item *events;
     i64 n_events, ready_seq, event_seq, n_ready;
@@ -395,17 +418,77 @@ typedef struct {
     double *trace_start, *trace_end;
 } run_state;
 
+static uint64_t mix_word(uint64_t h, const void *word) {
+    uint64_t x;
+    memcpy(&x, word, sizeof x);
+    h = (h ^ x) * 0x9e3779b97f4a7c15ULL;
+    return h ^ (h >> 32);
+}
+
+/* Whether tasks u and v have bit-identical type, work and row. */
+static int same_class(const run_state *st, i64 u, i64 v) {
+    return st->types[u] == st->types[v] &&
+           memcmp(&st->work[u], &st->work[v], sizeof(double)) == 0 &&
+           memcmp(st->d + u * st->K, st->d + v * st->K,
+                  (size_t)st->K * sizeof(double)) == 0;
+}
+
+/* Number the classes of bit-identical (type, work, descendant row) in
+ * order of first member with one open-addressing hash pass: sets
+ * st->cls and adds each type's class count to type_off[type + 1].
+ * Returns the class count, or -1 when out of memory. */
+static i64 group_classes(run_state *st, i64 n) {
+    size_t cap = 2;
+    while (cap < 2 * (size_t)n) cap <<= 1;
+    i64 *table = calloc(cap, sizeof(i64));  /* first member + 1; 0 empty */
+    if (!table) return -1;
+    i64 n_cls = 0;
+    for (i64 v = 0; v < n; v++) {
+        uint64_t h = (uint64_t)st->types[v];
+        h = mix_word(h, &st->work[v]);
+        for (i64 j = 0; j < st->K; j++) h = mix_word(h, &st->d[v * st->K + j]);
+        /* splitmix64's finalizer: every word reaches the low bits. */
+        h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+        size_t i = (size_t)(h ^ (h >> 31)) & (cap - 1);
+        while (table[i] != 0 && !same_class(st, table[i] - 1, v)) {
+            i = (i + 1) & (cap - 1);
+        }
+        if (table[i] == 0) {
+            table[i] = v + 1;
+            st->cls[v] = n_cls++;
+            st->type_off[st->types[v] + 1]++;
+        } else {
+            st->cls[v] = st->cls[table[i] - 1];
+        }
+    }
+    free(table);
+    return n_cls;
+}
+
+static void pool_add(run_state *st, i64 a, i64 task) {
+    i64 slot = st->type_off[a] + st->plen[a]++;
+    st->ptask[slot] = task;
+    st->pseq[slot] = st->seq[task];
+}
+
 static void task_ready(run_state *st, i64 task) {
     i64 a = st->types[task];
-    i64 base = st->type_off[a];
     st->n_ready++;
     if (st->kind == ROW_STATIC) {
         ready_item item = {st->keys[task], st->ready_seq++, task};
-        ready_item_push(st->heap + base, &st->n_pending[a], item);
+        ready_item_push(st->heap + st->type_off[a], &st->n_pending[a], item);
     } else {
-        i64 m = st->n_pending[a]++;
-        st->ptask[base + m] = task;
-        st->pseq[base + m] = st->ready_seq++;
+        i64 c = st->cls[task], last = st->cls_last[c];
+        st->seq[task] = st->ready_seq++;
+        st->next[task] = -1;
+        st->cls_last[c] = task;
+        if (last < 0) {
+            pool_add(st, a, task);  /* the class's new head */
+        } else {
+            st->next[last] = task;
+        }
+        st->n_pending[a]++;
         st->l[a] += st->work[task];
     }
 }
@@ -441,6 +524,7 @@ static void static_round(run_state *st, double now) {
  * the number of kernel picks. */
 static i64 mqb_round(run_state *st, double now) {
     i64 K = st->K, picks = 0;
+    i64 *take = st->take;
     for (i64 j = 0; j < K; j++) st->extra[j] = 0.0;
     int progress = 1;
     while (progress) {
@@ -451,33 +535,42 @@ static i64 mqb_round(run_state *st, double now) {
             i64 base = st->type_off[a];
             i64 *ptask = st->ptask + base, *pseq = st->pseq + base;
             if (m <= st->n_free[a]) {
-                /* Take all, in ascending ready seq (MQB._pos's
-                 * insertion order). */
-                for (i64 i = 1; i < m; i++) {
-                    i64 t = ptask[i], q = pseq[i], j = i - 1;
-                    while (j >= 0 && pseq[j] > q) {
-                        ptask[j + 1] = ptask[j];
-                        pseq[j + 1] = pseq[j];
-                        j--;
+                /* Take all: every member of every class, in ascending
+                 * ready seq (MQB._pos's insertion order). */
+                i64 got = 0;
+                for (i64 i = 0; i < st->plen[a]; i++) {
+                    st->cls_last[st->cls[ptask[i]]] = -1;
+                    for (i64 t = ptask[i]; t >= 0; t = st->next[t]) {
+                        i64 j = got++ - 1;
+                        while (j >= 0 && st->seq[take[j]] > st->seq[t]) {
+                            take[j + 1] = take[j];
+                            j--;
+                        }
+                        take[j + 1] = t;
                     }
-                    ptask[j + 1] = t;
-                    pseq[j + 1] = q;
                 }
                 for (i64 i = 0; i < m; i++) {
-                    i64 v = ptask[i];
+                    i64 v = take[i];
                     st->l[a] -= st->work[v];
                     if (st->carry) {
                         const double *drow = st->d + v * K;
                         for (i64 j = 0; j < K; j++) st->extra[j] += drow[j];
                     }
                 }
+                st->plen[a] = 0;
                 st->n_pending[a] = 0;
-                for (i64 i = 0; i < m; i++) dispatch(st, ptask[i], now);
+                for (i64 i = 0; i < m; i++) dispatch(st, take[i], now);
             } else {
                 i64 v = pool_pick_commit(
-                    st->d, st->work, ptask, pseq, &st->n_pending[a], st->l,
+                    st->d, st->work, ptask, pseq, &st->plen[a], st->l,
                     st->extra, st->parr, K, a, st->mode, st->carry, st->s,
                     st->key_a, st->key_b);
+                if (st->next[v] < 0) {
+                    st->cls_last[st->cls[v]] = -1;
+                } else {
+                    pool_add(st, a, st->next[v]);
+                }
+                st->n_pending[a]--;
                 picks++;
                 dispatch(st, v, now);
             }
@@ -558,10 +651,10 @@ EXPORT i64 repro_list_schedule(i64 kind, i64 n, i64 K,
         rc = RUN_NO_MEMORY;
         goto done;
     }
-    for (i64 v = 0; v < n; v++) st.type_off[types[v] + 1]++;
+    i64 max_count = 0;
     for (i64 a = 0; a < K; a++) {
-        st.type_off[a + 1] += st.type_off[a];
         st.proc_off[a + 1] = st.proc_off[a] + counts[a];
+        if (counts[a] > max_count) max_count = counts[a];
     }
     st.free_procs = malloc(((size_t)st.proc_off[K] + 1) * sizeof(i64));
     if (!st.free_procs) {
@@ -574,27 +667,47 @@ EXPORT i64 repro_list_schedule(i64 kind, i64 n, i64 K,
         st.n_free[a] = counts[a];
     }
     if (kind == ROW_STATIC) {
+        for (i64 v = 0; v < n; v++) st.type_off[types[v] + 1]++;
         st.heap = malloc(((size_t)n + 1) * sizeof(ready_item));
         if (!st.heap) {
             rc = RUN_NO_MEMORY;
             goto done;
         }
     } else {
-        st.ptask = malloc(((size_t)n + 1) * sizeof(i64));
-        st.pseq = malloc(((size_t)n + 1) * sizeof(i64));
+        st.cls = malloc(((size_t)n + 1) * sizeof(i64));
+        st.next = malloc(((size_t)n + 1) * sizeof(i64));
+        st.seq = malloc(((size_t)n + 1) * sizeof(i64));
+        /* A take-all round dispatches at most one type's processors. */
+        st.take = malloc(((size_t)max_count + 1) * sizeof(i64));
+        st.plen = calloc((size_t)K, sizeof(i64));
         st.l = calloc((size_t)K, sizeof(double));
         st.extra = calloc((size_t)K, sizeof(double));
         st.parr = malloc((size_t)K * sizeof(double));
         st.s = malloc((size_t)K * sizeof(double));
         st.key_a = malloc((size_t)K * sizeof(double));
         st.key_b = malloc((size_t)K * sizeof(double));
-        if (!st.ptask || !st.pseq || !st.l || !st.extra || !st.parr ||
-            !st.s || !st.key_a || !st.key_b) {
+        if (!st.cls || !st.next || !st.seq || !st.take || !st.plen ||
+            !st.l || !st.extra || !st.parr || !st.s || !st.key_a ||
+            !st.key_b) {
             rc = RUN_NO_MEMORY;
             goto done;
         }
         for (i64 a = 0; a < K; a++) st.parr[a] = (double)counts[a];
+        i64 n_cls = group_classes(&st, n);
+        if (n_cls < 0) {
+            rc = RUN_NO_MEMORY;
+            goto done;
+        }
+        st.cls_last = malloc(((size_t)n_cls + 1) * sizeof(i64));
+        st.ptask = malloc(((size_t)n_cls + 1) * sizeof(i64));
+        st.pseq = malloc(((size_t)n_cls + 1) * sizeof(i64));
+        if (!st.cls_last || !st.ptask || !st.pseq) {
+            rc = RUN_NO_MEMORY;
+            goto done;
+        }
+        for (i64 c = 0; c < n_cls; c++) st.cls_last[c] = -1;
     }
+    for (i64 a = 0; a < K; a++) st.type_off[a + 1] += st.type_off[a];
 
     for (i64 e = 0; e < child_ptr[n]; e++) indeg[child_idx[e]]++;
 
@@ -664,6 +777,12 @@ done:
     free(st.heap);
     free(st.ptask);
     free(st.pseq);
+    free(st.plen);
+    free(st.cls);
+    free(st.cls_last);
+    free(st.next);
+    free(st.seq);
+    free(st.take);
     free(st.l);
     free(st.extra);
     free(st.parr);

@@ -105,11 +105,12 @@ class MQB(Scheduler):
         self._wpool: list[np.ndarray] = []
         self._spool: list[np.ndarray] = []
         self._seq = 0
-        # Native-kernel dispatch state (set up in :meth:`prepare`):
-        # ``_kpick`` is the bound C entry point or ``None`` for the
-        # numpy path; the ``*_ptr`` ints and ``_pp`` per-type pointer
-        # triples cache ``ndarray.ctypes.data`` so the per-pick call
-        # carries no ctypes marshalling beyond plain integers.
+        # Native-kernel dispatch state: :meth:`prepare` sets ``_kpick``,
+        # the C entry point or ``None`` for the numpy path; the first
+        # pick of a run binds the ``*_ptr`` ints and ``_pp`` per-type
+        # pointer triples, which cache ``ndarray.ctypes.data`` so the
+        # per-pick call carries no ctypes marshalling beyond plain
+        # integers.  A run the C whole-run loop carries binds nothing.
         self._kpick = None
         self._pp: list[tuple[int, int, int]] = []
         self._extra: np.ndarray | None = None
@@ -149,6 +150,7 @@ class MQB(Scheduler):
         self._first_seq: dict[int, int] = {}
         self._extra = np.zeros(k, dtype=np.float64)
         self._kpick = None
+        self._pp = []
         # Native kernel dispatch: only the base scoring rule may be
         # routed to C — subclasses that override ``_pick_best`` (e.g.
         # the energy-weighted EMQB) keep the polymorphic numpy path.
@@ -159,20 +161,24 @@ class MQB(Scheduler):
                     _native.note_fallback(self._telemetry)
                 else:
                     self._kpick = kernel.pick_pop
-                    self._k = k
-                    self._mode_code = _native.MODE_CODES[self._balance_mode]
-                    self._carry_i = 1 if self._carry else 0
-                    self._l_ptr = self._l.ctypes.data
-                    self._extra_ptr = self._extra.ctypes.data
-                    self._parr_ptr = self._parr.ctypes.data
-                    self._pp = [
-                        (
-                            self._dpool[a].ctypes.data,
-                            self._wpool[a].ctypes.data,
-                            self._spool[a].ctypes.data,
-                        )
-                        for a in range(k)
-                    ]
+
+    def _bind_pointers(self) -> None:
+        """Cache this run's buffer addresses for the per-pick kernel."""
+        k = self.job.num_types
+        self._k = k
+        self._mode_code = _native.MODE_CODES[self._balance_mode]
+        self._carry_i = 1 if self._carry else 0
+        self._l_ptr = self._l.ctypes.data
+        self._extra_ptr = self._extra.ctypes.data
+        self._parr_ptr = self._parr.ctypes.data
+        self._pp = [
+            (
+                self._dpool[a].ctypes.data,
+                self._wpool[a].ctypes.data,
+                self._spool[a].ctypes.data,
+            )
+            for a in range(k)
+        ]
 
     def task_ready(self, task: int, time: float, work: float) -> None:
         assert self._l is not None and self._wcur is not None
@@ -197,7 +203,7 @@ class MQB(Scheduler):
             self._spool[alpha] = np.concatenate(
                 [self._spool[alpha], np.empty_like(self._spool[alpha])]
             )
-            if self._kpick is not None:
+            if self._pp:
                 self._pp[alpha] = (
                     dpool.ctypes.data,
                     self._wpool[alpha].ctypes.data,
@@ -280,6 +286,8 @@ class MQB(Scheduler):
         """
         kpick = self._kpick
         if kpick is not None and extra is self._extra:
+            if not self._pp:
+                self._bind_pointers()
             tasks = self._ptasks[alpha]
             dptr, wptr, sptr = self._pp[alpha]
             slot = kpick(

@@ -15,6 +15,7 @@ import pytest
 
 from repro import ResourceConfig, make_scheduler, simulate
 from repro import native
+from repro.obs.events import EventStream
 from repro.obs.telemetry import Telemetry
 from repro.schedulers.mqb import MQB
 from repro.sim.batch import simulate_batch
@@ -128,6 +129,20 @@ class TestDispatchGates:
         sch = make_scheduler("mqb")
         sch.prepare(job, ResourceConfig((2, 2, 2)))
         assert sch._kpick is not None
+
+    def test_pointers_bound_on_first_pick(self, kernel, rng, monkeypatch):
+        # A run the C whole-run loop carries never reads the per-pick
+        # buffer addresses, so prepare leaves them unbound; the Python
+        # loop's first pick binds them.
+        monkeypatch.setenv("REPRO_NATIVE", "1")
+        job, system = make_random_job(rng, n=60, k=3), ResourceConfig((2, 2, 2))
+        whole = make_scheduler("mqb")
+        simulate(job, system, whole)
+        assert whole._kpick is not None and whole._pp == []
+        loop = make_scheduler("mqb")
+        tel = Telemetry(events=EventStream())
+        simulate(job, system, loop, telemetry=tel)
+        assert tel.counters["native.calls"] > 0 and len(loop._pp) == 3
 
     def test_disabled_env_routes_numpy(self, kernel, rng, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")

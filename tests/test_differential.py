@@ -31,6 +31,10 @@ Inputs:
   lockstep engine runs, and the degenerate steal policy;
 * the native matrix's 3 cells x 3 instances: native vs numpy for MQB's
   balance and carry variants;
+* the class pools: jobs whose ready tasks share bit-identical (type,
+  work, descendant row), which the C loop scores once per class — the
+  native and counters columns for MQB's balance, carry and information
+  variants;
 * the energy matrix's 3 cells x 3 instances: the energy off-switches.
 """
 
@@ -49,6 +53,7 @@ from hypothesis import given, settings, strategies as st
 from repro import native
 from repro.capabilities import DECENTRAL_REFUSALS, plan_run, row_kind
 from repro.cli import main
+from repro.core.kdag import KDag
 from repro.energy.metrics import energy_breakdown
 from repro.energy.models import power_config
 from repro.errors import ConfigurationError
@@ -155,6 +160,72 @@ NATIVE_CELLS = _cells(
 #: The energy matrix's instances: sampled systems.
 ENERGY_CELLS = _cells(
     lambda spec, p, ss: sample_instance(spec, np.random.default_rng(ss.spawn(3)[0]))
+)
+
+
+def _tree(fanouts, node, k: int, procs) -> tuple[KDag, ResourceConfig]:
+    """A tree numbered level by level from the root, node 0: each node
+    of a level has ``fanouts[level]`` children, and ``node(v)`` is node
+    ``v``'s (type, work)."""
+    edges, level, n = [], [0], 1
+    for fanout in fanouts:
+        nxt = []
+        for parent in level:
+            for _ in range(fanout):
+                edges.append((parent, n))
+                nxt.append(n)
+                n += 1
+        level = nxt
+    types, works = zip(*(node(v) for v in range(n)))
+    job = KDag(types=types, work=[float(w) for w in works], edges=edges, num_types=k)
+    return job, ResourceConfig(procs)
+
+
+#: The two subtree shapes of the two-level class pool, as the (type,
+#: work) of each of an internal node's six leaves.
+_SHAPES = (
+    ((0, 1), (2, 1), (0, 2), (2, 2), (1, 1), (0, 1)),
+    ((2, 2), (2, 1), (0, 1), (0, 2), (1, 2), (1, 1)),
+)
+
+
+def _two_level(v: int) -> tuple[int, int]:
+    if v == 0:
+        return 0, 1
+    if v <= 8:
+        return 1, 2
+    parent, pos = divmod(v - 9, 6)
+    return _SHAPES[parent % 2][pos]
+
+
+#: Jobs whose MQB pools hold many ready tasks of bit-identical (type,
+#: work, descendant row), with the number of such classes.
+CLASS_POOLS = {
+    # 520 leaves with works in {1, 2}: six leaf classes, picks galore.
+    "star": (
+        _tree([520], lambda v: (v % 3, 1 + (v // 3) % 2), 3, (2, 3, 1)),
+        7,
+    ),
+    # Eight internal nodes over two subtree shapes: two shared rows.
+    "two-level": (_tree([8, 6], _two_level, 3, (2, 2, 2)), 9),
+    # The root's twelve children, of three classes, fit twelve
+    # processors: one round takes them all, in ascending ready seq.
+    "take-all": (
+        _tree(
+            [12, 1],
+            lambda v: (0, 1 + (v - 1) % 3) if 1 <= v <= 12 else (1, 1 + (v % 3 == 0)),
+            2, (12, 3),
+        ),
+        6,
+    ),
+    "k1": (_tree([60], lambda v: (0, 1 + v % 2), 1, (1,)), 3),
+    "p-alpha-1": (_tree([4, 5], lambda v: (v % 3, 1 + v % 2), 3, (1, 1, 1)), 11),
+    # Non-integer works: every class has one member.
+    "non-integer": (_tree([200], lambda v: (v % 2, 0.1 + v / 7.0), 2, (3, 2)), 201),
+}
+#: MQB's balance, carry and information variants on the class pools.
+CLASS_NAMES = (
+    "mqb", "mqb+1step+pre", "mqb+all+exp", "mqb[min]", "mqb[sum]", "mqb[nocarry]",
 )
 
 
@@ -356,17 +427,14 @@ def test_native_column_on_cells():
     _check_kernel(telemetry, picks=True)
 
 
-@pytest.mark.parametrize("name", ROW_NAMES)
-def test_counters_column(name):
-    # Native on: ``Telemetry()`` runs take the C loop, and an attached
-    # event stream keeps the Python loop.  Both report the same
-    # counters (but the C loop's ``native.runs``), histograms, timer
-    # keys and decision-round counts.
-    if native.load_kernel() is None:
-        pytest.skip(f"native kernel unavailable: {native.native_status()['error']}")
+def _check_counters(name: str, inputs: list) -> None:
+    """Counters column: native on, ``Telemetry()`` runs take the C
+    loop, and an attached event stream keeps the Python loop.  Both
+    report the same counters (but the C loop's ``native.runs``),
+    histograms, timer keys and decision-round counts."""
     engine = plan_run(make_scheduler(name))
     with _native(True):
-        for i, (job, system) in enumerate(INPUTS + NATIVE_CELLS):
+        for i, (job, system) in enumerate(inputs):
             fast, slow = Telemetry(), Telemetry(events=EventStream())
             res = _run(engine, name, job, system, i, telemetry=fast)
             _run(engine, name, job, system, i, telemetry=slow)
@@ -378,6 +446,37 @@ def test_counters_column(name):
             assert fast.timers.keys() == slow.timers.keys(), label
             key = "decision." + res.scheduler
             assert fast.timers[key][1] == slow.timers[key][1] == res.decisions, label
+
+
+@pytest.mark.parametrize("name", ROW_NAMES)
+def test_counters_column(name):
+    if native.load_kernel() is None:
+        pytest.skip(f"native kernel unavailable: {native.native_status()['error']}")
+    _check_counters(name, INPUTS + NATIVE_CELLS)
+
+
+def test_class_pool_inputs():
+    # Each input keeps the classes it stands for.
+    for key, ((job, system), classes) in CLASS_POOLS.items():
+        scheduler = make_scheduler("mqb")
+        scheduler.prepare(job, system)
+        rows = np.column_stack([job.types, job.work, scheduler._d])
+        assert len(np.unique(rows, axis=0)) == classes, key
+
+
+@pytest.mark.parametrize("name", CLASS_NAMES)
+def test_class_pool_columns(name):
+    # The C loop scores one head per class; makespan, decisions, trace
+    # and counters (``native.calls`` included) are the Python loop's.
+    if native.load_kernel() is None:
+        pytest.skip(f"native kernel unavailable: {native.native_status()['error']}")
+    inputs = [inst for inst, _ in CLASS_POOLS.values()]
+    refs = _references(name, inputs)
+    _check_scalar(name, inputs, refs)
+    _check_counters(name, inputs)
+    take_all = refs[list(CLASS_POOLS).index("take-all")].trace.segments[1:13]
+    assert [seg.task for seg in take_all] == list(range(1, 13))
+    assert len({seg.start for seg in take_all}) == 1
 
 
 @pytest.mark.parametrize("name", sorted(IDENTICAL_TO))
