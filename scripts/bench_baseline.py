@@ -2,7 +2,7 @@
 """Regenerate ``benchmarks/BENCH_engine.json`` (and a root-level copy).
 
 Times the hot paths the optimization work targets — MQB/KGreedy runs on
-a paper-scale IR instance, the offline descendant/span passes, and a
+a paper-scale IR instance, the offline passes (numpy and native), and a
 Fig.-4-scale paired sweep serial vs parallel — and writes the numbers
 next to the recorded pre-optimization baselines so the speedups are
 auditable.  The same payload is written to ``BENCH_engine.json`` at the
@@ -37,10 +37,11 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro import make_scheduler, simulate  # noqa: E402
+from repro import KDag, make_scheduler, simulate  # noqa: E402
 from repro.core.cache import clear_offline_cache  # noqa: E402
 from repro.core.descendants import (  # noqa: E402
     descendant_values,
+    different_child_distance,
     remaining_span,
 )
 from repro.experiments.runner import run_comparison  # noqa: E402
@@ -107,6 +108,39 @@ def measure_tree() -> dict[str, float]:
     return rows
 
 
+def measure_offline(instances: dict) -> dict[str, float]:
+    """The offline passes with a native path, on numpy and in C.
+
+    Per instance: ``KDag`` construction (validation, CSR and the
+    level-order peel), ShiftBT's prepare from an empty offline cache
+    (bottom and top levels, due dates, one EDD subproblem per type) and
+    the different-child distance (DType's pass).
+    """
+    from repro import native as _native
+
+    rows: dict[str, float] = {}
+    for mode, suffix in (("0", ""), ("1", "_native")):
+        os.environ["REPRO_NATIVE"] = mode
+        if mode == "1" and _native.load_kernel() is None:
+            continue
+        for label, (job, system) in instances.items():
+            def prepare(job=job, system=system):
+                clear_offline_cache()
+                make_scheduler("shiftbt").prepare(job, system)
+
+            rows[f"kdag_construct_{label}{suffix}"] = _best_of(
+                lambda job=job: KDag(job.types, job.work, job.edges, job.num_types),
+                repeat=20,
+            )
+            rows[f"shiftbt_prepare_{label}{suffix}"] = _best_of(prepare, repeat=10)
+            rows[f"different_child_distance_pass_{label}{suffix}"] = _best_of(
+                lambda job=job: different_child_distance(job), repeat=20
+            )
+    os.environ["REPRO_NATIVE"] = "0"
+    clear_offline_cache()
+    return rows
+
+
 def measure() -> dict[str, float]:
     # The engine/sweep timings below measure real computation; pin the
     # result cache off so a warm user cache can't shortcut them.  The
@@ -144,6 +178,7 @@ def measure() -> dict[str, float]:
         )
     os.environ["REPRO_NATIVE"] = "0"
     after.update(measure_tree())
+    after.update(measure_offline({"ir": (job, system), "tree": _tree_instance()}))
     after["engine_kgreedy_ir"] = _best_of(
         lambda: simulate(job, system, make_scheduler("kgreedy")), repeat=10
     )
@@ -296,7 +331,12 @@ def main() -> int:
             speedups[f"{serial}_vs_python"] = round(
                 after[f"fig4_ir_sweep_{n}_serial"] / after[serial], 3
             )
-    for row in ("engine_kgreedy_ir", "engine_mqb_tree"):
+    offline = [
+        f"{row}_{label}"
+        for row in ("kdag_construct", "shiftbt_prepare", "different_child_distance_pass")
+        for label in ("ir", "tree")
+    ]
+    for row in ("engine_kgreedy_ir", "engine_mqb_tree", *offline):
         if f"{row}_native" in after:
             speedups[f"{row}_native_vs_python"] = round(
                 after[row] / after[f"{row}_native"], 3
@@ -331,7 +371,14 @@ def main() -> int:
             "pure lookups); their ratio is the warm_vs_cold speedup. "
             "The decentral_p{64,256,1024} entries time one DKGreedy "
             "work-stealing run (default steal policy) on the decentral "
-            "experiment's EP workload at P processors per type."
+            "experiment's EP workload at P processors per type. "
+            "kdag_construct_*, shiftbt_prepare_* and "
+            "different_child_distance_pass_* time, on the IR instance "
+            "and the tree instance, one KDag construction (with its "
+            "level-order peel), one ShiftBT prepare from an empty offline "
+            "cache and one DType different-child-distance pass; their "
+            "_native twins run the same passes in the kernel's offline "
+            "entry points (bit-identical)."
         ),
         "host": {
             "platform": platform.platform(),

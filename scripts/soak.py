@@ -5,8 +5,9 @@ Drives an open-loop mixed profile (``/schedule`` + ``/sweep`` +
 ``/stream``) against a freshly spawned ``repro route`` cluster at each
 shard count (default 1, 2, 4), records time-bucketed p50/p95/p99
 latency trajectories, and asserts the serving-plane contract: **every
-offered request is answered** (zero hung, zero silently dropped) and
-the SIGTERM drain is clean at every shard count.
+offered request is answered** (zero hung, zero silently dropped), none
+with an ``internal`` error, and the SIGTERM drain is clean at every
+shard count.
 
 The profile mixes three request classes:
 
@@ -414,6 +415,14 @@ def main(argv: list[str] | None = None) -> int:
         )
         if record["hung"]:
             print(f"[soak] FAIL: {record['hung']} hung requests at "
+                  f"{n_shards} shard(s)", file=sys.stderr)
+            exit_code = 1
+        internal = sum(
+            record[klass]["errors"].get("internal", 0)
+            for klass in ("cheap", "mid", "heavy")
+        )
+        if internal:
+            print(f"[soak] FAIL: {internal} internal errors at "
                   f"{n_shards} shard(s)", file=sys.stderr)
             exit_code = 1
         if code != 0:

@@ -142,11 +142,12 @@ class PooledEndpoint:
         """One exchange; raises ``ConnectionError``/``TimeoutError`` only.
 
         Transport failures on a *reused* connection retry once on a
-        fresh one; failures on a fresh connection propagate.
+        newly opened one (never on another idle one, which may be just
+        as stale); failures on a fresh connection propagate.
         """
         payload = _render_request(method, path, self.host, body)
-        for _attempt in (0, 1):
-            reused = bool(self._idle)
+        reused = bool(self._idle)
+        while True:
             if reused:
                 reader, writer = self._idle.pop()
             else:
@@ -171,13 +172,13 @@ class PooledEndpoint:
                     raise ConnectionError(
                         f"{self.url}{path}: {type(exc).__name__}: {exc}"
                     ) from exc
+                reused = False
                 continue
             if response.will_close:
                 self._discard(writer)
             else:
                 self._release(reader, writer)
             return response
-        raise AssertionError("unreachable")  # pragma: no cover
 
     def close(self) -> None:
         """Drop every idle connection (drain/teardown)."""

@@ -102,10 +102,12 @@ def cached_lower_bound(job: KDag, processors: tuple[int, ...]) -> float:
 
     A paired comparison computes the *same* ``L(J)`` once per
     algorithm when turning makespans into completion-time ratios;
-    keying on (job content, processor counts) collapses those into a
-    single span sweep per instance.
+    keying on (job content, processor counts) collapses those into
+    one lookup per instance.  ``T_inf(J)`` is the maximum remaining
+    span, read from that cached entry like :func:`cached_due_dates`.
     """
-    return _props.lower_bound(job, processors)
+    t_inf = float(cached_remaining_span(job).max())
+    return float(max(t_inf, _props.work_per_processor(job, processors).max()))
 
 
 _ALL_CACHES = (

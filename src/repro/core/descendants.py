@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import native
 from repro.core.kdag import KDag, csr_gather
 from repro.core.properties import _bottom_levels, span
 
@@ -162,8 +163,12 @@ def different_child_distance(job: KDag) -> np.ndarray:
     1 + dist(c))``; ``inf`` when no different-type descendant exists.
     The recursion is well-founded because in the ``else`` branch ``c``
     shares ``v``'s type, so ``dist(c)`` measures distance to the same
-    "other type" set.
+    "other type" set.  The native kernel, when it loads, returns the
+    same array.
     """
+    kernel = native.load_kernel()
+    if kernel is not None:
+        return kernel.different_child_distance(job)
     n = job.n_tasks
     dist = np.full(n, np.inf, dtype=np.float64)
     types = job.types

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro import native
 from repro.errors import CycleError, GraphError
 
 __all__ = ["KDag", "csr_gather"]
@@ -157,11 +158,11 @@ class KDag:
                 raise GraphError("edge endpoint out of range")
             if np.any(edge_arr[:, 0] == edge_arr[:, 1]):
                 raise GraphError("self loops are not allowed")
-            # Dedup/sort via a packed (u * n + v) code: one int64 sort
-            # instead of a structured-view lexicographic unique, and
-            # the result is the same (u, v)-lexicographic edge order.
-            codes = np.unique(edge_arr[:, 0] * n + edge_arr[:, 1])
-            if codes.shape[0] != edge_arr.shape[0]:
+            # Sort via a packed (u * n + v) code: one int64 sort gives
+            # the (u, v)-lexicographic edge order, and a duplicate edge
+            # is an equal neighbour in it.
+            codes = np.sort(edge_arr[:, 0] * n + edge_arr[:, 1])
+            if np.any(codes[1:] == codes[:-1]):
                 raise GraphError("duplicate edges are not allowed")
             edge_arr = np.stack([codes // n, codes % n], axis=1)
 
@@ -211,8 +212,20 @@ class KDag:
         last parent has been peeled, so its peel round *is* the longest
         edge-count path from a source, and each round is a handful of
         whole-frontier array ops instead of a per-node Python loop.
+        The native kernel, when it loads, returns the same two arrays
+        (DESIGN.md, "Native offline passes").
         """
         n = self._n
+        kernel = native.load_kernel()
+        if kernel is not None:
+            order, depth, peeled = kernel.topo_levels(
+                self._child_ptr, self._child_idx
+            )
+            if peeled != n:
+                raise CycleError(
+                    f"edge set contains a cycle ({n - peeled} tasks unreachable)"
+                )
+            return order, depth
         indeg = np.diff(self._parent_ptr)
         depth = np.zeros(n, dtype=np.int64)
         order = np.empty(n, dtype=np.int64)
@@ -300,16 +313,16 @@ class KDag:
         crosses from a strictly lower level to a strictly higher one,
         so all nodes of a level can be processed simultaneously in the
         level-batched offline sweeps (:mod:`repro.core.descendants`).
-        Computed lazily and cached on the instance.
+        The peel already lists the levels in this order, so ``order``
+        is :attr:`topological_order`.  Computed lazily and cached on
+        the instance.
         """
         if self._levels is None:
-            order = np.argsort(self._depth, kind="stable")
             counts = np.bincount(self._depth)
             level_ptr = np.zeros(len(counts) + 1, dtype=np.int64)
             np.cumsum(counts, out=level_ptr[1:])
-            order.setflags(write=False)
             level_ptr.setflags(write=False)
-            self._levels = (order, level_ptr)
+            self._levels = (self._topo, level_ptr)
         return self._levels
 
     # ------------------------------------------------------------------

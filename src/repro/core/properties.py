@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import native
 from repro.core.kdag import KDag, csr_gather
 from repro.errors import ResourceError
 
@@ -45,8 +46,12 @@ def _bottom_levels(job: KDag) -> np.ndarray:
     ``bottom[v] = work[v] + max(bottom[c] for c in children(v))`` (0 max
     for sinks).  Computed as a level-batched reverse sweep: within one
     depth level no edges exist, so a whole level's maxima reduce in one
-    ``np.maximum.reduceat`` over the gathered child values.
+    ``np.maximum.reduceat`` over the gathered child values.  The native
+    kernel, when it loads, returns the same array.
     """
+    kernel = native.load_kernel()
+    if kernel is not None:
+        return kernel.bottom_levels(job)
     bottom = job.work.copy()
     cptr, cidx = job.child_ptr, job.child_idx
     out_deg = np.diff(cptr)

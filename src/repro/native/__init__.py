@@ -1,23 +1,37 @@
-"""Native compiled backend: MQB selection and whole list-scheduling runs.
+"""Native compiled backend: MQB selection, whole runs and offline passes.
 
-``_mqbkernel.c`` holds two things, consumed through :mod:`ctypes`:
+``_mqbkernel.c`` holds three things, consumed through :mod:`ctypes`
+(entry points in brackets):
 
 * the hot inner loop of every MQB commit — score each ready candidate
   of one type, compare lexicographically, swap-remove the winner — for
   the scalar scheduler (:class:`repro.schedulers.mqb.MQB`) and the
-  batched lockstep engine (:mod:`repro.sim.batch`);
+  batched lockstep engine (:mod:`repro.sim.batch`)
+  [``repro_mqb_pick_pop``, ``repro_mqb_pick_commit``];
 * a whole non-preemptive run of :func:`repro.sim.engine.simulate`'s
   loop (:meth:`MQBKernel.run`) for schedulers with a row kind
   (:func:`repro.capabilities.row_kind`): static-priority heaps, or MQB
   rounds with the same pick inline, scoring one head per class of
   bit-identical (type, work, descendant row) ready tasks.  ``simulate``
-  calls it once per run; everything else keeps the Python loop.
+  calls it once per run; everything else keeps the Python loop
+  [``repro_list_schedule``];
+* the order-free offline passes, each behind a prologue in its numpy
+  function: KDag's level-order peel (:meth:`MQBKernel.topo_levels`),
+  the bottom-level, top-level and different-child-distance sweeps
+  (:meth:`MQBKernel.bottom_levels`, ``top_levels``,
+  ``different_child_distance``) and ShiftBT's per-type EDD subproblem
+  (:meth:`MQBKernel.edd_schedule`) [``repro_topo_levels``,
+  ``repro_bottom_levels``, ``repro_top_levels``,
+  ``repro_different_child_distance``, ``repro_edd_schedule``].
 
-Both perform the identical IEEE-double arithmetic in the identical
-order as the Python and numpy formulation, so winners — and therefore
-traces, processor ids and decision counts — are bit-identical to the
-pure-Python path (asserted by the native column of
-``tests/test_differential.py``).
+All of them return what the Python and numpy formulation returns, bit
+for bit: the picks and runs perform the identical IEEE-double
+arithmetic in the identical order, so winners — and therefore traces,
+processor ids and decision counts — match the pure-Python path; the
+offline passes are max/min reductions and strict total orders whose
+result no visiting order changes (DESIGN.md, "Native offline passes").
+The native and offline columns of ``tests/test_differential.py``
+assert it.
 
 Backend selection is environment-driven via ``REPRO_NATIVE``:
 
@@ -78,7 +92,7 @@ __all__ = [
     "native_status",
 ]
 
-ABI_VERSION = 3
+ABI_VERSION = 4
 MODE_CODES = {"lex": 0, "min": 1, "sum": 2}
 
 #: repro_list_schedule's status codes.
@@ -145,6 +159,29 @@ class MQBKernel:
         )
         self.list_schedule = list_schedule
 
+        topo_levels = lib.repro_topo_levels
+        topo_levels.restype = _c_ll
+        # n, child_ptr, child_idx, order, depth
+        topo_levels.argtypes = (_c_ll, _c_p, _c_p, _c_p, _c_p)
+        self._topo_levels = topo_levels
+
+        # n, work or types, ptr, idx, order, out
+        sweep_args = (_c_ll, _c_p, _c_p, _c_p, _c_p, _c_p)
+        self._sweeps = {}
+        for name in ("bottom_levels", "top_levels", "different_child_distance"):
+            fn = getattr(lib, "repro_" + name)
+            fn.restype = _c_ll
+            fn.argtypes = sweep_args
+            self._sweeps[name] = fn
+
+        edd = lib.repro_edd_schedule
+        edd.restype = _c_ll
+        # m, tasks, n, release, due, work, n_machines, seq_out, out_lateness
+        edd.argtypes = (
+            _c_ll, _c_p, _c_ll, _c_p, _c_p, _c_p, _c_ll, _c_p, _c_p,
+        )
+        self._edd = edd
+
     def run(
         self, kind: str, job, counts, keys=None, d=None, mode: str = "lex",
         carry: bool = True, record_trace: bool = False, timing: bool = False,
@@ -206,6 +243,111 @@ class MQBKernel:
             makespan=f[0], decision_s=f[1], decisions=i[0],
             events_pushed=i[1], heap_peak=i[2], picks=i[3],
             trace=trace, stalled=None if rc == _RUN_OK else (f[2], i[4], i[5]),
+        )
+
+    # -- offline passes -------------------------------------------------
+    def topo_levels(self, child_ptr, child_idx) -> tuple:
+        """KDag's level-order peel over a CSR child adjacency.
+
+        Returns ``(order, depth, peeled)``: levels in ascending order,
+        ids ascending within a level, each task's level, and how many
+        tasks were peeled (fewer than ``n`` when the edges hold a
+        cycle, and then ``order`` and ``depth`` mean nothing).
+        """
+        ptr, idx = _int64(child_ptr), _int64(child_idx)
+        if ptr.ndim != 1 or ptr.size == 0 or idx.shape != (int(ptr[-1]),):
+            raise ValueError("native peel: malformed CSR arrays")
+        n = ptr.shape[0] - 1
+        order = np.empty(n, dtype=np.int64)
+        depth = np.empty(n, dtype=np.int64)
+        peeled = self._topo_levels(
+            n, ptr.ctypes.data, idx.ctypes.data, order.ctypes.data,
+            depth.ctypes.data,
+        )
+        _check_pass(peeled, "peel")
+        return order, depth, int(peeled)
+
+    def _sweep(self, name: str, job, values, ptr, idx) -> np.ndarray:
+        n = job.n_tasks
+        ptr, idx, order = _int64(ptr), _int64(idx), _int64(job.topological_order)
+        if (
+            values.shape != (n,) or ptr.shape != (n + 1,)
+            or idx.shape != (int(ptr[-1]),) or order.shape != (n,)
+        ):
+            raise ValueError(f"native {name}: arrays do not match n={n}")
+        out = np.empty(n, dtype=np.float64)
+        _check_pass(
+            self._sweeps[name](
+                n, values.ctypes.data, ptr.ctypes.data, idx.ctypes.data,
+                order.ctypes.data, out.ctypes.data,
+            ),
+            name,
+        )
+        return out
+
+    def bottom_levels(self, job) -> np.ndarray:
+        """:func:`repro.core.properties._bottom_levels` of ``job``."""
+        return self._sweep(
+            "bottom_levels", job, _float64(job.work), job.child_ptr, job.child_idx
+        )
+
+    def top_levels(self, job) -> np.ndarray:
+        """:func:`repro.schedulers.shiftbt.top_levels` of ``job``."""
+        return self._sweep(
+            "top_levels", job, _float64(job.work), job.parent_ptr, job.parent_idx
+        )
+
+    def different_child_distance(self, job) -> np.ndarray:
+        """:func:`repro.core.descendants.different_child_distance` of ``job``."""
+        return self._sweep(
+            "different_child_distance", job, _int64(job.types), job.child_ptr,
+            job.child_idx,
+        )
+
+    def edd_schedule(self, tasks, release, due, work, n_machines: int):
+        """ShiftBT's EDD subproblem of ``tasks`` (ids into the other arrays).
+
+        Returns ``(sequence, max_lateness)`` as an int64 array and a
+        float, or ``None`` when a key is NaN (heapq's order then
+        decides).  Raises :class:`ValueError` for arrays of the wrong
+        shape and :class:`OSError` for input the pass rejects.
+        """
+        tasks = _int64(tasks)
+        release, due, work = (_float64(a) for a in (release, due, work))
+        n = release.shape[0] if release.ndim == 1 else -1
+        if tasks.ndim != 1 or n < 0 or due.shape != (n,) or work.shape != (n,):
+            raise ValueError("native EDD: arrays do not match")
+        m = tasks.shape[0]
+        seq = np.empty(m, dtype=np.int64)
+        lateness = np.empty(1, dtype=np.float64)
+        rc = self._edd(
+            m, tasks.ctypes.data, n, release.ctypes.data, due.ctypes.data,
+            work.ctypes.data, int(n_machines), seq.ctypes.data,
+            lateness.ctypes.data,
+        )
+        if rc == _PASS_NAN_KEY:
+            return None
+        _check_pass(rc, "EDD")
+        return seq, float(lateness[0])
+
+
+#: The offline passes' status codes.
+_PASS_BAD_INPUT, _PASS_NO_MEMORY, _PASS_NAN_KEY = -1, -2, -3
+
+
+def _int64(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
+def _float64(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64)
+
+
+def _check_pass(rc: int, name: str) -> None:
+    if rc < 0:
+        raise OSError(
+            f"native {name} failed: "
+            + ("allocation failed" if rc == _PASS_NO_MEMORY else "bad input")
         )
 
 

@@ -37,17 +37,27 @@
  * a toolchain ships a prebuilt .so) and as a plain shared library for
  * the lazy `cc -shared -DREPRO_NO_PYTHON` ctypes build path; the
  * symbols are always consumed through ctypes, never through the
- * (empty) Python module.  Entry points (ABI 3): repro_native_abi,
- * repro_mqb_pick_pop, repro_mqb_pick_commit, repro_list_schedule.
+ * (empty) Python module.  Entry points (ABI 4):
+ *
+ *   repro_native_abi
+ *   repro_mqb_pick_pop, repro_mqb_pick_commit   MQB picks
+ *   repro_list_schedule                         whole static/MQB runs
+ *   repro_topo_levels                           KDag's level-order peel
+ *   repro_bottom_levels, repro_top_levels,
+ *   repro_different_child_distance              order-free offline sweeps
+ *   repro_edd_schedule                          ShiftBT's EDD subproblem
+ *
+ * The offline passes have their own section at the end of the file.
  */
 
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 #include <time.h>
 
-#define REPRO_NATIVE_ABI 3
+#define REPRO_NATIVE_ABI 4
 #define MODE_LEX 0
 #define MODE_MIN 1
 #define MODE_SUM 2
@@ -790,6 +800,302 @@ done:
     free(st.key_a);
     free(st.key_b);
     return rc;
+}
+
+/* ------------------------------------------------------------------
+ * Offline passes (KDag's peel, the bottom/top-level and
+ * different-child-distance sweeps, ShiftBT's EDD subproblem)
+ * ------------------------------------------------------------------
+ *
+ * Each entry point returns the bytes its numpy formulation returns:
+ *
+ *   - repro_topo_levels: KDag's level-order peel.  A task's peel round
+ *     is 1 + the largest round of its parents (its longest edge-count
+ *     path from a source), which any Kahn order computes; a counting
+ *     sort by round, stable over ascending ids, then lists each level
+ *     in ascending id order, as the peel's np.unique does.
+ *   - the sweeps visit tasks in reverse topological (bottom, distance)
+ *     or topological (top) order instead of level by level.  Each value
+ *     is a max or min over NaN-free terms with no signed zero (sums of
+ *     finite positive works, 1.0 + hop counts, inf), so the extreme
+ *     does not depend on the order the terms are visited in, and each
+ *     term is the one IEEE add numpy performs.
+ *   - repro_edd_schedule: it admits the same sets of tasks as Python's
+ *     loop and pops the least of a strict total order on NaN-free keys,
+ *     Python's (due, release, task, work) tuple, so it pops heapq's
+ *     sequence (the function's comment has the argument); start,
+ *     completion and lateness are the same three IEEE operations.
+ *
+ * Buffers are allocated per call; nothing is process wide. */
+
+#define PASS_BAD_INPUT -1
+#define PASS_NO_MEMORY -2
+#define PASS_NAN_KEY -3
+
+/* A well-formed CSR adjacency over n nodes whose idx holds ptr[n]
+ * entries (the binding checks that length). */
+static int csr_ok(i64 n, const i64 *ptr, const i64 *idx) {
+    if (ptr[0] != 0) return 0;
+    for (i64 v = 0; v < n; v++) {
+        if (ptr[v + 1] < ptr[v]) return 0;
+    }
+    for (i64 e = 0; e < ptr[n]; e++) {
+        if (idx[e] < 0 || idx[e] >= n) return 0;
+    }
+    return 1;
+}
+
+static int order_ok(i64 n, const i64 *order) {
+    for (i64 i = 0; i < n; i++) {
+        if (order[i] < 0 || order[i] >= n) return 0;
+    }
+    return 1;
+}
+
+/* KDag._topological_order: order (levels ascending, ids ascending
+ * within a level) and depth, n slots each.  Returns the number of
+ * tasks peeled (n unless the edges hold a cycle; order and depth are
+ * then unspecified), PASS_BAD_INPUT or PASS_NO_MEMORY. */
+EXPORT i64 repro_topo_levels(i64 n, const i64 *child_ptr,
+                             const i64 *child_idx, i64 *order, i64 *depth) {
+    if (n < 0 || !csr_ok(n, child_ptr, child_idx)) return PASS_BAD_INPUT;
+    i64 *indeg = calloc((size_t)n + 1, sizeof(i64));
+    if (!indeg) return PASS_NO_MEMORY;
+    for (i64 e = 0; e < child_ptr[n]; e++) indeg[child_idx[e]]++;
+    i64 tail = 0;
+    for (i64 v = 0; v < n; v++) {
+        depth[v] = 0;
+        if (indeg[v] == 0) order[tail++] = v;
+    }
+    for (i64 head = 0; head < tail; head++) {
+        i64 u = order[head], du = depth[u] + 1;
+        for (i64 e = child_ptr[u]; e < child_ptr[u + 1]; e++) {
+            i64 c = child_idx[e];
+            if (depth[c] < du) depth[c] = du;
+            if (--indeg[c] == 0) order[tail++] = c;
+        }
+    }
+    if (tail == n) {
+        /* Every indeg is 0 again: reuse it as the level offsets. */
+        for (i64 v = 0; v < n; v++) indeg[depth[v] + 1]++;
+        for (i64 d = 0; d < n; d++) indeg[d + 1] += indeg[d];
+        for (i64 v = 0; v < n; v++) order[indeg[depth[v]]++] = v;
+    }
+    free(indeg);
+    return tail;
+}
+
+/* properties._bottom_levels: out[v] = work[v] + max over children of
+ * out[c], work[v] for sinks.  order: a topological order. */
+EXPORT i64 repro_bottom_levels(i64 n, const double *work,
+                               const i64 *child_ptr, const i64 *child_idx,
+                               const i64 *order, double *out) {
+    if (n < 0 || !csr_ok(n, child_ptr, child_idx) || !order_ok(n, order))
+        return PASS_BAD_INPUT;
+    for (i64 v = 0; v < n; v++) out[v] = work[v];
+    for (i64 i = n - 1; i >= 0; i--) {
+        i64 v = order[i], b = child_ptr[v], e = child_ptr[v + 1];
+        if (b == e) continue;
+        double m = out[child_idx[b]];
+        for (i64 k = b + 1; k < e; k++) {
+            double x = out[child_idx[k]];
+            if (x > m) m = x;
+        }
+        out[v] = work[v] + m;
+    }
+    return 0;
+}
+
+/* shiftbt.top_levels: out[v] = max over parents p of out[p] + work[p],
+ * 0 for sources.  order: a topological order. */
+EXPORT i64 repro_top_levels(i64 n, const double *work,
+                            const i64 *parent_ptr, const i64 *parent_idx,
+                            const i64 *order, double *out) {
+    if (n < 0 || !csr_ok(n, parent_ptr, parent_idx) || !order_ok(n, order))
+        return PASS_BAD_INPUT;
+    for (i64 v = 0; v < n; v++) out[v] = 0.0;
+    for (i64 i = 0; i < n; i++) {
+        i64 v = order[i], b = parent_ptr[v], e = parent_ptr[v + 1];
+        if (b == e) continue;
+        i64 p = parent_idx[b];
+        double m = out[p] + work[p];
+        for (i64 k = b + 1; k < e; k++) {
+            p = parent_idx[k];
+            double x = out[p] + work[p];
+            if (x > m) m = x;
+        }
+        out[v] = m;
+    }
+    return 0;
+}
+
+/* descendants.different_child_distance: out[v] = min over children c
+ * of (1.0 if types differ else 1.0 + out[c]), inf for sinks.  order: a
+ * topological order. */
+EXPORT i64 repro_different_child_distance(i64 n, const i64 *types,
+                                          const i64 *child_ptr,
+                                          const i64 *child_idx,
+                                          const i64 *order, double *out) {
+    if (n < 0 || !csr_ok(n, child_ptr, child_idx) || !order_ok(n, order))
+        return PASS_BAD_INPUT;
+    for (i64 v = 0; v < n; v++) out[v] = INFINITY;
+    for (i64 i = n - 1; i >= 0; i--) {
+        i64 v = order[i], b = child_ptr[v], e = child_ptr[v + 1];
+        if (b == e) continue;
+        double m = INFINITY;
+        for (i64 k = b; k < e; k++) {
+            i64 c = child_idx[k];
+            double x = types[c] != types[v] ? 1.0 : 1.0 + out[c];
+            if (x < m) m = x;
+        }
+        out[v] = m;
+    }
+    return 0;
+}
+
+/* Order-preserving unsigned key of a non-NaN double: -0.0 and 0.0,
+ * which compare equal, map to one key. */
+static uint64_t order_key(double x) {
+    uint64_t u;
+    x += 0.0;
+    memcpy(&u, &x, sizeof u);
+    return (u >> 63) ? ~u : u | 0x8000000000000000ULL;
+}
+
+/* Stable LSD radix sort of idx[0..m), a permutation of 0..m-1, by
+ * key[idx[i]]: one byte per pass, skipping the bytes every key shares.
+ * tmp: m slots.  Returns whichever of the two buffers holds the
+ * result. */
+static i64 *radix_sort(i64 *idx, i64 *tmp, i64 m, const uint64_t *key) {
+    uint64_t varies = 0;
+    for (i64 i = 0; i < m; i++) varies |= key[i] ^ key[0];
+    for (int shift = 0; shift < 64; shift += 8) {
+        if (((varies >> shift) & 255) == 0) continue;
+        i64 count[256] = {0};
+        for (i64 i = 0; i < m; i++) count[(key[i] >> shift) & 255]++;
+        i64 sum = 0;
+        for (int v = 0; v < 256; v++) {
+            i64 here = count[v];
+            count[v] = sum;
+            sum += here;
+        }
+        for (i64 i = 0; i < m; i++) {
+            tmp[count[(key[idx[i]] >> shift) & 255]++] = idx[i];
+        }
+        i64 *swap = idx;
+        idx = tmp;
+        tmp = swap;
+    }
+    return idx;
+}
+
+typedef double machine_item;
+
+static int machine_lt(const machine_item *a, const machine_item *b) {
+    return *a < *b;
+}
+
+DEFINE_HEAP(machine_item, machine_lt)
+
+/* shiftbt.edd_max_lateness_schedule for the m tasks tasks[0..m) (ids
+ * into release/due/work, n slots each) on n_machines machines: writes
+ * the dispatch sequence to seq_out (m slots) and the maximum lateness
+ * to out_lateness[0].  Returns 0, PASS_BAD_INPUT, PASS_NO_MEMORY or
+ * PASS_NAN_KEY (a NaN key, which the caller leaves to heapq).
+ *
+ * Python's loop admits every task released by the machine-free
+ * instant, so what it has admitted is always the set {release <= t}:
+ * equal releases enter together, and admitting in release order alone
+ * gives the same sets as its (release, due, task) order.  Its released
+ * heap of (due, release, task, work) tuples pops the minimum of a
+ * strict total order, which here is the lowest set bit of a bitset
+ * over the tasks' ranks in (due, release, task) order (one summary bit
+ * per non-empty word).  A machine heap of min(n_machines, m) slots pops
+ * what heapq's n_machines slots pop: each of the m pops still finds a
+ * slot at 0.0 or below while one is left. */
+EXPORT i64 repro_edd_schedule(i64 m, const i64 *tasks, i64 n,
+                              const double *release, const double *due,
+                              const double *work, i64 n_machines,
+                              i64 *seq_out, double *out_lateness) {
+    if (m < 1 || n < 0 || n_machines < 1) return PASS_BAD_INPUT;
+    for (i64 i = 0; i < m; i++) {
+        if (tasks[i] < 0 || tasks[i] >= n) return PASS_BAD_INPUT;
+    }
+    for (i64 i = 0; i < m; i++) {
+        i64 t = tasks[i];
+        if (isnan(release[t]) || isnan(due[t]) || isnan(work[t]))
+            return PASS_NAN_KEY;
+    }
+    i64 n_mach = n_machines < m ? n_machines : m;
+    i64 n_words = (m + 63) / 64, n_summary = (n_words + 63) / 64;
+    uint64_t *keys = malloc(3 * (size_t)m * sizeof(uint64_t));
+    i64 *perm = malloc(5 * (size_t)m * sizeof(i64));
+    uint64_t *bits = calloc((size_t)(n_words + n_summary), sizeof(uint64_t));
+    machine_item *machines = malloc((size_t)n_mach * sizeof(machine_item));
+    if (!keys || !perm || !bits || !machines) {
+        free(keys);
+        free(perm);
+        free(bits);
+        free(machines);
+        return PASS_NO_MEMORY;
+    }
+    uint64_t *k_task = keys, *k_rel = keys + m, *k_due = keys + 2 * m;
+    i64 *buf_a = perm, *buf_b = perm + m, *buf_c = perm + 2 * m;
+    i64 *buf_d = perm + 3 * m, *rank = perm + 4 * m;
+    for (i64 i = 0; i < m; i++) {
+        i64 t = tasks[i];
+        k_task[i] = (uint64_t)t;
+        k_rel[i] = order_key(release[t]);
+        k_due[i] = order_key(due[t]);
+        buf_a[i] = i;
+        buf_c[i] = i;
+    }
+    /* by_rank: the tasks in (due, release, task) order, one stable pass
+     * per key, least significant first. */
+    i64 *by_rank = radix_sort(buf_a, buf_b, m, k_task);
+    by_rank = radix_sort(by_rank, by_rank == buf_a ? buf_b : buf_a, m, k_rel);
+    by_rank = radix_sort(by_rank, by_rank == buf_a ? buf_b : buf_a, m, k_due);
+    for (i64 r = 0; r < m; r++) rank[by_rank[r]] = r;
+    const i64 *admit = radix_sort(buf_c, buf_d, m, k_rel);
+    uint64_t *summary = bits + n_words;
+    for (i64 k = 0; k < n_mach; k++) machines[k] = 0.0;
+
+    i64 n_mach_live = n_mach, pool = 0, i = 0, lowest = 0;
+    double max_lateness = -INFINITY;
+    for (i64 done = 0; done < m; done++) {
+        double t_free = machine_item_pop(machines, &n_mach_live);
+        /* Admit everything released by the machine-free instant; if
+         * the pool is empty, fast-forward to the next release. */
+        if (pool == 0 && i < m && release[tasks[admit[i]]] > t_free)
+            t_free = release[tasks[admit[i]]];
+        while (i < m && release[tasks[admit[i]]] <= t_free) {
+            i64 r = rank[admit[i++]], w = r >> 6;
+            bits[w] |= 1ULL << (r & 63);
+            summary[w >> 6] |= 1ULL << (w & 63);
+            if ((w >> 6) < lowest) lowest = w >> 6;
+            pool++;
+        }
+        while (summary[lowest] == 0) lowest++;
+        i64 w = (lowest << 6) + __builtin_ctzll(summary[lowest]);
+        i64 r = (w << 6) + __builtin_ctzll(bits[w]);
+        bits[w] &= bits[w] - 1;
+        if (bits[w] == 0) summary[lowest] &= summary[lowest] - 1;
+        pool--;
+
+        i64 t = tasks[by_rank[r]];
+        double start = t_free > release[t] ? t_free : release[t];
+        double completion = start + work[t];
+        double lateness = completion - due[t];
+        if (lateness > max_lateness) max_lateness = lateness;
+        seq_out[done] = t;
+        machine_item_push(machines, &n_mach_live, completion);
+    }
+    out_lateness[0] = max_lateness;
+    free(keys);
+    free(perm);
+    free(bits);
+    free(machines);
+    return 0;
 }
 
 #ifndef REPRO_NO_PYTHON

@@ -13,11 +13,11 @@ Three consumers of the observability data:
 * :func:`write_events_jsonl` / :func:`read_events_jsonl` — one event
   per line, round-trippable (asserted by ``tests/obs/test_export.py``).
 * :func:`render_summary` — a text report: engine phase times, top-N
-  per-scheduler decision costs, remaining counters, event-heap stats,
-  and (when the event stream and resources are supplied) a per-type
-  busy/idle/blocked wall-clock breakdown, where *blocked* is idle
-  capacity that had matching ready work — the utilization-balancing
-  failure mode the paper is about.
+  per-scheduler prepare and decision costs, remaining counters,
+  event-heap stats, and (when the event stream and resources are
+  supplied) a per-type busy/idle/blocked wall-clock breakdown, where
+  *blocked* is idle capacity that had matching ready work — the
+  utilization-balancing failure mode the paper is about.
 
 Simulation time is unitless; Chrome traces use microsecond ``ts``
 fields, so one simulated time unit is exported as ``scale``
@@ -332,6 +332,27 @@ def render_summary(
         for name, total, calls in phases:
             lines.append(
                 f"  {name[len('phase.'):]:<24s} {calls:>8d}"
+                f" {_fmt_s(total):>11s} {_fmt_s(total / max(1, calls)):>11s}"
+            )
+
+    prepares = sorted(
+        (
+            (name[len("prepare."):], total, calls)
+            for name, (total, calls) in snapshot.timers.items()
+            if name.startswith("prepare.")
+        ),
+        key=lambda row: -row[1],
+    )
+    if prepares:
+        if lines:
+            lines.append("")
+        lines.append("scheduler prepare costs (offline passes):")
+        lines.append(
+            f"  {'scheduler':<16s} {'runs':>8s} {'total':>11s} {'mean/run':>11s}"
+        )
+        for name, total, calls in prepares[:top_n]:
+            lines.append(
+                f"  {name:<16s} {calls:>8d}"
                 f" {_fmt_s(total):>11s} {_fmt_s(total / max(1, calls)):>11s}"
             )
 

@@ -28,6 +28,7 @@ import heapq
 
 import numpy as np
 
+from repro import native
 from repro.core.cache import cached_due_dates
 from repro.core.kdag import KDag, csr_gather
 from repro.schedulers.base import QueueScheduler
@@ -43,7 +44,11 @@ def top_levels(job: KDag) -> np.ndarray:
     resource type had unbounded processors.  Computed level by level
     (every parent sits on a strictly lower level, see
     :meth:`KDag.levels`), so each level is one gather + segmented max.
+    The native kernel, when it loads, returns the same array.
     """
+    kernel = native.load_kernel()
+    if kernel is not None:
+        return kernel.top_levels(job)
     release = np.zeros(job.n_tasks, dtype=np.float64)
     order, level_ptr = job.levels()
     work = job.work
@@ -70,10 +75,26 @@ def edd_max_lateness_schedule(
     and the maximum lateness (completion minus due date, as the paper
     defines it).
     """
+    sequence, max_lateness = _edd_sequence(tasks, release, due, work, n_machines)
+    if not isinstance(sequence, list):
+        sequence = sequence.tolist()
+    return sequence, max_lateness
+
+
+def _edd_sequence(tasks, release, due, work, n_machines):
+    """:func:`edd_max_lateness_schedule`, with the sequence as an int64
+    array when the native kernel solved it (same admission sort and
+    heap orders, one call; NaN keys stay on heapq) and as a list
+    otherwise."""
     if n_machines < 1:
         raise ValueError(f"n_machines must be >= 1, got {n_machines}")
     if len(tasks) == 0:
         return [], float("-inf")
+    kernel = native.load_kernel()
+    if kernel is not None:
+        solved = kernel.edd_schedule(tasks, release, due, work, n_machines)
+        if solved is not None:
+            return solved
     # Admission order by (release, due, task), computed vectorized;
     # the hot dispatch loop below then runs on plain Python floats —
     # extracting numpy scalars element-by-element costs several times
@@ -144,7 +165,7 @@ class ShiftBT(QueueScheduler):
             if tasks.size == 0:
                 lateness[alpha] = -np.inf
                 continue
-            seq, ml = edd_max_lateness_schedule(
+            seq, ml = _edd_sequence(
                 tasks, release, due, job.work, int(counts[alpha])
             )
             lateness[alpha] = ml

@@ -134,7 +134,9 @@ def _prepare(
     """Resolve observability once, attach it and prepare ``scheduler``.
 
     Returns the enabled telemetry or ``None``; the loops below never
-    re-check it.
+    re-check it.  The prepare time counts under ``phase.prepare`` and
+    under ``prepare.<scheduler>``, which names the offline passes'
+    owner in ``repro profile``.
     """
     obs = telemetry if (telemetry is not None and telemetry.enabled) else None
     scheduler.attach_telemetry(obs)
@@ -143,7 +145,9 @@ def _prepare(
     else:
         _t0 = perf_counter()
         scheduler.prepare(job, resources, rng)
-        obs.add_time("phase.prepare", perf_counter() - _t0)
+        elapsed = perf_counter() - _t0
+        obs.add_time("phase.prepare", elapsed)
+        obs.add_time("prepare." + scheduler.name, elapsed)
     return obs
 
 

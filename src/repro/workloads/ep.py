@@ -54,7 +54,6 @@ def generate_ep(
         params.work_range[0], params.work_range[1] + 1, size=n
     ).astype(np.float64)
 
-    edges: list[tuple[int, int]] = []
     pos = 0
     for b in range(n_branches):
         length = int(lengths[b])
@@ -64,8 +63,12 @@ def generate_ep(
             )
         else:
             types[pos : pos + length] = rng.integers(0, num_types, size=length)
-        for i in range(pos, pos + length - 1):
-            edges.append((i, i + 1))
         pos += length
+
+    # Each branch is a chain: every i -> i + 1 except at branch ends.
+    links = np.ones(max(n - 1, 0), dtype=bool)
+    links[np.cumsum(lengths)[:-1] - 1] = False
+    src = np.flatnonzero(links)
+    edges = np.stack([src, src + 1], axis=1)
 
     return KDag(types=types, work=work, edges=edges, num_types=num_types)

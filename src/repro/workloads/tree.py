@@ -41,7 +41,9 @@ def generate_tree(
     m = int(rng.integers(params.fanout_range[0], params.fanout_range[1] + 1))
     p = float(rng.uniform(*params.fanout_prob_range))
 
-    edges: list[tuple[int, int]] = []
+    # Children are numbered in creation order, so edge e is always
+    # (parents[e], e + 1): the loop records only the parent.
+    parents: list[int] = []
     depth_of: list[int] = [0]
     frontier = [0]
     while frontier:
@@ -52,13 +54,15 @@ def generate_tree(
         expand = depth < params.forced_depth or (rng.random() < p)
         if not expand:
             continue
-        for _ in range(m):
-            child = len(depth_of)
-            depth_of.append(depth + 1)
-            edges.append((node, child))
-            frontier.append(child)
+        first = len(depth_of)
+        depth_of.extend([depth + 1] * m)
+        parents.extend([node] * m)
+        frontier.extend(range(first, first + m))
 
     n = len(depth_of)
+    edges = np.empty((n - 1, 2), dtype=np.int64)
+    edges[:, 0] = parents
+    edges[:, 1] = np.arange(1, n, dtype=np.int64)
     depths = np.asarray(depth_of, dtype=np.int64)
     if structure == "layered":
         level_types = rng.integers(0, num_types, size=int(depths.max()) + 1)

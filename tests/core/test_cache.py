@@ -15,6 +15,7 @@ from repro.core.cache import (
     cached_descendant_values,
     cached_different_child_distance,
     cached_due_dates,
+    cached_lower_bound,
     cached_one_step_descendant_values,
     cached_remaining_span,
     cached_untyped_descendant_values,
@@ -22,6 +23,7 @@ from repro.core.cache import (
     offline_cache_info,
 )
 from repro.core.kdag import KDag
+from repro.core.properties import lower_bound
 from repro.schedulers.info import (
     ExactInformation,
     ExponentialInformation,
@@ -106,6 +108,14 @@ class TestBookkeeping:
         # A direct remaining-span query is now a hit, not a recompute.
         cached_remaining_span(fig1_job)
         assert offline_cache_info()["remaining_span"]["hits"] >= 1
+
+    def test_lower_bound_reuses_remaining_span_entry(self, fig1_job):
+        cached_remaining_span(fig1_job)
+        for procs in ((1, 1, 1), (2, 3, 1)):
+            # T_inf(J) comes from the cached span entry: a hit, not a sweep.
+            assert cached_lower_bound(fig1_job, procs) == lower_bound(fig1_job, procs)
+        info = offline_cache_info()["remaining_span"]
+        assert (info["hits"], info["misses"]) == (2, 1)
 
 
 class TestStochasticModelsStayFresh:

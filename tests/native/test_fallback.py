@@ -63,7 +63,7 @@ class TestDisabled:
 
 
 class TestDisabledWholeRun:
-    @pytest.mark.parametrize("name", ["kgreedy", "mqb"])
+    @pytest.mark.parametrize("name", ["kgreedy", "mqb", "shiftbt", "dtype", "lspan"])
     def test_no_load_and_no_c_call(self, fresh_loader_state, monkeypatch, rng,
                                    name):
         monkeypatch.setenv("REPRO_NATIVE", "0")
@@ -73,7 +73,11 @@ class TestDisabledWholeRun:
 
         monkeypatch.setattr(native, "_try_extension", boom)
         monkeypatch.setattr(native, "_build_shared_object", boom)
-        monkeypatch.setattr(native.MQBKernel, "run", boom)
+        for entry in (
+            "run", "topo_levels", "bottom_levels", "top_levels",
+            "different_child_distance", "edd_schedule",
+        ):
+            monkeypatch.setattr(native.MQBKernel, entry, boom)
         tel = Telemetry()
         simulate(make_random_job(rng, n=40, k=3), ResourceConfig((2, 2, 2)),
                  make_scheduler(name), telemetry=tel)

@@ -137,6 +137,7 @@ class TestSummary:
             makespan=result.makespan,
         )
         assert "kgreedy" in text
+        assert "scheduler prepare costs" in text
         assert "per-type utilization" in text
         for a in range(system.num_types):
             assert f"t{a}" in text

@@ -75,6 +75,9 @@ class TestMergedSweepProfiles:
                     "phase.sample_instance"} <= set(telemetry.timers)
             for name in ALGOS:
                 assert f"decision.{name}" in telemetry.timers
+                # Each scheduler's share of phase.prepare, one per run.
+                assert telemetry.timers[f"prepare.{name}"][1] == 8
+            assert telemetry.timers["phase.prepare"][1] == 8 * len(ALGOS)
 
     def test_robustness_counters_match_across_worker_counts(self):
         counters = {}

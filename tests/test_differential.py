@@ -17,6 +17,10 @@ through every run kind and checks one of two outcomes:
   **telemetry**: the counters, histograms and timers of the Python
   loop (which an attached event stream keeps), over the loop-golden
   inputs and the native matrix's cells;
+* the native **offline passes**, byte for byte against numpy: KDag's
+  peel (order, depth, levels), the bottom and top levels, the
+  different-child distance, ShiftBT's EDD subproblems, priorities and
+  bottleneck order, and the peel's refusal of a cycle;
 * the planner's **refusal**, with one message from every entry point
   that can express the combination: ``plan_run``, the CLI (exit 2),
   the sweeps and the service (``bad_request``).
@@ -35,7 +39,10 @@ Inputs:
   work, descendant row), which the C loop scores once per class — the
   native and counters columns for MQB's balance, carry and information
   variants;
-* the energy matrix's 3 cells x 3 instances: the energy off-switches.
+* the energy matrix's 3 cells x 3 instances: the energy off-switches;
+* for the offline passes: the loop-golden inputs, hypothesis draws,
+  one instance of each of the eight cells, and EDD subproblems at
+  P_alpha = 1 and P_alpha >= tasks with tied due dates and releases.
 """
 
 from __future__ import annotations
@@ -53,10 +60,13 @@ from hypothesis import given, settings, strategies as st
 from repro import native
 from repro.capabilities import DECENTRAL_REFUSALS, plan_run, row_kind
 from repro.cli import main
+from repro.core.cache import cached_due_dates, clear_offline_cache
+from repro.core.descendants import different_child_distance
 from repro.core.kdag import KDag
+from repro.core.properties import _bottom_levels
 from repro.energy.metrics import energy_breakdown
 from repro.energy.models import power_config
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, CycleError
 from repro.experiments.energy import run_energy_comparison
 from repro.experiments.robustness import run_robustness_comparison
 from repro.experiments.runner import run_comparison
@@ -65,12 +75,15 @@ from repro.faults.models import FaultTimeline
 from repro.obs.events import EventStream
 from repro.obs.telemetry import Telemetry
 from repro.schedulers.registry import available_schedulers, make_scheduler
+from repro.schedulers.shiftbt import edd_max_lateness_schedule, top_levels
 from repro.service.executor import ServiceExecutor
 from repro.service.protocol import ProtocolError, ScheduleRequest, SweepRequest
 from repro.sim.batch import batch_supported, simulate_batch_grid
 from repro.sim.validate import validate_schedule
 from repro.system.resources import ResourceConfig
-from repro.workloads.generator import WORKLOAD_CELLS, sample_instance, sample_job
+from repro.workloads.generator import (
+    EXTRA_CELLS, WORKLOAD_CELLS, sample_instance, sample_job,
+)
 from repro.workloads.params import EPParams, WorkloadSpec
 from tests.properties.test_schedule_invariants import jobs_and_systems
 from tests.sim.test_loop_golden import _jobs
@@ -252,13 +265,17 @@ def _refusal(name: str, kind: str) -> str:
 @contextmanager
 def _native(on: bool):
     """``REPRO_NATIVE`` for the block: the kernel when ``on`` and one
-    loads, else numpy.  No fixture, so it works in hypothesis examples."""
+    loads, else numpy.  The offline cache is emptied on entry and on
+    exit, so neither side reads arrays the other computed.  No
+    fixture, so it works in hypothesis examples."""
     value = "1" if on and native.load_kernel() is not None else "0"
     saved = os.environ.get("REPRO_NATIVE")
     os.environ["REPRO_NATIVE"] = value
+    clear_offline_cache()
     try:
         yield
     finally:
+        clear_offline_cache()
         if saved is None:
             del os.environ["REPRO_NATIVE"]
         else:
@@ -477,6 +494,156 @@ def test_class_pool_columns(name):
     take_all = refs[list(CLASS_POOLS).index("take-all")].trace.segments[1:13]
     assert [seg.task for seg in take_all] == list(range(1, 13))
     assert len({seg.start for seg in take_all}) == 1
+
+
+# ----------------------------------------------------------------------
+# offline column
+# ----------------------------------------------------------------------
+#: One instance of each of the eight cells.
+CELL_INSTANCES = [
+    sample_instance(spec, _rng(i))
+    for i, spec in enumerate([*WORKLOAD_CELLS.values(), *EXTRA_CELLS.values()])
+]
+
+
+def _edd_bytes(tasks, release, due, work, n_machines) -> tuple[bytes, bytes]:
+    seq, lateness = edd_max_lateness_schedule(tasks, release, due, work, n_machines)
+    return np.asarray(seq, dtype=np.int64).tobytes(), np.float64(lateness).tobytes()
+
+
+def _offline_passes(job: KDag, system: ResourceConfig) -> dict:
+    """Every pass with a native path, on ``job``, as bytes."""
+    peeled = KDag(job.types, job.work, job.edges, job.num_types)
+    shiftbt = make_scheduler("shiftbt")
+    shiftbt.prepare(peeled, system)
+    release, due = top_levels(peeled), cached_due_dates(peeled)
+    edd = [
+        _edd_bytes(peeled.tasks_of_type(alpha), release, due, peeled.work, p)
+        for alpha in range(peeled.num_types)
+        for p in sorted({1, int(system.counts[alpha]), peeled.n_tasks})
+    ]
+    return {
+        "order": peeled.topological_order.tobytes(),
+        "depth": peeled.depth.tobytes(),
+        "levels": peeled.levels()[1].tobytes(),
+        "bottom": _bottom_levels(peeled).tobytes(),
+        "top": release.tobytes(),
+        "distance": different_child_distance(peeled).tobytes(),
+        "edd": edd,
+        "priorities": shiftbt.keys.tobytes(),
+        "bottleneck": shiftbt.bottleneck_order,
+    }
+
+
+def _check_offline(inputs: list) -> None:
+    for i, (job, system) in enumerate(inputs):
+        with _native(False):
+            want = _offline_passes(job, system)
+        with _native(True):
+            got = _offline_passes(job, system)
+        for key in want:
+            assert got[key] == want[key], f"{key}, input {i}"
+
+
+def test_offline_column():
+    _check_offline(INPUTS + CELL_INSTANCES)
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_offline_column_on_generated_jobs(data):
+    _check_offline([data.draw(jobs_and_systems())])
+
+
+def test_offline_edd_ties():
+    # Tied releases and due dates (and -0.0 beside 0.0, which compare
+    # equal): admission and dispatch order fall to the task ids.
+    rng = np.random.default_rng(SEED)
+    n = 400
+    work = rng.integers(1, 4, size=n).astype(np.float64)
+    for trial in range(12):
+        release = rng.integers(0, 4, size=n).astype(np.float64)
+        due = rng.integers(0, 3, size=n).astype(np.float64)
+        due[rng.random(n) < 0.3] *= -0.0
+        tasks = rng.permutation(n)[: 1 + trial * 30]
+        for p in (1, 2, len(tasks), len(tasks) + 7):
+            with _native(False):
+                want = _edd_bytes(tasks, release, due, work, p)
+            with _native(True):
+                got = _edd_bytes(tasks, release, due, work, p)
+            assert got == want, (trial, p)
+
+
+def test_offline_cycle_refused_alike():
+    edges = [(0, 1), (1, 2), (2, 1), (2, 3), (0, 4)]
+    messages = []
+    for on in (False, True):
+        with _native(on), pytest.raises(CycleError) as excinfo:
+            KDag([0, 1, 0, 1, 0], [1.0] * 5, edges, 2)
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1] == "edge set contains a cycle (3 tasks unreachable)"
+
+
+class _Arrays:
+    """A job-shaped bundle of arbitrary arrays for the bindings."""
+
+    def __init__(self, job: KDag, **overrides) -> None:
+        self.n_tasks = job.n_tasks
+        for name in (
+            "types", "work", "child_ptr", "child_idx", "parent_ptr",
+            "parent_idx", "topological_order",
+        ):
+            setattr(self, name, overrides.get(name, getattr(job, name)))
+
+
+def test_offline_bindings_reject_bad_arrays():
+    kernel = native.load_kernel()
+    if kernel is None:
+        pytest.skip(f"native kernel unavailable: {native.native_status()['error']}")
+    job = EDGE[3][0]
+    n = job.n_tasks
+    ptr, idx = job.child_ptr, job.child_idx
+    bad_csr = [
+        (ptr + 1, idx),                                # ptr[0] != 0
+        (ptr[::-1].copy(), idx),                       # decreasing
+        (ptr, np.full_like(idx, n)),                   # child out of range
+        (ptr, -np.ones_like(idx)),
+        (ptr, idx[:-1]),                               # length mismatch
+        (ptr.reshape(1, -1), idx),                     # not 1-D
+        (np.empty(0, dtype=np.int64), idx),            # no nodes
+    ]
+    for p, i in bad_csr:
+        with pytest.raises((ValueError, OSError)):
+            kernel.topo_levels(p, i)
+    order = job.topological_order
+    bad_jobs = [
+        _Arrays(job, topological_order=np.full_like(order, n)),
+        _Arrays(job, topological_order=order[:-1]),
+        _Arrays(job, work=job.work[:-1], types=job.types[:-1]),
+        _Arrays(job, child_ptr=ptr + 1, parent_ptr=job.parent_ptr + 1),
+        _Arrays(job, child_idx=np.full_like(idx, -5), parent_idx=np.full_like(idx, n)),
+    ]
+    for bad in bad_jobs:
+        for sweep in (
+            kernel.bottom_levels, kernel.top_levels, kernel.different_child_distance,
+        ):
+            with pytest.raises((ValueError, OSError)):
+                sweep(bad)
+    tasks, values = np.arange(n), np.zeros(n)
+    bad_edd = [
+        (tasks + 1, values, values, values, 1),        # task out of range
+        (tasks - 1, values, values, values, 1),
+        (tasks, values, values, values, 0),            # no machine
+        (tasks[:0], values, values, values, 1),        # no task
+        (tasks.reshape(1, -1), values, values, values, 1),
+        (tasks, values, values[:-1], values, 1),
+        (tasks, values.reshape(1, -1), values, values, 1),
+    ]
+    for args in bad_edd:
+        with pytest.raises((ValueError, OSError)):
+            kernel.edd_schedule(*args)
+    # A NaN key is not an error: heapq's order decides, in Python.
+    assert kernel.edd_schedule(tasks, np.full(n, np.nan), values, values + 1, 1) is None
 
 
 @pytest.mark.parametrize("name", sorted(IDENTICAL_TO))
