@@ -43,6 +43,7 @@ from repro.core.descendants import (  # noqa: E402
     descendant_values,
     different_child_distance,
     remaining_span,
+    untyped_descendant_values,
 )
 from repro.experiments.runner import run_comparison  # noqa: E402
 from repro.schedulers.registry import PAPER_ALGORITHMS  # noqa: E402
@@ -73,15 +74,21 @@ def _best_of(fn, repeat: int = 5, number: int = 1) -> float:
     return min(timeit.repeat(fn, repeat=repeat, number=number)) / number
 
 
-def _tree_instance():
-    """The first medium-layered-tree instance of ``TREE_TASKS``+ tasks."""
+def _tree_seed() -> int:
+    """The first seed from 42 on whose medium-layered-tree instance has
+    ``TREE_TASKS``+ tasks."""
     spec = WORKLOAD_CELLS["medium-layered-tree"]
     seed = 42
-    while True:
-        job, system = sample_instance(spec, np.random.default_rng(seed))
-        if job.n_tasks >= TREE_TASKS:
-            return job, system
+    while sample_instance(spec, np.random.default_rng(seed))[0].n_tasks < TREE_TASKS:
         seed += 1
+    return seed
+
+
+def _tree_instance():
+    """The first medium-layered-tree instance of ``TREE_TASKS``+ tasks."""
+    return sample_instance(
+        WORKLOAD_CELLS["medium-layered-tree"], np.random.default_rng(_tree_seed())
+    )
 
 
 def measure_tree() -> dict[str, float]:
@@ -113,16 +120,25 @@ def measure_offline(instances: dict) -> dict[str, float]:
 
     Per instance: ``KDag`` construction (validation, CSR and the
     level-order peel), ShiftBT's prepare from an empty offline cache
-    (bottom and top levels, due dates, one EDD subproblem per type) and
-    the different-child distance (DType's pass).
+    (bottom and top levels, due dates, one EDD subproblem per type),
+    the different-child distance (DType's pass) and the typed and
+    untyped descendant values (MQB's and MaxDP's add sweeps); once,
+    sampling the tree instance (``sample_tree``: the tree generator's
+    expansion, its numpy draws and the ``KDag``).
     """
     from repro import native as _native
 
     rows: dict[str, float] = {}
+    tree_spec = WORKLOAD_CELLS["medium-layered-tree"]
+    tree_seed = _tree_seed()
     for mode, suffix in (("0", ""), ("1", "_native")):
         os.environ["REPRO_NATIVE"] = mode
         if mode == "1" and _native.load_kernel() is None:
             continue
+        rows[f"sample_tree{suffix}"] = _best_of(
+            lambda: sample_instance(tree_spec, np.random.default_rng(tree_seed)),
+            repeat=10,
+        )
         for label, (job, system) in instances.items():
             def prepare(job=job, system=system):
                 clear_offline_cache()
@@ -135,6 +151,12 @@ def measure_offline(instances: dict) -> dict[str, float]:
             rows[f"shiftbt_prepare_{label}{suffix}"] = _best_of(prepare, repeat=10)
             rows[f"different_child_distance_pass_{label}{suffix}"] = _best_of(
                 lambda job=job: different_child_distance(job), repeat=20
+            )
+            rows[f"descendant_values_pass_{label}{suffix}"] = _best_of(
+                lambda job=job: descendant_values(job), repeat=20
+            )
+            rows[f"untyped_descendant_values_pass_{label}{suffix}"] = _best_of(
+                lambda job=job: untyped_descendant_values(job), repeat=20
             )
     os.environ["REPRO_NATIVE"] = "0"
     clear_offline_cache()
@@ -333,9 +355,12 @@ def main() -> int:
             )
     offline = [
         f"{row}_{label}"
-        for row in ("kdag_construct", "shiftbt_prepare", "different_child_distance_pass")
+        for row in (
+            "kdag_construct", "shiftbt_prepare", "different_child_distance_pass",
+            "descendant_values_pass", "untyped_descendant_values_pass",
+        )
         for label in ("ir", "tree")
-    ]
+    ] + ["sample_tree"]
     for row in ("engine_kgreedy_ir", "engine_mqb_tree", *offline):
         if f"{row}_native" in after:
             speedups[f"{row}_native_vs_python"] = round(
@@ -372,13 +397,18 @@ def main() -> int:
             "The decentral_p{64,256,1024} entries time one DKGreedy "
             "work-stealing run (default steal policy) on the decentral "
             "experiment's EP workload at P processors per type. "
-            "kdag_construct_*, shiftbt_prepare_* and "
-            "different_child_distance_pass_* time, on the IR instance "
-            "and the tree instance, one KDag construction (with its "
-            "level-order peel), one ShiftBT prepare from an empty offline "
-            "cache and one DType different-child-distance pass; their "
-            "_native twins run the same passes in the kernel's offline "
-            "entry points (bit-identical)."
+            "kdag_construct_*, shiftbt_prepare_*, "
+            "different_child_distance_pass_*, descendant_values_pass_* "
+            "and untyped_descendant_values_pass_* time, on the IR "
+            "instance and the tree instance, one KDag construction (with "
+            "its level-order peel), one ShiftBT prepare from an empty "
+            "offline cache, one DType different-child-distance pass and "
+            "one MQB typed / MaxDP untyped descendant-value pass; "
+            "sample_tree times sampling the tree instance (the tree "
+            "generator's expansion, its numpy draws and the KDag); their "
+            "_native twins run the same work in the kernel's entry points "
+            "(bit-identical). descendant_values_pass (no suffix) keeps "
+            "its history: the IR instance with REPRO_NATIVE=0."
         ),
         "host": {
             "platform": platform.platform(),

@@ -444,12 +444,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from repro import native
     from repro.obs.export import render_summary
     from repro.obs.profile import render_profile
     from repro.obs.telemetry import Telemetry
 
     _apply_no_cache(args)
     _apply_native(args)
+    # Load (on a cold cache, compile) the kernel before the timed
+    # phases: a process's first KDag would otherwise charge it to
+    # phase.sample_instance.
+    native.load_kernel()
     telemetry = Telemetry()
     t0 = time.time()
     run_experiment(

@@ -33,7 +33,10 @@ gathered through the CSR arrays in one shot, and the per-node
 reductions collapse into ``np.add.reduceat`` / ``np.minimum.reduceat``
 segment reductions.  This replaces the per-node Python loops over
 ``topological_order`` that previously dominated scheduler ``prepare``
-time on paper-scale jobs.
+time on paper-scale jobs.  When the native kernel loads, each pass
+returns its array from C instead; the add sweeps only when the kernel's
+load probe found it summing as ``np.add.reduceat`` does
+(:func:`repro.native.summing_kernel`).
 
 The functions here are pure and uncached; :mod:`repro.core.cache`
 provides the memoized variants the schedulers use.
@@ -85,6 +88,9 @@ def descendant_values(job: KDag) -> np.ndarray:
     One level-batched reverse sweep, vectorized over both the nodes of
     a level and the K type columns.
     """
+    kernel = native.summing_kernel()
+    if kernel is not None:
+        return kernel.descendant_values(job)
     n, k = job.n_tasks, job.num_types
     d = np.zeros((n, k), dtype=np.float64)
     # contrib[u, :] = (d[u, :] + w_alpha-one-hot(u)) / pr(u), filled as
@@ -112,6 +118,9 @@ def one_step_descendant_values(job: KDag) -> np.ndarray:
     No recursion, so a single global segment sum over all nodes with
     children suffices (no level grouping needed).
     """
+    kernel = native.summing_kernel()
+    if kernel is not None:
+        return kernel.one_step_descendant_values(job)
     n, k = job.n_tasks, job.num_types
     in_deg = job.in_degrees().astype(np.float64)
     work_onehot = np.zeros((n, k), dtype=np.float64)
@@ -132,8 +141,12 @@ def untyped_descendant_values(job: KDag) -> np.ndarray:
 
     Identical recursion to :func:`descendant_values` with the type
     dimension collapsed; kept as a separate O(V+E) pass because MaxDP
-    never needs the per-type split.
+    never needs the per-type split.  The kernel runs it as the typed
+    pass with one type.
     """
+    kernel = native.summing_kernel()
+    if kernel is not None:
+        return kernel.untyped_descendant_values(job)
     n = job.n_tasks
     d = np.zeros(n, dtype=np.float64)
     contrib = np.zeros(n, dtype=np.float64)

@@ -1,6 +1,6 @@
-"""Native compiled backend: MQB selection, whole runs and offline passes.
+"""Native compiled backend: MQB selection, whole runs, offline passes, trees.
 
-``_mqbkernel.c`` holds three things, consumed through :mod:`ctypes`
+``_mqbkernel.c`` holds four things, consumed through :mod:`ctypes`
 (entry points in brackets):
 
 * the hot inner loop of every MQB commit — score each ready candidate
@@ -15,22 +15,34 @@
   bit-identical (type, work, descendant row) ready tasks.  ``simulate``
   calls it once per run; everything else keeps the Python loop
   [``repro_list_schedule``];
-* the order-free offline passes, each behind a prologue in its numpy
-  function: KDag's level-order peel (:meth:`MQBKernel.topo_levels`),
-  the bottom-level, top-level and different-child-distance sweeps
+* the offline passes, each behind a prologue in its numpy function:
+  KDag's level-order peel (:meth:`MQBKernel.topo_levels`), the
+  bottom-level, top-level and different-child-distance sweeps
   (:meth:`MQBKernel.bottom_levels`, ``top_levels``,
-  ``different_child_distance``) and ShiftBT's per-type EDD subproblem
-  (:meth:`MQBKernel.edd_schedule`) [``repro_topo_levels``,
+  ``different_child_distance``), ShiftBT's per-type EDD subproblem
+  (:meth:`MQBKernel.edd_schedule`) and the three add sweeps, MQB's
+  typed, MaxDP's untyped and MQB+1Step's one-step descendant values
+  (:meth:`MQBKernel.descendant_values`, ``untyped_descendant_values``,
+  ``one_step_descendant_values``) [``repro_topo_levels``,
   ``repro_bottom_levels``, ``repro_top_levels``,
-  ``repro_different_child_distance``, ``repro_edd_schedule``].
+  ``repro_different_child_distance``, ``repro_edd_schedule``,
+  ``repro_descendant_values``];
+* :func:`repro.workloads.tree.generate_tree`'s LIFO expansion
+  (:meth:`MQBKernel.expand_tree`), drawing through the generator's own
+  bit generator [``repro_tree_expand``].
 
 All of them return what the Python and numpy formulation returns, bit
-for bit: the picks and runs perform the identical IEEE-double
-arithmetic in the identical order, so winners — and therefore traces,
-processor ids and decision counts — match the pure-Python path; the
-offline passes are max/min reductions and strict total orders whose
-result no visiting order changes (DESIGN.md, "Native offline passes").
-The native and offline columns of ``tests/test_differential.py``
+for bit: the picks, runs and add sweeps perform the identical
+IEEE-double arithmetic in the identical order, so winners — and
+therefore traces, processor ids and decision counts — match the
+pure-Python path; the other offline passes are max/min reductions and
+strict total orders whose result no visiting order changes; the tree
+expansion makes the Python loop's draws through the same bit generator
+(DESIGN.md, "Native offline passes").  The add sweeps' order is
+numpy's, so :func:`load_kernel` checks it against ``np.add.reduceat``
+once per process and, on a mismatch, leaves those three passes on
+numpy (:func:`summing_kernel`, ``native_status()["add_sweeps"]``).
+The native, offline and tree columns of ``tests/test_differential.py``
 assert it.
 
 Backend selection is environment-driven via ``REPRO_NATIVE``:
@@ -74,6 +86,7 @@ import sysconfig
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -88,11 +101,12 @@ __all__ = [
     "forced",
     "supported",
     "load_kernel",
+    "summing_kernel",
     "note_fallback",
     "native_status",
 ]
 
-ABI_VERSION = 4
+ABI_VERSION = 5
 MODE_CODES = {"lex": 0, "min": 1, "sum": 2}
 
 #: repro_list_schedule's status codes.
@@ -108,6 +122,9 @@ _SOURCE = Path(__file__).with_name("_mqbkernel.c")
 _kernel: "MQBKernel | None" = None
 _load_attempted = False
 _load_error: str | None = None
+#: what the load probe found the add sweeps to sum differently from
+#: np.add.reduceat, or None
+_add_order_error: str | None = None
 _warned = False
 _fallbacks = 0
 
@@ -181,6 +198,24 @@ class MQBKernel:
             _c_ll, _c_p, _c_ll, _c_p, _c_p, _c_p, _c_ll, _c_p, _c_p,
         )
         self._edd = edd
+
+        add = lib.repro_descendant_values
+        add.restype = _c_ll
+        # n, K, types, work, child_ptr, child_idx, order, one_step, out
+        add.argtypes = (
+            _c_ll, _c_ll, _c_p, _c_p, _c_p, _c_p, _c_p, _c_ll, _c_p,
+        )
+        self._add = add
+
+        tree = lib.repro_tree_expand
+        tree.restype = _c_ll
+        # bitgen, m, p, max_depth, max_nodes, forced_depth, cap, depth,
+        # parents, frontier, state
+        tree.argtypes = (
+            _c_p, _c_ll, ctypes.c_double, _c_ll, _c_ll, _c_ll, _c_ll, _c_p,
+            _c_p, _c_p, _c_p,
+        )
+        self._tree_expand = tree
 
     def run(
         self, kind: str, job, counts, keys=None, d=None, mode: str = "lex",
@@ -330,9 +365,93 @@ class MQBKernel:
         _check_pass(rc, "EDD")
         return seq, float(lateness[0])
 
+    def _add_sweep(self, job, k: int, types, one_step: bool) -> np.ndarray:
+        n = job.n_tasks
+        work = _float64(job.work)
+        ptr, idx = _int64(job.child_ptr), _int64(job.child_idx)
+        order = _int64(job.topological_order)
+        if types is not None:
+            types = _int64(types)
+        if (
+            work.shape != (n,) or ptr.shape != (n + 1,)
+            or idx.shape != (int(ptr[-1]),) or order.shape != (n,)
+            or (types is not None and types.shape != (n,))
+        ):
+            raise ValueError(f"native descendant values: arrays do not match n={n}")
+        out = np.empty((n, k), dtype=np.float64)
+        _check_pass(
+            self._add(
+                n, k, None if types is None else types.ctypes.data,
+                work.ctypes.data, ptr.ctypes.data, idx.ctypes.data,
+                order.ctypes.data, 1 if one_step else 0, out.ctypes.data,
+            ),
+            "descendant values",
+        )
+        return out
+
+    def descendant_values(self, job) -> np.ndarray:
+        """:func:`repro.core.descendants.descendant_values` of ``job``."""
+        return self._add_sweep(job, job.num_types, job.types, False)
+
+    def untyped_descendant_values(self, job) -> np.ndarray:
+        """:func:`repro.core.descendants.untyped_descendant_values` of ``job``:
+        the typed pass with one type."""
+        return self._add_sweep(job, 1, None, False).reshape(job.n_tasks)
+
+    def one_step_descendant_values(self, job) -> np.ndarray:
+        """:func:`repro.core.descendants.one_step_descendant_values` of ``job``."""
+        return self._add_sweep(job, job.num_types, job.types, True)
+
+    def expand_tree(
+        self, bit_generator, m: int, p: float, max_depth: int,
+        max_nodes: int, forced_depth: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`repro.workloads.tree.generate_tree`'s expansion loop.
+
+        Draws as ``Generator.random()`` does, through ``bit_generator``'s
+        ``next_double`` and under its lock, so the tree and the
+        generator's next state are the Python loop's.  Returns
+        ``(depth, parents)``: each node's depth, and node ``u``'s parent
+        at ``parents[u - 1]``.  The buffers start at
+        ``min(max_nodes, 8192)`` slots and double, up to ``max_nodes``,
+        when the tree needs them.
+        """
+        if not isinstance(bit_generator, np.random.BitGenerator):
+            raise ValueError("native tree expansion: not a numpy BitGenerator")
+        # Bounds past int64 act as int64's extremes (no tree reaches them).
+        m, max_depth, max_nodes, forced_depth = (
+            max(min(int(x), _I64_MAX), -_I64_MAX)
+            for x in (m, max_depth, max_nodes, forced_depth)
+        )
+        cap = max(1, min(max_nodes, _TREE_START))
+        depth, parents, frontier = (np.zeros(cap, dtype=np.int64) for _ in range(3))
+        state = np.array([1, 1], dtype=np.int64)
+        with bit_generator.lock:
+            bitgen = bit_generator.ctypes.bit_generator
+            while True:
+                rc = self._tree_expand(
+                    bitgen, m, float(p), max_depth, max_nodes, forced_depth,
+                    cap, depth.ctypes.data, parents.ctypes.data,
+                    frontier.ctypes.data, state.ctypes.data,
+                )
+                if rc != _TREE_NEED_ROOM:
+                    break
+                cap = min(2 * cap, max_nodes)
+                depth, parents, frontier = (
+                    _grown(a, cap) for a in (depth, parents, frontier)
+                )
+        _check_pass(rc, "tree expansion")
+        n = int(state[0])
+        return depth[:n], parents[: n - 1]
+
 
 #: The offline passes' status codes.
 _PASS_BAD_INPUT, _PASS_NO_MEMORY, _PASS_NAN_KEY = -1, -2, -3
+#: repro_tree_expand's "call again with larger buffers".
+_TREE_NEED_ROOM = 1
+#: expand_tree's first buffer size (max_nodes when smaller).
+_TREE_START = 8192
+_I64_MAX = 2**63 - 1
 
 
 def _int64(a) -> np.ndarray:
@@ -341,6 +460,12 @@ def _int64(a) -> np.ndarray:
 
 def _float64(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
+
+
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    out = np.zeros(size, dtype=a.dtype)
+    out[: a.shape[0]] = a
+    return out
 
 
 def _check_pass(rc: int, name: str) -> None:
@@ -479,27 +604,106 @@ def load_kernel() -> MQBKernel | None:
 
     Never raises; the failure reason is kept for :func:`native_status`
     and the one-time fallback warning.  Returns ``None`` immediately
-    (without attempting any build) when ``REPRO_NATIVE=0``.
+    (without attempting any build) when ``REPRO_NATIVE=0``.  A loaded
+    kernel's add sweeps are checked against ``np.add.reduceat`` here,
+    once (:func:`summing_kernel`).
     """
-    global _kernel, _load_attempted, _load_error
+    global _kernel, _load_attempted, _load_error, _add_order_error
     if not requested():
         return None
     if _load_attempted:
         return _kernel
     _load_attempted = True
+    kernel = None
     try:
         try:
-            _kernel = _try_extension()
+            kernel = _try_extension()
         except (OSError, AttributeError):
             # A stale in-place build (another ABI, a missing symbol):
             # today's source, cached or compiled, replaces it.
-            _kernel = None
-        if _kernel is None:
-            _kernel = _build_shared_object()
+            kernel = None
+        if kernel is None:
+            kernel = _build_shared_object()
     except Exception as exc:  # noqa: BLE001 - fallback must never raise
-        _kernel = None
+        kernel = None
         _load_error = f"{type(exc).__name__}: {exc}"
+    if kernel is not None:
+        # Probed before it is published: no caller sees the kernel
+        # without the probe's verdict.
+        try:
+            _add_order_error = _probe_add_order(kernel)
+        except Exception as exc:  # noqa: BLE001 - the probe must never raise
+            _add_order_error = f"{type(exc).__name__}: {exc}"
+    _kernel = kernel
     return _kernel
+
+
+def summing_kernel() -> MQBKernel | None:
+    """:func:`load_kernel`'s kernel when its add sweeps sum each parent's
+    children as ``np.add.reduceat`` does on this host, else ``None``."""
+    kernel = load_kernel()
+    return kernel if _add_order_error is None else None
+
+
+#: The load probe's segment lengths, in all three regimes of numpy's
+#: pairwise summation: sequential below 8 terms, 8 strided accumulators
+#: up to 128, a recursive split above.
+_PROBE_SEGMENTS = (1, 7, 8, 9, 128, 129, 130, 300)
+#: The probe's typed run: children's types cycle over this many columns.
+_PROBE_K = 3
+
+
+def _probe_job():
+    """Parents ``0..7`` with ``_PROBE_SEGMENTS`` children each: sinks
+    of in-degree 1 with non-dyadic works and cycling types."""
+    lens = np.array(_PROBE_SEGMENTS, dtype=np.int64)
+    parents, children = lens.shape[0], int(lens.sum())
+    n = parents + children
+    ptr = np.full(n + 1, children, dtype=np.int64)
+    ptr[0] = 0
+    np.cumsum(lens, out=ptr[1 : parents + 1])
+    ids = np.arange(n, dtype=np.int64)
+    return SimpleNamespace(
+        n_tasks=n,
+        types=np.where(ids < parents, 0, ids % _PROBE_K),
+        work=(1.0 + ids % 29) / 7.0 + ids / 3.0,
+        child_ptr=ptr,
+        child_idx=ids[parents:],
+        topological_order=ids,
+        num_types=_PROBE_K,
+    ), ptr[:parents]
+
+
+def _probe_add_order(kernel: MQBKernel) -> str | None:
+    """``None`` when the kernel's add sweeps sum the probe's segments as
+    ``np.add.reduceat`` does (1-D for the untyped pass, per column of a
+    2-D array for the typed ones), else what differed.
+
+    Every child is a sink of in-degree 1, so its contribution is its
+    work, or its one-hot work row, exactly, and each parent's value is
+    the plain segment sum.
+    """
+    job, seg = _probe_job()
+    parents = seg.shape[0]
+    kids = job.child_idx
+    onehot = np.zeros((job.n_tasks, job.num_types), dtype=np.float64)
+    onehot[np.arange(job.n_tasks), job.types] = job.work
+    checks = (
+        ("untyped", kernel.untyped_descendant_values(job),
+         np.add.reduceat(job.work[kids], seg)),
+        ("typed", kernel.descendant_values(job),
+         np.add.reduceat(onehot[kids], seg, axis=0)),
+    )
+    for name, got, want in checks:
+        bits = got[:parents].view(np.int64) == want.view(np.int64)
+        same = bits.reshape(parents, -1).all(axis=1)
+        if not same.all():
+            lengths = [n for n, ok in zip(_PROBE_SEGMENTS, same) if not ok]
+            return (
+                f"the {name} add sweep differs from np.add.reduceat (numpy "
+                f"{np.__version__}) on segments of {lengths} terms"
+            )
+    return None
 
 
 def note_fallback(telemetry=None) -> None:
@@ -534,17 +738,25 @@ def native_status() -> dict:
         "path": _kernel.path if _kernel is not None else None,
         "attempted": _load_attempted,
         "error": _load_error,
+        # whether the add sweeps run in C (the load probe passed)
+        "add_sweeps": _kernel is not None and _add_order_error is None,
+        "add_sweeps_error": _add_order_error,
         "fallbacks": _fallbacks,
     }
 
 
 def _reset_for_tests() -> tuple:
     """Clear memoized loader state; returns a token for :func:`_restore`."""
-    global _kernel, _load_attempted, _load_error, _warned, _fallbacks
-    token = (_kernel, _load_attempted, _load_error, _warned, _fallbacks)
+    global _kernel, _load_attempted, _load_error, _add_order_error, _warned
+    global _fallbacks
+    token = (
+        _kernel, _load_attempted, _load_error, _add_order_error, _warned,
+        _fallbacks,
+    )
     _kernel = None
     _load_attempted = False
     _load_error = None
+    _add_order_error = None
     _warned = False
     _fallbacks = 0
     return token
@@ -552,5 +764,9 @@ def _reset_for_tests() -> tuple:
 
 def _restore(token: tuple) -> None:
     """Undo :func:`_reset_for_tests`."""
-    global _kernel, _load_attempted, _load_error, _warned, _fallbacks
-    _kernel, _load_attempted, _load_error, _warned, _fallbacks = token
+    global _kernel, _load_attempted, _load_error, _add_order_error, _warned
+    global _fallbacks
+    (
+        _kernel, _load_attempted, _load_error, _add_order_error, _warned,
+        _fallbacks,
+    ) = token

@@ -37,7 +37,7 @@
  * a toolchain ships a prebuilt .so) and as a plain shared library for
  * the lazy `cc -shared -DREPRO_NO_PYTHON` ctypes build path; the
  * symbols are always consumed through ctypes, never through the
- * (empty) Python module.  Entry points (ABI 4):
+ * (empty) Python module.  Entry points (ABI 5):
  *
  *   repro_native_abi
  *   repro_mqb_pick_pop, repro_mqb_pick_commit   MQB picks
@@ -46,8 +46,11 @@
  *   repro_bottom_levels, repro_top_levels,
  *   repro_different_child_distance              order-free offline sweeps
  *   repro_edd_schedule                          ShiftBT's EDD subproblem
+ *   repro_descendant_values                     the add sweeps
+ *   repro_tree_expand                           generate_tree's expansion
  *
- * The offline passes have their own section at the end of the file.
+ * The offline passes and the tree expansion have their own sections at
+ * the end of the file.
  */
 
 #include <math.h>
@@ -57,7 +60,7 @@
 #include <string.h>
 #include <time.h>
 
-#define REPRO_NATIVE_ABI 4
+#define REPRO_NATIVE_ABI 5
 #define MODE_LEX 0
 #define MODE_MIN 1
 #define MODE_SUM 2
@@ -1095,6 +1098,172 @@ EXPORT i64 repro_edd_schedule(i64 m, const i64 *tasks, i64 n,
     free(perm);
     free(bits);
     free(machines);
+    return 0;
+}
+
+/* ------------------------------------------------------------------
+ * The add sweeps (MQB's typed, MaxDP's untyped and MQB+1Step's
+ * one-step descendant values)
+ * ------------------------------------------------------------------
+ *
+ * numpy sums each parent's children with np.add.reduceat, whose
+ * segment [s, e) is a[s] + pairwise(a[s+1..e)) per column: the first
+ * term is copied into the output and the add loop's reduce branch adds
+ * numpy's pairwise sum of the rest.  The passes below perform those
+ * IEEE operations in that order.  The order belongs to numpy, not to
+ * this file, so repro.native checks it against np.add.reduceat once per
+ * process before it lets the descendant functions call in here. */
+
+/* numpy's pairwise summation (DOUBLE_pairwise_sum) of the n values
+ * c[idx[i] * K + j]: sequential from -0.0 below 8 terms, 8 strided
+ * accumulators up to 128 terms, and above that a split at the largest
+ * multiple of 8 not above n / 2. */
+static double pairwise_sum(const double *c, const i64 *idx, i64 n, i64 K,
+                           i64 j) {
+    if (n < 8) {
+        double res = -0.0;
+        for (i64 i = 0; i < n; i++) res += c[idx[i] * K + j];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int a = 0; a < 8; a++) r[a] = c[idx[a] * K + j];
+        i64 i = 8;
+        for (; i < n - n % 8; i += 8) {
+            for (int a = 0; a < 8; a++) r[a] += c[idx[i + a] * K + j];
+        }
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
+                     ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += c[idx[i] * K + j];
+        return res;
+    }
+    i64 n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(c, idx, n2, K, j) +
+           pairwise_sum(c, idx + n2, n - n2, K, j);
+}
+
+/* d(v) = sum over children u of c(u), with c(u) = (d(u) + w(u)) / pr(u)
+ * per type column (c(u) = w(u) / pr(u) when one_step), where w(u) is
+ * work[u] in column types[u] and 0.0 elsewhere, and pr(u) is u's
+ * in-degree: descendants.descendant_values (K columns),
+ * untyped_descendant_values (K = 1, types NULL: every task of type 0)
+ * and one_step_descendant_values.  out: n x K, row-major.  order: a
+ * topological order, visited in reverse so that every child's
+ * contribution is final before its parents sum it; children are summed
+ * in CSR order as reduceat sums the gathered segment.  Returns 0,
+ * PASS_BAD_INPUT or PASS_NO_MEMORY. */
+EXPORT i64 repro_descendant_values(i64 n, i64 K, const i64 *types,
+                                   const double *work, const i64 *child_ptr,
+                                   const i64 *child_idx, const i64 *order,
+                                   i64 one_step, double *out) {
+    if (n < 0 || K < 1 || !csr_ok(n, child_ptr, child_idx) ||
+        !order_ok(n, order))
+        return PASS_BAD_INPUT;
+    if (n > 0 && (size_t)K > SIZE_MAX / sizeof(double) / (size_t)n)
+        return PASS_NO_MEMORY;
+    for (i64 v = 0; types && v < n; v++) {
+        if (types[v] < 0 || types[v] >= K) return PASS_BAD_INPUT;
+    }
+    i64 *indeg = calloc((size_t)n + 1, sizeof(i64));
+    double *contrib = calloc((size_t)n * (size_t)K + 1, sizeof(double));
+    if (!indeg || !contrib) {
+        free(indeg);
+        free(contrib);
+        return PASS_NO_MEMORY;
+    }
+    for (i64 e = 0; e < child_ptr[n]; e++) indeg[child_idx[e]]++;
+    for (i64 i = 0; i < n * K; i++) out[i] = 0.0;
+    for (i64 i = n - 1; i >= 0; i--) {
+        i64 v = order[i], b = child_ptr[v], e = child_ptr[v + 1];
+        double *d = out + v * K;
+        if (b < e) {
+            /* reduceat copies a one-term segment without adding. */
+            const double *first = contrib + child_idx[b] * K;
+            for (i64 j = 0; j < K; j++) {
+                d[j] = e - b == 1 ? first[j]
+                                  : first[j] + pairwise_sum(contrib,
+                                                            child_idx + b + 1,
+                                                            e - b - 1, K, j);
+            }
+        }
+        if (indeg[v] == 0) continue;
+        double pr = (double)indeg[v];
+        i64 alpha = types ? types[v] : 0;
+        for (i64 j = 0; j < K; j++) {
+            double w = j == alpha ? work[v] : 0.0;
+            contrib[v * K + j] = (one_step ? w : d[j] + w) / pr;
+        }
+    }
+    free(indeg);
+    free(contrib);
+    return 0;
+}
+
+/* ------------------------------------------------------------------
+ * The tree generator's expansion
+ * ------------------------------------------------------------------ */
+
+/* numpy's public bit generator interface (numpy/random/bitgen.h), as
+ * BitGenerator.ctypes.bit_generator points to it. */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+#define TREE_NEED_ROOM 1
+
+/* tree.generate_tree's LIFO expansion: pop the newest node; unless it
+ * sits at max_depth or m more nodes would pass max_nodes, it expands
+ * when shallower than forced_depth or when the generator's next double
+ * (Generator.random()'s one draw, next_double) is below p, and its m
+ * children get the next ids, depth + 1, and go on the frontier in id
+ * order.  parents[u - 1] is node u's parent.
+ *
+ * Resumable: state = {nodes so far, frontier length}, and depth,
+ * parents and frontier hold cap slots.  Before a pop that might need
+ * more than cap slots it returns TREE_NEED_ROOM, having drawn nothing
+ * for that node, and the caller calls again with larger buffers (the
+ * first cap entries copied).  Returns 0 once the frontier is empty,
+ * TREE_NEED_ROOM or PASS_BAD_INPUT.  The caller holds the bit
+ * generator's lock. */
+EXPORT i64 repro_tree_expand(bitgen_t *bitgen, i64 m, double p,
+                             i64 max_depth, i64 max_nodes, i64 forced_depth,
+                             i64 cap, i64 *depth, i64 *parents,
+                             i64 *frontier, i64 *state) {
+    i64 n = state[0], top = state[1];
+    if (!bitgen || m < 0 || cap < 1 || n < 1 || n > cap || top < 0 ||
+        top > n)
+        return PASS_BAD_INPUT;
+    for (i64 i = 0; i < top; i++) {
+        if (frontier[i] < 0 || frontier[i] >= n) return PASS_BAD_INPUT;
+    }
+    while (top > 0) {
+        i64 node = frontier[top - 1], d = depth[node];
+        if (d >= max_depth || max_nodes < n || m > max_nodes - n) {
+            top--;
+            continue;
+        }
+        if (m > cap - n) {
+            state[0] = n;
+            state[1] = top;
+            return TREE_NEED_ROOM;
+        }
+        top--;
+        if (d >= forced_depth && !(bitgen->next_double(bitgen->state) < p))
+            continue;
+        for (i64 c = 0; c < m; c++) {
+            depth[n + c] = d + 1;
+            parents[n + c - 1] = node;
+            frontier[top++] = n + c;
+        }
+        n += m;
+    }
+    state[0] = n;
+    state[1] = 0;
     return 0;
 }
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -238,6 +239,31 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "engine phases" in out
         assert "counters" in out
+
+    def test_kernel_loads_before_the_timed_phases(self, capsys, monkeypatch):
+        # A slow first load (on a cold cache the kernel compiles) lands
+        # before the timers start, not in the first KDag's sampling.
+        from repro import native
+
+        token = native._reset_for_tests()
+        try_extension = native._try_extension
+
+        def slow_load():
+            time.sleep(0.2)
+            return try_extension()
+
+        try:
+            monkeypatch.setenv("REPRO_NATIVE", "auto")
+            monkeypatch.setattr(native, "_try_extension", slow_load)
+            assert main(["profile", "fig4", "--instances", "1", "--no-cache"]) == 0
+            assert native.native_status()["attempted"]
+        finally:
+            native._restore(token)
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        (sample_ms,) = [
+            float(row[2]) for row in rows if row[:1] == ["phase.sample_instance"]
+        ]
+        assert sample_ms < 200.0
 
     def test_unknown_experiment(self, capsys):
         assert "unknown experiment 'fig99'" in _error(capsys, ["profile", "fig99"])

@@ -23,6 +23,7 @@ from repro import ResourceConfig, make_scheduler, simulate
 from repro import native
 from repro.obs.telemetry import Telemetry
 from repro.sim.batch import simulate_batch
+from repro.workloads.generator import WORKLOAD_CELLS, sample_job
 from tests.conftest import make_random_job
 
 
@@ -63,7 +64,10 @@ class TestDisabled:
 
 
 class TestDisabledWholeRun:
-    @pytest.mark.parametrize("name", ["kgreedy", "mqb", "shiftbt", "dtype", "lspan"])
+    @pytest.mark.parametrize(
+        "name",
+        ["kgreedy", "mqb", "shiftbt", "dtype", "lspan", "maxdp", "mqb+1step+pre"],
+    )
     def test_no_load_and_no_c_call(self, fresh_loader_state, monkeypatch, rng,
                                    name):
         monkeypatch.setenv("REPRO_NATIVE", "0")
@@ -73,15 +77,21 @@ class TestDisabledWholeRun:
 
         monkeypatch.setattr(native, "_try_extension", boom)
         monkeypatch.setattr(native, "_build_shared_object", boom)
+        monkeypatch.setattr(native, "_probe_add_order", boom)
         for entry in (
             "run", "topo_levels", "bottom_levels", "top_levels",
-            "different_child_distance", "edd_schedule",
+            "different_child_distance", "edd_schedule", "descendant_values",
+            "untyped_descendant_values", "one_step_descendant_values",
+            "expand_tree",
         ):
             monkeypatch.setattr(native.MQBKernel, entry, boom)
         tel = Telemetry()
-        simulate(make_random_job(rng, n=40, k=3), ResourceConfig((2, 2, 2)),
-                 make_scheduler(name), telemetry=tel)
+        tree = sample_job(WORKLOAD_CELLS["medium-layered-tree"], rng)
+        for job in (make_random_job(rng, n=40, k=3), tree):
+            simulate(job, ResourceConfig((2,) * job.num_types),
+                     make_scheduler(name), telemetry=tel)
         assert not any(key.startswith("native.") for key in tel.counters)
+        assert not native.native_status()["attempted"]
 
 
 class TestStaleExtension:

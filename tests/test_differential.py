@@ -19,8 +19,11 @@ through every run kind and checks one of two outcomes:
   inputs and the native matrix's cells;
 * the native **offline passes**, byte for byte against numpy: KDag's
   peel (order, depth, levels), the bottom and top levels, the
-  different-child distance, ShiftBT's EDD subproblems, priorities and
-  bottleneck order, and the peel's refusal of a cycle;
+  different-child distance, the typed, untyped and one-step descendant
+  values, ShiftBT's EDD subproblems, priorities and bottleneck order,
+  and the peel's refusal of a cycle;
+* the native **tree expansion**: the job :func:`generate_tree` samples
+  and the generator's next draws, against the Python loop;
 * the planner's **refusal**, with one message from every entry point
   that can express the combination: ``plan_run``, the CLI (exit 2),
   the sweeps and the service (``bad_request``).
@@ -41,8 +44,13 @@ Inputs:
   variants;
 * the energy matrix's 3 cells x 3 instances: the energy off-switches;
 * for the offline passes: the loop-golden inputs, hypothesis draws,
-  one instance of each of the eight cells, and EDD subproblems at
-  P_alpha = 1 and P_alpha >= tasks with tied due dates and releases.
+  one instance of each of the eight cells, EDD subproblems at
+  P_alpha = 1 and P_alpha >= tasks with tied due dates and releases,
+  and fan-out jobs whose parents sum 1 to 3,001 non-dyadic
+  contributions (every regime of numpy's pairwise summation) at
+  K = 1, 4, 9 and 16;
+* for the tree expansion: 300 instances of each tree cell, edge
+  ``TreeParams`` and the MT19937, Philox and SFC64 bit generators.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ import functools
 import os
 import re
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -61,7 +70,10 @@ from repro import native
 from repro.capabilities import DECENTRAL_REFUSALS, plan_run, row_kind
 from repro.cli import main
 from repro.core.cache import cached_due_dates, clear_offline_cache
-from repro.core.descendants import different_child_distance
+from repro.core.descendants import (
+    descendant_values, different_child_distance, one_step_descendant_values,
+    untyped_descendant_values,
+)
 from repro.core.kdag import KDag
 from repro.core.properties import _bottom_levels
 from repro.energy.metrics import energy_breakdown
@@ -84,7 +96,8 @@ from repro.system.resources import ResourceConfig
 from repro.workloads.generator import (
     EXTRA_CELLS, WORKLOAD_CELLS, sample_instance, sample_job,
 )
-from repro.workloads.params import EPParams, WorkloadSpec
+from repro.workloads.params import EPParams, TreeParams, WorkloadSpec
+from repro.workloads.tree import _expand, generate_tree
 from tests.properties.test_schedule_invariants import jobs_and_systems
 from tests.sim.test_loop_golden import _jobs
 
@@ -511,6 +524,15 @@ def _edd_bytes(tasks, release, due, work, n_machines) -> tuple[bytes, bytes]:
     return np.asarray(seq, dtype=np.int64).tobytes(), np.float64(lateness).tobytes()
 
 
+def _add_sweeps(job: KDag) -> dict:
+    """The three add sweeps of ``job``, as bytes."""
+    return {
+        "descendant": descendant_values(job).tobytes(),
+        "untyped": untyped_descendant_values(job).tobytes(),
+        "one_step": one_step_descendant_values(job).tobytes(),
+    }
+
+
 def _offline_passes(job: KDag, system: ResourceConfig) -> dict:
     """Every pass with a native path, on ``job``, as bytes."""
     peeled = KDag(job.types, job.work, job.edges, job.num_types)
@@ -529,6 +551,7 @@ def _offline_passes(job: KDag, system: ResourceConfig) -> dict:
         "bottom": _bottom_levels(peeled).tobytes(),
         "top": release.tobytes(),
         "distance": different_child_distance(peeled).tobytes(),
+        **_add_sweeps(peeled),
         "edd": edd,
         "priorities": shiftbt.keys.tobytes(),
         "bottleneck": shiftbt.bottleneck_order,
@@ -553,6 +576,99 @@ def test_offline_column():
 @settings(max_examples=25, deadline=None)
 def test_offline_column_on_generated_jobs(data):
     _check_offline([data.draw(jobs_and_systems())])
+
+
+#: Children per parent in the fan-out jobs: every regime of numpy's
+#: pairwise summation (sequential below 8 terms, 8 accumulators up to
+#: 128, a recursive split above) and its boundaries.
+FAN_OUTS = (1, 7, 8, 9, 16, 17, 128, 129, 130, 257, 3001)
+
+
+def _fan_out_job(k: int) -> KDag:
+    """One parent per ``FAN_OUTS`` entry with that many children of its
+    own; each child also has 2, 4 or 6 extra source parents (in-degree
+    3, 5 or 7, so its contribution is non-dyadic) and one sink child
+    shared by every child, so the children's own rows are not zero."""
+    rng = np.random.default_rng([SEED, k])
+    n_kids = sum(FAN_OUTS)
+    parents, helpers = len(FAN_OUTS), 6
+    first_kid = parents + helpers
+    sink = first_kid + n_kids
+    kids = np.arange(first_kid, sink)
+    owner = np.repeat(np.arange(parents), FAN_OUTS)
+    extra = rng.choice((2, 4, 6), size=n_kids)
+    edges = [np.stack([owner, kids], axis=1)]
+    for h in range(helpers):
+        mask = extra > h
+        edges.append(np.stack([np.full(int(mask.sum()), parents + h), kids[mask]], axis=1))
+    edges.append(np.stack([kids, np.full(n_kids, sink)], axis=1))
+    n = sink + 1
+    return KDag(
+        types=rng.integers(0, k, size=n),
+        work=rng.integers(1, 9, size=n).astype(np.float64),
+        edges=np.concatenate(edges),
+        num_types=k,
+    )
+
+
+@pytest.mark.parametrize("k", [1, 4, 9, 16])
+def test_offline_add_sweeps_every_segment_length(k):
+    job = _fan_out_job(k)
+    assert sorted(set(np.diff(job.child_ptr)[: len(FAN_OUTS)])) == list(FAN_OUTS)
+    with _native(False):
+        want = _add_sweeps(job)
+    with _native(True):
+        got = _add_sweeps(job)
+    assert got == want
+
+
+def test_offline_add_probe_failure_keeps_numpy(monkeypatch):
+    # A host whose numpy sums reduceat segments in another order: the
+    # kernel still loads, but the add sweeps never call it.
+    job = CELL_INSTANCES[2][0]
+    with _native(False):
+        want = _add_sweeps(job)
+    token = native._reset_for_tests()
+    try:
+        monkeypatch.setattr(native, "_probe_add_order", lambda kernel: "forced mismatch")
+        with _native(True):
+            if native.load_kernel() is None:
+                pytest.skip(f"native kernel unavailable: {native.native_status()['error']}")
+            status = native.native_status()
+            assert status["loaded"] and not status["add_sweeps"]
+            assert status["add_sweeps_error"] == "forced mismatch"
+            assert native.summing_kernel() is None
+
+            def boom(*args, **kwargs):  # pragma: no cover - must never run
+                raise AssertionError("the add sweeps must stay on numpy")
+
+            for entry in (
+                "descendant_values", "untyped_descendant_values",
+                "one_step_descendant_values",
+            ):
+                monkeypatch.setattr(native.MQBKernel, entry, boom)
+            assert _add_sweeps(job) == want
+    finally:
+        native._restore(token)
+
+
+def test_offline_add_probe_tells_the_orders_apart():
+    # The load probe's segments, summed left to right, differ from
+    # np.add.reduceat in both of the probe's runs: a kernel summing that
+    # way would fail it.
+    job, seg = native._probe_job()
+    kids = job.child_idx
+    onehot = np.zeros((job.n_tasks, job.num_types))
+    onehot[np.arange(job.n_tasks), job.types] = job.work
+    for values in (job.work[kids][:, None], onehot[kids]):
+        bounds = [*seg.tolist(), len(kids)]
+        plain = np.array([
+            functools.reduce(lambda a, b: a + b, values[s:e]) for s, e in zip(bounds, bounds[1:])
+        ])
+        assert plain.tobytes() != np.add.reduceat(values, seg, axis=0).tobytes()
+    kernel = native.load_kernel()
+    if kernel is not None:
+        assert native._probe_add_order(kernel) is None
 
 
 def test_offline_edd_ties():
@@ -584,6 +700,64 @@ def test_offline_cycle_refused_alike():
     assert messages[0] == messages[1] == "edge set contains a cycle (3 tasks unreachable)"
 
 
+# ----------------------------------------------------------------------
+# tree column
+# ----------------------------------------------------------------------
+#: TreeParams at the expansion's edges: no forced level, one level, a
+#: root that can never expand (max_nodes < m + 1), p = 0, p = 1 (20,000
+#: nodes grow the kernel's buffers past their first size) and a chain.
+EDGE_TREES = (
+    TreeParams(forced_depth=0),
+    TreeParams(max_depth=1, forced_depth=0),
+    TreeParams(max_depth=1, forced_depth=1),
+    TreeParams(fanout_range=(6, 12), max_nodes=6),
+    TreeParams(fanout_prob_range=(0.0, 0.0)),
+    TreeParams(fanout_prob_range=(0.0, 0.0), forced_depth=0),
+    TreeParams(fanout_prob_range=(1.0, 1.0), max_depth=4),
+    TreeParams(fanout_prob_range=(1.0, 1.0), max_nodes=20_000, max_depth=6),
+    TreeParams(fanout_range=(1, 1), fanout_prob_range=(0.9, 1.0),
+               max_depth=400, max_nodes=400),
+)
+
+
+def _tree_draws(sample, rng: np.random.Generator) -> tuple:
+    """``sample(rng)``'s job, then the generator's next draws."""
+    job = sample(rng)
+    return (
+        job.edges.tobytes(), job.types.tobytes(), job.work.tobytes(),
+        job.num_types, rng.integers(0, 2**62, size=4).tolist(), rng.random(3).tolist(),
+    )
+
+
+def _check_trees(sample, rngs) -> None:
+    for i, make_rng in enumerate(rngs):
+        with _native(False):
+            want = _tree_draws(sample, make_rng())
+        with _native(True):
+            got = _tree_draws(sample, make_rng())
+        assert got == want, f"instance {i}"
+
+
+@pytest.mark.parametrize("cell", [c for c in WORKLOAD_CELLS if "tree" in c])
+def test_tree_column_on_cells(cell):
+    spec = WORKLOAD_CELLS[cell]
+    _check_trees(
+        lambda rng: sample_job(spec, rng),
+        [functools.partial(_rng, i) for i in range(300)],
+    )
+
+
+@pytest.mark.parametrize("params", EDGE_TREES, ids=range(len(EDGE_TREES)))
+@pytest.mark.parametrize("bit_generator", [
+    np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64,
+])
+def test_tree_column_edges_and_bit_generators(params, bit_generator):
+    _check_trees(
+        lambda rng: generate_tree(params, 3, "layered", rng),
+        [lambda i=i: np.random.Generator(bit_generator([SEED, i])) for i in range(8)],
+    )
+
+
 class _Arrays:
     """A job-shaped bundle of arbitrary arrays for the bindings."""
 
@@ -591,7 +765,7 @@ class _Arrays:
         self.n_tasks = job.n_tasks
         for name in (
             "types", "work", "child_ptr", "child_idx", "parent_ptr",
-            "parent_idx", "topological_order",
+            "parent_idx", "topological_order", "num_types",
         ):
             setattr(self, name, overrides.get(name, getattr(job, name)))
 
@@ -623,10 +797,22 @@ def test_offline_bindings_reject_bad_arrays():
         _Arrays(job, child_ptr=ptr + 1, parent_ptr=job.parent_ptr + 1),
         _Arrays(job, child_idx=np.full_like(idx, -5), parent_idx=np.full_like(idx, n)),
     ]
+    typed = (kernel.descendant_values, kernel.one_step_descendant_values)
     for bad in bad_jobs:
         for sweep in (
             kernel.bottom_levels, kernel.top_levels, kernel.different_child_distance,
+            kernel.untyped_descendant_values, *typed,
         ):
+            with pytest.raises((ValueError, OSError)):
+                sweep(bad)
+    bad_types = [
+        _Arrays(job, types=np.full_like(job.types, job.num_types)),
+        _Arrays(job, types=-np.ones_like(job.types)),
+        _Arrays(job, types=job.types[:-1]),
+        _Arrays(job, num_types=0),
+    ]
+    for bad in bad_types:
+        for sweep in typed:
             with pytest.raises((ValueError, OSError)):
                 sweep(bad)
     tasks, values = np.arange(n), np.zeros(n)
@@ -644,6 +830,28 @@ def test_offline_bindings_reject_bad_arrays():
             kernel.edd_schedule(*args)
     # A NaN key is not an error: heapq's order decides, in Python.
     assert kernel.edd_schedule(tasks, np.full(n, np.nan), values, values + 1, 1) is None
+    bit_generator = np.random.PCG64(SEED)
+    bad_trees = [
+        (bit_generator, -1, 0.5, 4, 100, 1),           # negative fan-out
+        (np.random.default_rng(SEED), 6, 0.5, 4, 100, 1),  # not a BitGenerator
+        (None, 6, 0.5, 4, 100, 1),
+    ]
+    for args in bad_trees:
+        with pytest.raises((ValueError, OSError)):
+            kernel.expand_tree(*args)
+    # Bounds past int64, or that no tree can meet, are not errors: the
+    # expansion is the Python loop's.
+    for max_depth, max_nodes, forced_depth in (
+        (4, 2**70, -(2**70)), (2**70, 40, 2**70), (3, 0, 1), (-5, 100, -9),
+    ):
+        bounds = SimpleNamespace(
+            max_depth=max_depth, max_nodes=max_nodes, forced_depth=forced_depth,
+        )
+        got = kernel.expand_tree(
+            np.random.PCG64(SEED), 2, 0.7, max_depth, max_nodes, forced_depth,
+        )
+        want = _expand(bounds, 2, 0.7, np.random.Generator(np.random.PCG64(SEED)))
+        assert [a.tolist() for a in got] == [a.tolist() for a in want], bounds
 
 
 @pytest.mark.parametrize("name", sorted(IDENTICAL_TO))
