@@ -85,31 +85,3 @@ def test_paired_sweep_serial(benchmark):
         lambda: run_comparison(spec, ["kgreedy", "mqb"], 4, seed=0, n_workers=1),
         rounds=3, iterations=1,
     )
-
-@pytest.fixture(scope="module")
-def ir_batch():
-    """64 medium-layered-ir instances — the batch engine's design point.
-
-    Per-round costs amortize across rows, so the lockstep advantage
-    needs tens of rows to pay off; a 16-row batch on a sparse cell can
-    even lose to the scalar loop (engine choice is the caller's).
-    """
-    rng = np.random.default_rng(7)
-    spec = WORKLOAD_CELLS["medium-layered-ir"]
-    return [sample_instance(spec, rng) for _ in range(64)]
-
-
-def test_batch_engine_throughput_kgreedy_ir(benchmark, ir_batch):
-    from repro import simulate_batch
-
-    benchmark(lambda: simulate_batch(ir_batch, make_scheduler("kgreedy")))
-
-
-def test_batch_engine_throughput_kgreedy_ir_scalar_loop(benchmark, ir_batch):
-    """The 64 scalar loops the batch call above replaces."""
-    benchmark(
-        lambda: [
-            simulate(job, system, make_scheduler("kgreedy"))
-            for job, system in ir_batch
-        ]
-    )

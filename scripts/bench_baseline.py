@@ -221,42 +221,23 @@ def measure() -> dict[str, float]:
 
     spec = WORKLOAD_CELLS["medium-layered-ir"]
 
-    def sweep(workers: int, engine: str = "scalar", n: int = SWEEP_INSTANCES) -> float:
+    def sweep(workers: int, n: int = SWEEP_INSTANCES) -> float:
         t0 = time.perf_counter()
-        run_comparison(
-            spec, PAPER_ALGORITHMS, n, SWEEP_SEED,
-            n_workers=workers, engine=engine,
-        )
+        run_comparison(spec, PAPER_ALGORITHMS, n, SWEEP_SEED, n_workers=workers)
         return time.perf_counter() - t0
 
     after["fig4_ir_sweep_16_serial"] = min(sweep(1) for _ in range(2))
     after["fig4_ir_sweep_16_workers8"] = min(sweep(8) for _ in range(2))
+    after["fig4_ir_sweep_256_serial"] = sweep(1, 256)
 
-    # Batched lockstep engine (src/repro/sim/batch.py): the same sweep
-    # with every supported (instance, scheduler) pair advanced through
-    # one vectorized event loop, bit-identical per instance to the
-    # scalar engine.  The 256-instance pair shows the scaling regime
-    # the engine is built for — per-round costs amortize across rows,
-    # so the batch advantage grows with the batch.
-    after["fig4_ir_sweep_16_batch"] = min(sweep(1, "batch") for _ in range(2))
-    after["fig4_ir_sweep_256_serial"] = sweep(1, "scalar", 256)
-    after["fig4_ir_sweep_256_batch"] = sweep(1, "batch", 256)
-
-    # The same sweeps with the native kernel: the batch engine with
-    # MQB's picks in C, and the scalar engine with every static-priority
-    # and MQB run in the kernel's whole-run loop.  The serial_native vs
-    # batch_native pair decides whether the batch engine still earns
-    # its place.
+    # The same sweeps with every static-priority and MQB run in the
+    # native kernel's whole-run loop.
     os.environ["REPRO_NATIVE"] = "1"
     if _native.load_kernel() is not None:
-        after["fig4_ir_sweep_16_batch_native"] = min(
-            sweep(1, "batch") for _ in range(2)
-        )
-        after["fig4_ir_sweep_256_batch_native"] = sweep(1, "batch", 256)
         after["fig4_ir_sweep_16_serial_native"] = min(
             sweep(1) for _ in range(2)
         )
-        after["fig4_ir_sweep_256_serial_native"] = sweep(1, "scalar", 256)
+        after["fig4_ir_sweep_256_serial_native"] = sweep(1, 256)
     os.environ["REPRO_NATIVE"] = "0"
 
     # Decentralized work-stealing engine (src/repro/decentral): one
@@ -312,15 +293,6 @@ def main() -> int:
         / after["fig4_ir_sweep_16_warm_cache"],
         3,
     )
-    speedups["fig4_ir_sweep_16_batch_vs_scalar"] = round(
-        after["fig4_ir_sweep_16_serial"] / after["fig4_ir_sweep_16_batch"], 3
-    )
-    speedups["fig4_ir_sweep_256_batch_vs_scalar"] = round(
-        after["fig4_ir_sweep_256_serial"] / after["fig4_ir_sweep_256_batch"], 3
-    )
-    speedups["fig4_ir_sweep_16_batch_vs_seed_serial"] = round(
-        BASELINE["fig4_ir_sweep_16_serial"] / after["fig4_ir_sweep_16_batch"], 3
-    )
     if "engine_mqb_ir_native" in after:
         speedups["engine_mqb_ir_native_vs_numpy"] = round(
             after["engine_mqb_ir"] / after["engine_mqb_ir_native"], 3
@@ -328,28 +300,9 @@ def main() -> int:
         speedups["engine_mqb_ir_native_vs_seed"] = round(
             BASELINE["engine_mqb_ir"] / after["engine_mqb_ir_native"], 3
         )
-    if "fig4_ir_sweep_16_batch_native" in after:
-        speedups["fig4_ir_sweep_16_batch_native_vs_numpy_batch"] = round(
-            after["fig4_ir_sweep_16_batch"]
-            / after["fig4_ir_sweep_16_batch_native"],
-            3,
-        )
-        speedups["fig4_ir_sweep_16_batch_native_vs_seed_serial"] = round(
-            BASELINE["fig4_ir_sweep_16_serial"]
-            / after["fig4_ir_sweep_16_batch_native"],
-            3,
-        )
-        speedups["fig4_ir_sweep_256_batch_native_vs_numpy_batch"] = round(
-            after["fig4_ir_sweep_256_batch"]
-            / after["fig4_ir_sweep_256_batch_native"],
-            3,
-        )
     for n in (16, 256):
         serial = f"fig4_ir_sweep_{n}_serial_native"
         if serial in after:
-            speedups[f"{serial}_vs_batch_native"] = round(
-                after[f"fig4_ir_sweep_{n}_batch_native"] / after[serial], 3
-            )
             speedups[f"{serial}_vs_python"] = round(
                 after[f"fig4_ir_sweep_{n}_serial"] / after[serial], 3
             )
@@ -371,21 +324,17 @@ def main() -> int:
             "Engine/offline-pass hot-path timings, seconds (min over "
             "repeats). 'before' = seed commit 354fe77; 'after' = current "
             "tree. Sweep = run_comparison(medium-layered-ir, 6 paper "
-            "algorithms, 16 instances, seed 2011); the _batch variants "
-            "run the same sweep through the batched lockstep engine "
-            "(bit-identical per instance), at 16 and 256 instances, "
-            "cache off. Un-suffixed entries pin REPRO_NATIVE=0 (the "
-            "Python loop, numpy picks); the paired _native entries "
-            "rerun the same work with the compiled kernel "
-            "(src/repro/native, bit-identical) and are absent on hosts "
-            "without a C toolchain. On the scalar engine (engine_*_native, "
-            "fig4_ir_sweep_*_serial_native) a _native entry times whole "
-            "runs in the kernel's list-scheduling loop, every "
-            "static-priority and MQB run of the sweep; on the batch "
-            "engine (_batch_native) it times MQB's picks in C. "
-            "*_serial_native_vs_batch_native = batch_native time / "
-            "serial_native time (above 1: the scalar engine with the C "
-            "loop is faster). engine_mqb_tree{,_native} time one MQB "
+            "algorithms, 16 instances, seed 2011, cache off); the "
+            "fig4_ir_sweep_256_* entries run it at 256 instances. "
+            "Un-suffixed entries pin REPRO_NATIVE=0 (the Python loop, "
+            "numpy picks); the paired _native entries rerun the same "
+            "work with the compiled kernel (src/repro/native, "
+            "bit-identical) and are absent on hosts without a C "
+            "toolchain. An engine or sweep _native entry "
+            "(engine_*_native, fig4_ir_sweep_*_serial_native) times "
+            "whole runs in the kernel's list-scheduling loop, every "
+            "static-priority and MQB run of the sweep. "
+            "engine_mqb_tree{,_native} time one MQB "
             "run on the first medium-layered-tree instance from seed 42 "
             f"on with at least {TREE_TASKS} tasks (the cell's large "
             "mode), on the Python loop and the C loop. The _telemetry "

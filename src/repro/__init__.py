@@ -51,8 +51,6 @@ from repro.sim import (
     ScheduleTrace,
     average_utilization,
     simulate,
-    simulate_batch,
-    simulate_batch_grid,
     simulate_preemptive,
     type_busy_time,
     utilization_profile,
@@ -117,8 +115,6 @@ __all__ = [
     "skewed",
     # sim
     "simulate",
-    "simulate_batch",
-    "simulate_batch_grid",
     "simulate_preemptive",
     "ScheduleResult",
     "ScheduleTrace",

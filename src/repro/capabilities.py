@@ -2,13 +2,13 @@
 
 Scheduler families declare their capabilities once, as class attributes
 beside ``requires_offline``: ``decentral`` (the run needs per-processor
-deques) and ``lockstep`` (the row kind a loop that reads prepared
-state instead of calling the protocol may run it as).  :func:`plan_run`
-is the one place the CLI, the sweeps, the batch engine's fallback and
-the service turn them into an engine; the service answers its refusal
-with ``bad_request``.  :func:`row_kind` is the one place the batch
-engine and the native whole-run loop decide whether a declaration
-holds for a given scheduler object.
+deques) and ``lockstep`` (the row kind the native whole-run loop,
+which reads prepared state instead of calling the protocol, may run
+it as).  :func:`plan_run` is the one place the CLI, the sweeps and the
+service turn them into an engine; the service answers its refusal
+with ``bad_request``.  :func:`row_kind` is the one place the native
+whole-run loop decides whether a declaration holds for a given
+scheduler object.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def plan_run(
 
 
 def row_kind(scheduler: Scheduler) -> str | None:
-    """``"static"``, ``"mqb"`` or ``None``: how a row loop may run it.
+    """``"static"``, ``"mqb"`` or ``None``: how the C loop may run it.
 
     The scheduler's ``lockstep`` declaration, provided the methods of
     :data:`ROW_PROTOCOLS` are those of :class:`QueueScheduler` (static)

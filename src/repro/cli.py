@@ -88,16 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_p.add_argument(
-        "--engine",
-        choices=("scalar", "batch"),
-        default=None,
-        help=(
-            "simulation engine for non-preemptive sweeps (default: the "
-            "REPRO_ENGINE env var, else scalar); 'batch' simulates cache "
-            "misses in vectorized lockstep with bit-identical results"
-        ),
-    )
-    run_p.add_argument(
         "--native",
         choices=("auto", "on", "off"),
         default=None,
@@ -229,12 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     prof_p.add_argument(
-        "--engine",
-        choices=("scalar", "batch"),
-        default=None,
-        help="simulation engine (see `repro run --engine`)",
-    )
-    prof_p.add_argument(
         "--native",
         choices=("auto", "on", "off"),
         default=None,
@@ -307,7 +291,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             n_instances=args.instances,
             seed=args.seed,
             n_workers=args.workers,
-            engine=args.engine,
             **fault_kwargs,
         )
         elapsed = time.time() - t0
@@ -463,7 +446,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         seed=args.seed,
         n_workers=args.workers,
         telemetry=telemetry,
-        engine=args.engine,
     )
     elapsed = time.time() - t0
     snap = telemetry.snapshot()

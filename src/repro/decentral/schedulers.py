@@ -47,10 +47,10 @@ class DecentralScheduler:
 
     It declares ``decentral = True``, which
     :func:`repro.capabilities.plan_run` routes to the work-stealing
-    engine, and ``lockstep = None``, which keeps the batch engine off
-    it.  It must come first in a subclass's bases so these values win
-    over the centralized class's.  It also carries the steal policy and
-    the two extra protocol hooks.
+    engine, and ``lockstep = None``, which keeps the native whole-run
+    loop off it.  It must come first in a subclass's bases so these
+    values win over the centralized class's.  It also carries the steal
+    policy and the two extra protocol hooks.
     """
 
     decentral = True

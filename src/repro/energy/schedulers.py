@@ -24,9 +24,8 @@ off (the correctness anchor ``tests/test_differential.py`` asserts):
 Both names flow through the scheduler registry's bracket-suffix
 parsing (:func:`make_energy_scheduler`), so sweeps, the result cache,
 and the service pick them up unchanged.  Both declare
-``lockstep = None``: they subclass MQB/KGreedy, whose lockstep rows
-would run their bases, so the batch engine runs them on the scalar
-engine.
+``lockstep = None``: they subclass MQB/KGreedy, whose row kinds would
+run their bases, so they always run on the Python loop.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ algorithm list, seed, every power-model field, and the profit knobs).
 
 Decentralized schedulers are refused when the sweep is built
 (:func:`repro.capabilities.plan_run`): their steal costs fall outside
-the recorded trace.  The sweep takes no engine selection.
+the recorded trace.
 """
 
 from __future__ import annotations

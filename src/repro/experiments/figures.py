@@ -89,7 +89,6 @@ def run_fig4(
     seed: int = 2011,
     n_workers: int | None = None,
     telemetry: Telemetry | None = None,
-    engine: str | None = None,
 ) -> dict:
     """Fig. 4: the six algorithms on the six workload cells."""
     n = n_instances or DEFAULT_INSTANCES["fig4"]
@@ -97,7 +96,7 @@ def run_fig4(
     for cell, label in _FIG4_PANELS:
         stats = run_comparison(
             WORKLOAD_CELLS[cell], PAPER_ALGORITHMS, n, seed, n_workers=n_workers,
-            telemetry=telemetry, engine=engine,
+            telemetry=telemetry,
         )
         panels.append(
             {"name": cell, "label": label, "series": [s.to_dict() for s in stats]}
@@ -117,7 +116,6 @@ def run_fig5(
     seed: int = 2012,
     n_workers: int | None = None,
     telemetry: Telemetry | None = None,
-    engine: str | None = None,
 ) -> dict:
     """Fig. 5: varying the number of resource types K from 1 to 6."""
     n = n_instances or DEFAULT_INSTANCES["fig5"]
@@ -129,7 +127,7 @@ def run_fig5(
             spec = WORKLOAD_CELLS[cell].with_num_types(k)
             for s in run_comparison(
                 spec, PAPER_ALGORITHMS, n, seed + k, n_workers=n_workers,
-                telemetry=telemetry, engine=engine,
+                telemetry=telemetry,
             ):
                 series[s.key].append(s.mean)
         panels.append(
@@ -156,7 +154,6 @@ def run_fig6(
     seed: int = 2013,
     n_workers: int | None = None,
     telemetry: Telemetry | None = None,
-    engine: str | None = None,
 ) -> dict:
     """Fig. 6: skewed load — type 0's processors cut to one fifth."""
     n = n_instances or DEFAULT_INSTANCES["fig6"]
@@ -168,7 +165,7 @@ def run_fig6(
         spec = WORKLOAD_CELLS[cell].with_skew(5)
         stats = run_comparison(
             spec, PAPER_ALGORITHMS, n, seed, n_workers=n_workers,
-            telemetry=telemetry, engine=engine,
+            telemetry=telemetry,
         )
         panels.append(
             {"name": cell, "label": label, "series": [s.to_dict() for s in stats]}
@@ -188,7 +185,6 @@ def run_fig7(
     seed: int = 2014,
     n_workers: int | None = None,
     telemetry: Telemetry | None = None,
-    engine: str | None = None,
 ) -> dict:
     """Fig. 7: non-preemptive vs preemptive scheduling."""
     n = n_instances or DEFAULT_INSTANCES["fig7"]
@@ -197,11 +193,11 @@ def run_fig7(
         spec = WORKLOAD_CELLS[cell]
         np_stats = run_comparison(
             spec, PAPER_ALGORITHMS, n, seed, n_workers=n_workers,
-            telemetry=telemetry, engine=engine,
+            telemetry=telemetry,
         )
         p_stats = run_comparison(
             spec, PAPER_ALGORITHMS, n, seed, preemptive=True, n_workers=n_workers,
-            telemetry=telemetry, engine=engine,
+            telemetry=telemetry,
         )
         series = [s.to_dict() for s in np_stats] + [s.to_dict() for s in p_stats]
         panels.append({"name": cell, "label": label, "series": series})
@@ -220,7 +216,6 @@ def run_fig8(
     seed: int = 2015,
     n_workers: int | None = None,
     telemetry: Telemetry | None = None,
-    engine: str | None = None,
 ) -> dict:
     """Fig. 8: MQB with partial / imprecise descendant information."""
     n = n_instances or DEFAULT_INSTANCES["fig8"]
@@ -228,7 +223,7 @@ def run_fig8(
     for cell, label in _LAYERED_PANELS:
         stats = run_comparison(
             WORKLOAD_CELLS[cell], APPROX_INFO_ALGORITHMS, n, seed,
-            n_workers=n_workers, telemetry=telemetry, engine=engine,
+            n_workers=n_workers, telemetry=telemetry,
         )
         panels.append(
             {"name": cell, "label": label, "series": [s.to_dict() for s in stats]}
@@ -350,7 +345,6 @@ def run_experiment(
     mttr: float | None = None,
     fault_seed: int | None = None,
     telemetry: Telemetry | None = None,
-    engine: str | None = None,
 ) -> dict:
     """Run one experiment by id (``fig4`` ... ``robustness``).
 
@@ -358,8 +352,7 @@ def run_experiment(
     sense for experiments that inject failures; passing one to any
     other experiment is a configuration error.  Likewise ``telemetry``
     (profiling) only applies to simulation sweeps — the theory
-    experiments (``lemma1``, ``thm2``) reject it — and ``engine``
-    (``scalar``/``batch``) only to the paired-comparison figures.
+    experiments (``lemma1``, ``thm2``) reject it.
     """
     try:
         fn = EXPERIMENTS[name]
@@ -382,8 +375,6 @@ def run_experiment(
         kwargs["fault_seed"] = fault_seed
     if telemetry is not None:
         kwargs["telemetry"] = telemetry
-    if engine is not None:
-        kwargs["engine"] = engine
     try:
         return fn(**kwargs)
     except TypeError as exc:
@@ -392,10 +383,6 @@ def run_experiment(
         if "telemetry" in str(exc):
             raise ConfigurationError(
                 f"experiment {name!r} does not support profiling"
-            ) from None
-        if "'engine'" in str(exc):
-            raise ConfigurationError(
-                f"experiment {name!r} does not support engine selection"
             ) from None
         raise ConfigurationError(
             f"experiment {name!r} does not accept fault parameters "

@@ -26,8 +26,8 @@ The runner's order is fixed:
    (and counts) the hits before anything else, so hits never occupy a
    pool slot and an all-hit sweep builds no pool;
 2. **misses** — in-process for one worker or one remaining instance,
-   in chunks of the sweep's write-back size; otherwise on a process
-   pool, ``_CHUNKS_PER_WORKER`` chunks per worker;
+   one instance per chunk; otherwise on a process pool,
+   ``_CHUNKS_PER_WORKER`` chunks per worker;
 3. **persistence** — each chunk's columns are stored as the chunk
    lands, so an interrupted sweep resumes from its last landed chunk
    (the last finished instance, for one worker);
@@ -113,16 +113,12 @@ class Sweep:
 
     ``fingerprint`` is the result-cache base fingerprint
     (:mod:`repro.resultcache.keys`), or ``None`` for an uncached sweep.
-    ``writeback`` is how many instances one in-process chunk computes:
-    one for the scalar engines, so an interrupted serial sweep resumes
-    from its last finished instance.
     """
 
     fingerprint: dict | None
     n_rows: int
     n_instances: int
     chunk: Callable[[int, int, Telemetry | None], np.ndarray]
-    writeback: int = 1
 
     def __post_init__(self) -> None:
         if self.n_instances < 1:
@@ -174,11 +170,12 @@ class SweepRun:
     def chunks(self, slots: int | None = None) -> list[tuple[int, int]]:
         """The misses as ``(start, stop)`` chunks.
 
-        Write-back sized by default; for ``slots`` pool slots,
-        ``_CHUNKS_PER_WORKER`` chunks per slot.
+        One instance per chunk by default, so an interrupted serial
+        sweep resumes from its last finished instance; for ``slots``
+        pool slots, ``_CHUNKS_PER_WORKER`` chunks per slot.
         """
         if slots is None:
-            return plan_chunks(self.segments, self.sweep.writeback)
+            return plan_chunks(self.segments, 1)
         size = max(1, -(-self.remaining // (slots * _CHUNKS_PER_WORKER)))
         return plan_chunks(self.segments, size)
 

@@ -29,7 +29,6 @@ fully resets per-run state (guaranteed by
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -37,7 +36,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.capabilities import plan_run
-from repro.errors import ConfigurationError
 from repro.experiments.parallel import Sweep, resolve_workers, run_sweep
 from repro.obs.telemetry import Telemetry
 from repro.resultcache.keys import comparison_fingerprint
@@ -46,31 +44,16 @@ from repro.schedulers.registry import make_scheduler
 from repro.workloads.generator import sample_instance
 from repro.workloads.params import WorkloadSpec
 
-__all__ = ["SeriesStats", "comparison_sweep", "resolve_engine", "run_comparison"]
-
-#: Instances per batch-engine writeback chunk: large enough to
-#: amortize the lockstep rounds over many rows, small enough that an
-#: interrupted cold sweep resumes from a recent chunk and the offline
-#: LRU cache (default 128 jobs) still covers a chunk's worth of jobs.
-_BATCH_CHUNK = 128
+__all__ = ["SeriesStats", "comparison_sweep", "run_comparison"]
 
 
-def resolve_engine(engine: str | None = None) -> str:
-    """Effective simulation engine: explicit argument, else ``REPRO_ENGINE``.
+def resolve_engine() -> str:
+    """The engine sweeps run on: always ``"scalar"``.
 
-    ``REPRO_ENGINE`` accepts ``scalar`` (the per-instance event loop,
-    the default) or ``batch`` (the vectorized lockstep engine of
-    :mod:`repro.sim.batch`, bit-identical results).  Unset or empty
-    means scalar.
+    The per-instance event loop, with its native whole-run mirror, is
+    the only one; ``perfbench/run.py`` records this name in its report.
     """
-    if engine is None:
-        engine = os.environ.get("REPRO_ENGINE", "").strip().lower() or "scalar"
-    engine = str(engine).strip().lower()
-    if engine not in ("scalar", "batch"):
-        raise ConfigurationError(
-            f"engine must be 'scalar' or 'batch', got {engine!r}"
-        )
-    return engine
+    return "scalar"
 
 
 @dataclass(frozen=True)
@@ -153,54 +136,6 @@ def _ratio_chunk(
     return block
 
 
-def _batch_ratio_chunk(
-    spec: WorkloadSpec,
-    algorithms: tuple[str, ...],
-    seed: int,
-    start: int,
-    stop: int,
-    telemetry: Telemetry | None,
-) -> np.ndarray:
-    """Comparison chunk on the lockstep batch engine.
-
-    Samples each instance with exactly the randomness the scalar path
-    derives from ``SeedSequence([seed, i])`` — same spawn layout, same
-    per-algorithm generators — then hands the whole (algorithm ×
-    instance) grid to :func:`repro.sim.batch.simulate_batch_grid`,
-    which simulates every supported pair in lockstep and is
-    bit-identical to the scalar engine per pair.
-    """
-    from repro.sim.batch import simulate_batch_grid
-
-    schedulers = [make_scheduler(name) for name in algorithms]
-    obs = telemetry if (telemetry is not None and telemetry.enabled) else None
-    instances = []
-    rng_grid: list[list[np.random.Generator | None]] = [
-        [None] * (stop - start) for _ in schedulers
-    ]
-    for j, i in enumerate(range(start, stop)):
-        ss = np.random.SeedSequence([seed, i])
-        inst_rng, *alg_seeds = ss.spawn(1 + len(schedulers))
-        if obs is None:
-            instances.append(sample_instance(spec, np.random.default_rng(inst_rng)))
-        else:
-            with obs.timer("phase.sample_instance"):
-                instances.append(
-                    sample_instance(spec, np.random.default_rng(inst_rng))
-                )
-            obs.inc("sweep.instances")
-        for a in range(len(schedulers)):
-            rng_grid[a][j] = np.random.default_rng(alg_seeds[a])
-    grid = simulate_batch_grid(
-        instances, schedulers, rngs=rng_grid, telemetry=telemetry
-    )
-    block = np.empty((len(algorithms), stop - start), dtype=np.float64)
-    for a in range(len(schedulers)):
-        for j in range(stop - start):
-            block[a, j] = grid[a][j].completion_time_ratio()
-    return block
-
-
 def comparison_sweep(
     spec: WorkloadSpec,
     algorithms: Sequence[str],
@@ -208,15 +143,11 @@ def comparison_sweep(
     seed: int,
     preemptive: bool = False,
     quantum: float = 1.0,
-    batch: bool = False,
 ) -> Sweep:
     """The paired comparison as a :class:`~repro.experiments.parallel.Sweep`.
 
     One completion-time-ratio row per algorithm, each planned here
-    (:func:`~repro.capabilities.plan_run`), before any work.  ``batch``
-    computes the misses on the lockstep batch engine, ``_BATCH_CHUNK``
-    instances per in-process chunk; cache keys carry no engine field,
-    which is sound because the engines are bit-identical per instance.
+    (:func:`~repro.capabilities.plan_run`), before any work.
     """
     algorithms = tuple(algorithms)
     engines = tuple(
@@ -225,16 +156,11 @@ def comparison_sweep(
     )
     if preemptive:
         engines = tuple(partial(engine, quantum=quantum) for engine in engines)
-    if batch:
-        chunk = partial(_batch_ratio_chunk, spec, algorithms, seed)
-    else:
-        chunk = partial(_ratio_chunk, spec, algorithms, engines, seed)
     return Sweep(
         comparison_fingerprint(spec, algorithms, seed, preemptive, quantum),
         len(algorithms),
         n_instances,
-        chunk,
-        writeback=_BATCH_CHUNK if batch else 1,
+        partial(_ratio_chunk, spec, algorithms, engines, seed),
     )
 
 
@@ -270,7 +196,6 @@ def run_comparison(
     quantum: float = 1.0,
     n_workers: int | None = None,
     telemetry: Telemetry | None = None,
-    engine: str | None = None,
 ) -> list[SeriesStats]:
     """Run ``algorithms`` over ``n_instances`` shared instances of ``spec``.
 
@@ -279,18 +204,9 @@ def run_comparison(
     suffixed with ``" (P)"`` in that case so mixed comparisons stay
     unambiguous.
 
-    ``engine`` selects how non-preemptive instances are simulated
-    (``None`` defers to ``REPRO_ENGINE``, defaulting to ``scalar``):
-    ``"batch"`` routes cache-miss instances through the vectorized
-    lockstep engine (:mod:`repro.sim.batch`), which simulates the
-    whole (algorithm × instance) grid in-process — no worker pool —
-    with bit-identical results and identical cache keys.  Preemptive
-    comparisons always use the scalar preemptive engine.
-
     ``n_workers`` selects how many worker processes shard the instance
     loop (``None`` defers to ``REPRO_WORKERS``, defaulting to serial).
-    Results are identical for every worker count (the batch engine
-    runs one).
+    Results are identical for every worker count.
 
     ``telemetry`` enables profiling (:mod:`repro.obs`): engine phase
     timers, per-scheduler decision costs and sweep counters accumulate
@@ -310,11 +226,8 @@ def run_comparison(
     state.
     """
     workers = resolve_workers(n_workers)
-    batch = resolve_engine(engine) == "batch" and not preemptive
     sweep = comparison_sweep(
-        spec, algorithms, n_instances, seed, preemptive, quantum, batch
+        spec, algorithms, n_instances, seed, preemptive, quantum
     )
-    # The batch engine runs a whole chunk in one lockstep pass; forking
-    # workers for slices of it would cost more than it could save.
-    ratios = run_sweep(sweep, 1 if batch else workers, telemetry)
+    ratios = run_sweep(sweep, workers, telemetry)
     return _stats_from_ratios(algorithms, ratios, preemptive)

@@ -5,9 +5,7 @@
 
 * the hot inner loop of every MQB commit — score each ready candidate
   of one type, compare lexicographically, swap-remove the winner — for
-  the scalar scheduler (:class:`repro.schedulers.mqb.MQB`) and the
-  batched lockstep engine (:mod:`repro.sim.batch`)
-  [``repro_mqb_pick_pop``, ``repro_mqb_pick_commit``];
+  :class:`repro.schedulers.mqb.MQB` [``repro_mqb_pick_pop``];
 * a whole non-preemptive run of :func:`repro.sim.engine.simulate`'s
   loop (:meth:`MQBKernel.run`) for schedulers with a row kind
   (:func:`repro.capabilities.row_kind`): static-priority heaps, or MQB
@@ -106,7 +104,7 @@ __all__ = [
     "native_status",
 ]
 
-ABI_VERSION = 5
+ABI_VERSION = 6
 MODE_CODES = {"lex": 0, "min": 1, "sum": 2}
 
 #: repro_list_schedule's status codes.
@@ -154,16 +152,6 @@ class MQBKernel:
             _c_ll, _c_ll,
         )
         self.pick_pop = pick_pop
-
-        pick_commit = lib.repro_mqb_pick_commit
-        pick_commit.restype = _c_ll
-        # d_g, work_g, pool_task, pool_seq, pool_len, l, extra, parr,
-        # rows, alphas, n, K, M, mode, carry, out_tasks
-        pick_commit.argtypes = (
-            _c_p, _c_p, _c_p, _c_p, _c_p, _c_p, _c_p, _c_p, _c_p, _c_p,
-            _c_ll, _c_ll, _c_ll, _c_ll, _c_ll, _c_p,
-        )
-        self.pick_commit = pick_commit
 
         list_schedule = lib.repro_list_schedule
         list_schedule.restype = _c_ll
@@ -226,10 +214,15 @@ class MQBKernel:
         ``kind`` is ``"static"`` (``keys``: one priority per task) or
         ``"mqb"`` (``d``: the ``(n, K)`` descendant matrix, balance
         ``mode`` and ``carry``).  ``counts`` are the processor counts.
-        Raises :class:`ValueError` for arrays of the wrong shape and
-        :class:`OSError` for input the loop rejects or a failed
-        allocation; a stall comes back as ``NativeRun.stalled``.
+        Raises :class:`ValueError` for an unknown ``kind`` or ``mode``
+        and for arrays of the wrong shape, and :class:`OSError` for
+        input the loop rejects or a failed allocation; a stall comes
+        back as ``NativeRun.stalled``.
         """
+        if kind not in ("static", "mqb"):
+            raise ValueError(f"native run: unknown row kind {kind!r}")
+        if mode not in MODE_CODES:
+            raise ValueError(f"native run: unknown balance mode {mode!r}")
         n, k = job.n_tasks, job.num_types
         types, child_ptr, child_idx, counts = (
             np.ascontiguousarray(a, dtype=np.int64)

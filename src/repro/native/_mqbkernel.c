@@ -3,8 +3,7 @@
  * Implements the hot inner loop of MQB scheduling — score every ready
  * candidate of one type, pick the lexicographically best balance
  * vector, and swap-remove the winner from the ready-pool buffers —
- * for the scalar scheduler (repro.schedulers.mqb.MQB) and the batched
- * lockstep engine (repro.sim.batch._MQBLockstep), and, around it,
+ * for repro.schedulers.mqb.MQB, and, around it,
  * repro_list_schedule: one complete non-preemptive run of the scalar
  * engine's loop for a static-priority or MQB scheduler, which
  * repro.sim.engine.simulate calls once per run (the section at the end
@@ -37,17 +36,17 @@
  * a toolchain ships a prebuilt .so) and as a plain shared library for
  * the lazy `cc -shared -DREPRO_NO_PYTHON` ctypes build path; the
  * symbols are always consumed through ctypes, never through the
- * (empty) Python module.  Entry points (ABI 5):
+ * (empty) Python module.  Entry points (ABI 6):
  *
  *   repro_native_abi
- *   repro_mqb_pick_pop, repro_mqb_pick_commit   MQB picks
- *   repro_list_schedule                         whole static/MQB runs
- *   repro_topo_levels                           KDag's level-order peel
+ *   repro_mqb_pick_pop                  MQB picks
+ *   repro_list_schedule                 whole static/MQB runs
+ *   repro_topo_levels                   KDag's level-order peel
  *   repro_bottom_levels, repro_top_levels,
- *   repro_different_child_distance              order-free offline sweeps
- *   repro_edd_schedule                          ShiftBT's EDD subproblem
- *   repro_descendant_values                     the add sweeps
- *   repro_tree_expand                           generate_tree's expansion
+ *   repro_different_child_distance      order-free offline sweeps
+ *   repro_edd_schedule                  ShiftBT's EDD subproblem
+ *   repro_descendant_values             the add sweeps
+ *   repro_tree_expand                   generate_tree's expansion
  *
  * The offline passes and the tree expansion have their own sections at
  * the end of the file.
@@ -60,7 +59,7 @@
 #include <string.h>
 #include <time.h>
 
-#define REPRO_NATIVE_ABI 5
+#define REPRO_NATIVE_ABI 6
 #define MODE_LEX 0
 #define MODE_MIN 1
 #define MODE_SUM 2
@@ -242,50 +241,6 @@ static i64 pool_pick_commit(const double *d, const double *work,
     pseq[best] = pseq[last];
     *plen = last;
     return wtask;
-}
-
-/* Batched lockstep pick + commit over n independent (row, alpha)
- * pairs (each row appears at most once per call, so pairs never read
- * each other's updates — exactly the vectorized _pick_multi contract).
- *
- * Pools are the engine's flat (R*K, M) buffers: pair p's candidates
- * occupy slots [g*M, g*M + pool_len[g]) with g = rows[p]*K+alphas[p].
- * For each pair: pick the best candidate (scored against that row's
- * l + extra), update extra (when carry) and l, swap-remove the winner
- * from its pool slice, decrement pool_len, and write the winning
- * global task id to out_tasks[p].  Returns 0, or -1 on bad arguments.
- */
-EXPORT i64 repro_mqb_pick_commit(const double *d_g, const double *work_g,
-                                 i64 *pool_task, i64 *pool_seq,
-                                 i64 *pool_len,
-                                 double *l, double *extra,
-                                 const double *parr,
-                                 const i64 *rows, const i64 *alphas,
-                                 i64 n, i64 K, i64 M,
-                                 i64 mode, i64 carry, i64 *out_tasks) {
-    double s[REPRO_NATIVE_MAX_K];
-    double key_a[REPRO_NATIVE_MAX_K], key_b[REPRO_NATIVE_MAX_K];
-
-    if (n <= 0 || K <= 0 || K > REPRO_NATIVE_MAX_K || M <= 0) return -1;
-    if (mode < MODE_LEX || mode > MODE_SUM) return -1;
-    if (mode == MODE_SUM && K >= 8) return -1;
-    /* Validate every pair before committing any, so a rejection is
-     * all-or-nothing and the caller can safely fall back to numpy. */
-    for (i64 p = 0; p < n; p++) {
-        i64 alpha = alphas[p];
-        if (alpha < 0 || alpha >= K) return -1;
-        if (pool_len[rows[p] * K + alpha] <= 0) return -1;
-    }
-
-    for (i64 p = 0; p < n; p++) {
-        i64 r = rows[p];
-        i64 g = r * K + alphas[p];
-        out_tasks[p] = pool_pick_commit(
-            d_g, work_g, pool_task + g * M, pool_seq + g * M, &pool_len[g],
-            l + r * K, extra + r * K, parr + r * K, K, alphas[p], mode,
-            carry, s, key_a, key_b);
-    }
-    return 0;
 }
 
 /* ------------------------------------------------------------------

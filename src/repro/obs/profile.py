@@ -78,25 +78,6 @@ def render_cache_line(snapshot: TelemetrySnapshot) -> str | None:
     )
 
 
-def render_batch_line(snapshot: TelemetrySnapshot) -> str | None:
-    """One-line batch-engine summary, or ``None`` if it never ran.
-
-    Reads the ``batch.*`` counters :mod:`repro.sim.batch` maintains —
-    rows simulated in lockstep, vectorized event rounds, and rows that
-    fell back to the scalar engine — so ``repro profile`` shows how
-    much of a sweep the batch engine actually carried.
-    """
-    instances = snapshot.counters.get("batch.instances", 0)
-    fallback = snapshot.counters.get("batch.fallback", 0)
-    if instances + fallback == 0:
-        return None
-    return (
-        f"batch engine: {instances} rows in lockstep, "
-        f"{snapshot.counters.get('batch.rounds', 0)} rounds, "
-        f"{fallback} scalar fallbacks"
-    )
-
-
 def render_steal_line(snapshot: TelemetrySnapshot) -> str | None:
     """One-line work-stealing summary, or ``None`` without steal traffic.
 
@@ -169,7 +150,6 @@ def render_profile(snapshot: TelemetrySnapshot, top_n: int = 20) -> str:
     )
     cache_line = render_cache_line(snapshot)
     for extra in (
-        render_batch_line(snapshot),
         render_native_line(snapshot),
         render_steal_line(snapshot),
         render_energy_line(snapshot),

@@ -56,10 +56,10 @@ class Scheduler(ABC):
     #: engine); :func:`repro.capabilities.plan_run` reads it.
     decentral: bool = False
 
-    #: The row kind (``"static"`` or ``"mqb"``) the batch engine and
-    #: the native whole-run loop may run this family as, or ``None``
-    #: for the Python loop; :func:`repro.capabilities.row_kind` reads
-    #: it, together with the protocol methods it stands for.
+    #: The row kind (``"static"`` or ``"mqb"``) the native whole-run
+    #: loop may run this family as, or ``None`` for the Python loop;
+    #: :func:`repro.capabilities.row_kind` reads it, together with the
+    #: protocol methods it stands for.
     lockstep: str | None = None
 
     def __init__(self) -> None:
@@ -204,8 +204,8 @@ class QueueScheduler(Scheduler):
     task; at run time each type's ready pool is a binary heap ordered by
     ``(key, ready sequence)`` so ties resolve in FIFO arrival order and
     runs are fully deterministic.  The prepared vector is public as
-    :attr:`keys`: the batch engine and the native whole-run loop read
-    it instead of calling the protocol per task.
+    :attr:`keys`: the native whole-run loop reads it instead of calling
+    the protocol per task.
     """
 
     lockstep = "static"

@@ -103,8 +103,8 @@ def make_scheduler(name: str) -> Scheduler:
     if key in _FACTORIES:
         return _FACTORIES[key]()
     if key.startswith(("dkgreedy", "dmqb")):
-        # Imported lazily: repro.decentral pulls in the sim package,
-        # whose batch module imports this registry at module load.
+        # Imported lazily: repro.decentral pulls in its own engine and
+        # the sim package, which centralized names never need.
         from repro.decentral.schedulers import make_decentral_scheduler
 
         return make_decentral_scheduler(key)

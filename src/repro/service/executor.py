@@ -329,9 +329,8 @@ class ServiceExecutor:
         landed chunk is persisted, both off the event loop (they are
         file reads and writes); the misses are planned into
         ``_CHUNKS_PER_WORKER`` chunks per pool slot, which run wherever
-        the pool has capacity.  The sweep always uses the scalar
-        engine, and the assembled matrix is collapsed by the exact
-        serial-path code, so responses are bit-identical to
+        the pool has capacity.  The assembled matrix is collapsed by
+        the exact serial-path code, so responses are bit-identical to
         :func:`run_comparison` for any pool size and interleaving.
         """
         algorithms = tuple(request.algorithms)

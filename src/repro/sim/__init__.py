@@ -10,16 +10,11 @@ authors' was written in C#); this package is the Python equivalent:
   at every quantum boundary all running tasks rejoin the candidate pool
   and the scheduler reassigns every processor; reallocation is free,
   matching the paper's assumption.
-* :func:`~repro.sim.batch.simulate_batch` — the non-preemptive engine
-  batched: N same-cell instances advance in lockstep through one
-  vectorized event loop, bit-identical per instance to
-  :func:`~repro.sim.engine.simulate`.
 * :func:`~repro.sim.validate.validate_schedule` — legality checker used
   by the test suite: type matching, processor exclusivity, precedence,
   and work conservation.
 """
 
-from repro.sim.batch import batch_supported, simulate_batch, simulate_batch_grid
 from repro.sim.engine import simulate
 from repro.sim.gantt import render_gantt
 from repro.sim.io import load_run, save_run
@@ -35,9 +30,6 @@ from repro.sim.validate import validate_schedule
 
 __all__ = [
     "simulate",
-    "simulate_batch",
-    "simulate_batch_grid",
-    "batch_supported",
     "simulate_preemptive",
     "ScheduleResult",
     "ScheduleTrace",

@@ -16,8 +16,7 @@ The engine is event driven rather than tick driven: it advances
 directly to the next completion instant, so the cost per run is
 ``O(n log n + n * selection_cost)`` independent of work magnitudes.
 
-This is the repository's one scalar non-preemptive list-scheduling
-loop (:mod:`repro.sim.batch` vectorizes it across instances).
+This is the repository's one non-preemptive list-scheduling loop.
 :func:`simulate` runs it bare.  :func:`repro.faults.simulate_with_faults`
 runs it with a *seam* that feeds processor failures and repairs
 through it.  The degenerate work-stealing policy is :func:`simulate`

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.capabilities import row_kind
 from repro.energy.models import PowerModel
 from repro.energy.schedulers import (
     EMQB,
@@ -133,37 +134,11 @@ class TestBehaviour:
         )
         assert (full.makespan, full.decisions) == (base.makespan, base.decisions)
 
-    def test_batch_engine_excludes_energy_variants(self):
-        from repro.sim.batch import batch_supported
-
-        job, system = _instance("small-layered-ep", 0)
-        assert not batch_supported(make_scheduler("emqb[w=0.5]"), job)
-        assert not batch_supported(
-            make_scheduler("kgreedy-consolidate[r=0.5]"), job
-        )
-        assert batch_supported(make_scheduler("mqb"), job)
-
-    def test_batch_falls_back_not_lockstep(self):
-        # The lockstep engine would silently run EMQB as MQB; it must
-        # fall back to the scalar engine and count the fallback.
-        from repro.sim.batch import simulate_batch
-
-        instances = [_instance("small-layered-ep", seed) for seed in range(3)]
-        telemetry = Telemetry()
-        batched = simulate_batch(
-            instances, "emqb[w=1]",
-            rngs=[np.random.default_rng(seed) for seed in range(3)],
-            telemetry=telemetry,
-        )
-        for seed, ((job, system), res) in enumerate(zip(instances, batched)):
-            scalar = simulate(
-                job, system, make_scheduler("emqb[w=1]"),
-                rng=np.random.default_rng(seed),
-            )
-            assert (res.makespan, res.decisions) == (
-                scalar.makespan, scalar.decisions
-            )
-        assert telemetry.counters.get("batch.fallback", 0) == len(instances)
+    def test_native_loop_excludes_energy_variants(self):
+        # The C loop would run them as their bases.
+        assert row_kind(make_scheduler("emqb[w=0.5]")) is None
+        assert row_kind(make_scheduler("kgreedy-consolidate[r=0.5]")) is None
+        assert row_kind(make_scheduler("mqb")) == "mqb"
 
 
 class TestConstructionAndParsing:
@@ -190,8 +165,8 @@ class TestConstructionAndParsing:
         assert make_scheduler("emqb[w=1,power=hetero]").name == "emqb[w=1]"
 
     def test_is_energy_scheduler(self):
-        # The variants subclass MQB/KGreedy but declare no lockstep row
-        # kind, so the batch engine never runs them as their bases.
+        # The variants subclass MQB/KGreedy but declare no row kind, so
+        # the native whole-run loop never runs them as their bases.
         assert EMQB().lockstep is None
         assert KGreedyConsolidate().lockstep is None
         assert make_scheduler("mqb").lockstep == "mqb"

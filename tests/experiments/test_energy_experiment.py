@@ -21,7 +21,7 @@ from repro.experiments.energy import (
     run_energy,
     run_energy_comparison,
 )
-from repro.experiments.figures import DEFAULT_INSTANCES, EXPERIMENTS, run_experiment
+from repro.experiments.figures import DEFAULT_INSTANCES, EXPERIMENTS
 from repro.obs.telemetry import Telemetry
 from repro.schedulers.registry import PAPER_ALGORITHMS
 from repro.workloads.generator import WORKLOAD_CELLS
@@ -158,20 +158,6 @@ class TestComparison:
 
 
 class TestRunEnergy:
-    def test_rejects_batch_engine(self):
-        # The sweep always simulates on the scalar engine and takes no
-        # engine selection, like the other non-comparison experiments.
-        telemetry = Telemetry()
-        with pytest.raises(ConfigurationError, match="does not support engine selection"):
-            run_experiment("energy", n_instances=1, engine="batch", telemetry=telemetry)
-        assert telemetry.counters == {}
-
-    def test_ignores_batch_engine_from_env(self, monkeypatch):
-        kwargs = dict(n_instances=1, power_names=("baseline",))
-        scalar = run_energy(**kwargs)
-        monkeypatch.setenv("REPRO_ENGINE", "batch")
-        assert run_energy(**kwargs) == scalar
-
     def test_rejects_unknown_cell(self):
         with pytest.raises(ConfigurationError):
             run_energy(n_instances=1, cell="no-such-cell")

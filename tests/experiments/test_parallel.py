@@ -190,14 +190,10 @@ class TestChunkPlanning:
             write_chunk(self, start, block)
 
         monkeypatch.setattr(SweepCache, "write_chunk", spy)
-        # One instance per chunk: in-process by the default write-back
-        # size, on the pool by ceil(4 / (2 * 4)).
+        # One instance per chunk: in-process always, on the pool by
+        # ceil(4 / (2 * 4)).
         run_sweep(Sweep(_fingerprint("identity"), 1, 4, _identity_block), workers)
         assert persisted == {i: [float(i)] for i in range(4)}
-        persisted.clear()
-        sweep = Sweep(_fingerprint("identity-3"), 1, 7, _identity_block, writeback=3)
-        run_sweep(sweep, n_workers=1)
-        assert persisted == {0: [0.0, 1.0, 2.0], 3: [3.0, 4.0, 5.0], 6: [6.0]}
 
 
 class TestResolveWorkers:

@@ -50,6 +50,13 @@ class TestRunComparison:
         with pytest.raises(ConfigurationError):
             run_comparison(TINY_EP, ["kgreedy"], 0, seed=7)
 
+    def test_worker_count_validated(self, monkeypatch):
+        with pytest.raises(ConfigurationError, match="n_workers must be >= 1, got 0"):
+            run_comparison(TINY_EP, ["kgreedy"], 2, seed=7, n_workers=0)
+        monkeypatch.setenv("REPRO_WORKERS", "-3")
+        with pytest.raises(ConfigurationError, match="REPRO_WORKERS must be >= 1, got -3"):
+            run_comparison(TINY_EP, ["kgreedy"], 2, seed=7)
+
     def test_single_instance_has_zero_std(self):
         stats = run_comparison(TINY_EP, ["kgreedy"], 1, seed=8)
         assert stats[0].std == 0.0

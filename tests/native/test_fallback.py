@@ -22,7 +22,6 @@ import pytest
 from repro import ResourceConfig, make_scheduler, simulate
 from repro import native
 from repro.obs.telemetry import Telemetry
-from repro.sim.batch import simulate_batch
 from repro.workloads.generator import WORKLOAD_CELLS, sample_job
 from tests.conftest import make_random_job
 
@@ -170,29 +169,6 @@ class TestForcedFallback:
             assert res.makespan == ref.makespan
             assert res.decisions == ref.decisions
             assert res.trace.segments == ref.trace.segments
-
-    def test_batch_fallback_counted_bit_identical(
-        self, broken_build, monkeypatch, rng
-    ):
-        system = ResourceConfig((2, 2, 2))
-        instances = [(make_random_job(rng, n=50, k=3), system) for _ in range(4)]
-
-        monkeypatch.setenv("REPRO_NATIVE", "0")
-        ref = simulate_batch(instances, "mqb", record_trace=True)
-
-        monkeypatch.setenv("REPRO_NATIVE", "1")
-        tel = Telemetry()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            nat = simulate_batch(instances, "mqb", record_trace=True,
-                                 telemetry=tel)
-        assert any("native MQB kernel" in str(w.message) for w in caught)
-        snap = tel.snapshot()
-        assert snap.counters.get("native.fallbacks", 0) >= 1
-        assert "native.calls" not in snap.counters
-        for r, n_ in zip(ref, nat):
-            assert n_.makespan == r.makespan
-            assert n_.trace.segments == r.trace.segments
 
     @pytest.mark.parametrize("name", ["kgreedy", "mqb"])
     def test_whole_run_fallback_counted_once(

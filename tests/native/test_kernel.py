@@ -18,7 +18,6 @@ from repro import native
 from repro.obs.events import EventStream
 from repro.obs.telemetry import Telemetry
 from repro.schedulers.mqb import MQB
-from repro.sim.batch import simulate_batch
 from tests.conftest import make_random_job
 
 
@@ -108,19 +107,6 @@ class TestKernelParity:
             assert nat.decisions == ref.decisions
             assert nat.trace.segments == ref.trace.segments
 
-    @pytest.mark.parametrize("name", ["mqb", "mqb[sum]"])
-    def test_batch_parity_random_jobs(self, kernel, name, rng, monkeypatch):
-        system = ResourceConfig((2, 2, 2))
-        instances = [(make_random_job(rng, n=50, k=3), system) for _ in range(5)]
-        monkeypatch.setenv("REPRO_NATIVE", "0")
-        ref = simulate_batch(instances, name, record_trace=True)
-        monkeypatch.setenv("REPRO_NATIVE", "1")
-        nat = simulate_batch(instances, name, record_trace=True)
-        for r, n_ in zip(ref, nat):
-            assert n_.makespan == r.makespan
-            assert n_.decisions == r.decisions
-            assert n_.trace.segments == r.trace.segments
-
 
 class TestDispatchGates:
     def test_mqb_routes_native(self, kernel, rng, monkeypatch):
@@ -199,15 +185,6 @@ class TestTelemetry:
         snap = tel.snapshot()
         assert snap.counters.get("native.calls", 0) > 0
         assert "native.fallbacks" not in snap.counters
-
-    def test_batch_native_calls_counted(self, kernel, rng, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE", "1")
-        system = ResourceConfig((2, 2, 2))
-        instances = [(make_random_job(rng, n=50, k=3), system) for _ in range(4)]
-        tel = Telemetry()
-        simulate_batch(instances, "mqb", telemetry=tel)
-        snap = tel.snapshot()
-        assert snap.counters.get("native.calls", 0) > 0
 
     def test_profile_line_rendered(self):
         from repro.obs.profile import render_native_line

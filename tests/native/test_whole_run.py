@@ -6,9 +6,8 @@ grants its row kind and the kernel loads; bit-identity and telemetry
 are the differential harness's native and counters columns.  These
 tests pin the other side: a protocol override (on a subclass or on the
 instance), an attached event stream and the fault engine keep the
-Python loop and really call the protocol, the batch engine applies
-the same gate, and the C loop answers bad input and a stall with an
-error rather than a crash.
+Python loop and really call the protocol, and the C loop answers bad
+input and a stall with an error rather than a crash.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.obs.events import EventStream
 from repro.obs.telemetry import Telemetry
 from repro.schedulers.lspan import LSpan
 from repro.schedulers.registry import make_scheduler
-from repro.sim.batch import batch_supported, simulate_batch
 from repro.sim.engine import simulate
 from repro.workloads.generator import WORKLOAD_CELLS, sample_instance
 
@@ -91,16 +89,6 @@ def test_class_override_runs_python_loop(kernel, instance):
     assert (res.makespan, res.decisions) != (plain.makespan, plain.decisions)
 
 
-def test_batch_runs_class_override_on_scalar_engine(instance):
-    # The override inherits LSpan's "static" declaration; the batch
-    # engine used to run it as plain LSpan.
-    job, system = instance
-    assert not batch_supported(NewestFirst(), job)
-    scalar = simulate(job, system, NewestFirst(), record_trace=True)
-    [batch] = simulate_batch([instance], NewestFirst(), record_trace=True)
-    _same(batch, scalar)
-
-
 @pytest.mark.parametrize("name", ROW_NAMES)
 def test_instance_wrapper_runs_python_loop(kernel, instance, name):
     # A tracer wraps the protocol on the instance (perfbench does):
@@ -152,10 +140,78 @@ def _raw_job(types, work, children, k):
     )
 
 
+def _random_raw_job(rng):
+    """A well-formed DAG of 1-8 tasks over K = 1-4 types, its counts
+    and both kinds' prepared state."""
+    n, k = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+    children = [
+        sorted(int(c) for c in range(v + 1, n) if rng.random() < 0.4)
+        for v in range(n)
+    ]
+    job = _raw_job(
+        rng.integers(0, k, n).tolist(), rng.uniform(0.5, 3.0, n).tolist(),
+        children, k,
+    )
+    state = {"keys": rng.random(n), "d": rng.random((n, k))}
+    return job, rng.integers(1, 4, k), state
+
+
+def _break_ptr_start(job, counts, state, rng):
+    job.child_ptr = job.child_ptr.copy()
+    job.child_ptr[0] = int(rng.choice([-2, -1, 1, 2]))
+
+
+def _break_ptr_order(job, counts, state, rng):
+    # A middle offset above the last keeps child_idx's length right;
+    # one task has no middle, so its last offset goes below the first.
+    job.child_ptr = job.child_ptr.copy()
+    if job.n_tasks < 2:
+        job.child_ptr[-1] = -1
+    else:
+        job.child_ptr[int(rng.integers(1, job.n_tasks))] = job.child_ptr[-1] + 1
+
+
+def _break_child_idx(job, counts, state, rng):
+    n = job.n_tasks
+    job.child_idx = np.append(job.child_idx, rng.choice([-1, n, n + 5, -(2**40)]))
+    job.child_ptr = job.child_ptr.copy()
+    job.child_ptr[-1] += 1
+
+
+def _break_types(job, counts, state, rng):
+    job.types = job.types.copy()
+    job.types[int(rng.integers(job.n_tasks))] = rng.choice([-1, job.num_types, 99])
+
+
+def _break_counts(job, counts, state, rng):
+    counts[int(rng.integers(job.num_types))] = -int(rng.integers(1, 4))
+
+
+def _break_shape(job, counts, state, rng):
+    name = rng.choice(["types", "work", "child_ptr", "child_idx"])
+    a = getattr(job, name)
+    setattr(job, name, a[:-1] if a.size and rng.random() < 0.5 else np.append(a, 0))
+
+
+def _break_state(job, counts, state, rng):
+    state["keys"] = np.append(state["keys"], 0.0)
+    state["d"] = np.pad(state["d"], ((0, 0), (0, 1)))
+
+
+CORRUPTIONS = (
+    _break_ptr_start, _break_ptr_order, _break_child_idx, _break_types,
+    _break_counts, _break_shape, _break_state,
+)
+
+
 def test_bad_input_is_an_error_not_a_crash(kernel):
     job = _raw_job([0, 1], [1.0, 1.0], [[1], []], 2)
     with pytest.raises(ValueError):
         kernel.run("static", job, (1, 1), keys=np.zeros(3))
+    with pytest.raises(ValueError, match="row kind"):
+        kernel.run("bogus", job, (1, 1), keys=np.zeros(2))
+    with pytest.raises(ValueError, match="balance mode"):
+        kernel.run("mqb", job, (1, 1), d=np.zeros((2, 2)), mode="max")
     job.types = np.array([0, 2])  # out of range for K=2: rejected in C
     with pytest.raises(OSError, match="bad input"):
         kernel.run("static", job, (1, 1), keys=np.zeros(2))
@@ -163,6 +219,18 @@ def test_bad_input_is_an_error_not_a_crash(kernel):
     job.child_idx = np.array([7])  # no such task
     with pytest.raises(OSError, match="bad input"):
         kernel.run("mqb", job, (1, 1), d=np.zeros((2, 2)))
+    # Generated well-formed jobs, each broken one way.
+    rng = np.random.default_rng(11)
+    for corrupt in CORRUPTIONS:
+        for kind in ("static", "mqb"):
+            for _ in range(50):
+                job, counts, state = _random_raw_job(rng)
+                corrupt(job, counts, state, rng)
+                try:
+                    kernel.run(kind, job, counts, **state)
+                except (ValueError, OSError):
+                    continue
+                pytest.fail(f"{corrupt.__name__} ran as {kind}")
 
 
 @pytest.mark.parametrize("kind", ["static", "mqb"])

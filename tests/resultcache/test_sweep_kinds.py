@@ -9,8 +9,8 @@ properties are checked here for each kind:
   (pure lookups) are both bit-identical to a cache-disabled run, for
   one and two workers; the warm run is all hits and never samples an
   instance.  Comparison caches are also read back under the other
-  engine and the other ``REPRO_NATIVE`` backend: fingerprints carry
-  neither, which is sound because both are bit-identical.
+  ``REPRO_NATIVE`` backend: fingerprints do not carry it, which is
+  sound because both backends are bit-identical.
 * **resume** — a one-worker sweep interrupted after ``K`` finished
   instances has persisted exactly those ``K``, so its re-run finds
   ``K`` hits and returns the uninterrupted result.
@@ -43,11 +43,11 @@ SEED = 2026
 N = 8
 
 
-def _comparison(preemptive=False, engine="scalar"):
-    def run(n, workers, telemetry, engine=engine):
+def _comparison(preemptive=False):
+    def run(n, workers, telemetry):
         return run_comparison(
             TINY_EP, ALGS, n, SEED, preemptive=preemptive,
-            n_workers=workers, telemetry=telemetry, engine=engine,
+            n_workers=workers, telemetry=telemetry,
         )
     return run
 
@@ -90,13 +90,12 @@ def _service(n, workers, telemetry):
 KINDS = {
     "comparison": _comparison(),
     "preemptive": _comparison(preemptive=True),
-    "batch": _comparison(engine="batch"),
     "robustness": _robustness,
     "decentral": _decentral,
     "energy": _energy,
     "service": _service,
 }
-COMPARISONS = ("comparison", "preemptive", "batch")
+COMPARISONS = ("comparison", "preemptive")
 
 #: (kind, workers); the service runs in thread mode (``n_workers=0``).
 CASES = [
@@ -147,11 +146,6 @@ def test_cached_equals_fresh(kind, workers, cache_dir, monkeypatch):
     _assert_all_hits(warm_t, kind)
     if kind not in COMPARISONS:
         return
-
-    other = "scalar" if kind == "batch" else "batch"
-    cross_t = Telemetry()
-    assert run(N, workers, cross_t, engine=other) == truth
-    _assert_all_hits(cross_t, kind)
 
     flip = "0" if native.requested() and native.load_kernel() else "1"
     monkeypatch.setenv("REPRO_NATIVE", flip)

@@ -8,11 +8,11 @@ through every run kind and checks one of two outcomes:
 
 * **identity** to the reference run
   ``plan_run(s)(job, system, s, rng=..., record_trace=True)`` on numpy
-  — makespan, decisions and trace segments — for the batch engine, the
-  native kernel (scalar and batch, telemetry off and on), the fault
-  engine at rate 0 and enabled telemetry; the degenerate steal policy
-  and the energy off-switches reproduce their base schedulers; and
-  preemptive and energy runs validate and compute;
+  — makespan, decisions and trace segments — for the native kernel
+  (telemetry off and on), the fault engine at rate 0 and enabled
+  telemetry; the degenerate steal policy and the energy off-switches
+  reproduce their base schedulers; and preemptive and energy runs
+  validate and compute;
 * for the names with a row kind, the native whole-run loop's
   **telemetry**: the counters, histograms and timers of the Python
   loop (which an attached event stream keeps), over the loop-golden
@@ -34,8 +34,8 @@ Inputs:
   P_alpha=1, wide fan-in, non-integer work, tied keys) and hypothesis
   draws from ``tests/properties/test_schedule_invariants.py``: every
   column, every name;
-* the loop-golden generated cells: the batch column of the names the
-  lockstep engine runs, and the degenerate steal policy;
+* the loop-golden generated cells: the native column of the names
+  with a row kind, and the degenerate steal policy;
 * the native matrix's 3 cells x 3 instances: native vs numpy for MQB's
   balance and carry variants;
 * the class pools: jobs whose ready tasks share bit-identical (type,
@@ -90,7 +90,6 @@ from repro.schedulers.registry import available_schedulers, make_scheduler
 from repro.schedulers.shiftbt import edd_max_lateness_schedule, top_levels
 from repro.service.executor import ServiceExecutor
 from repro.service.protocol import ProtocolError, ScheduleRequest, SweepRequest
-from repro.sim.batch import batch_supported, simulate_batch_grid
 from repro.sim.validate import validate_schedule
 from repro.system.resources import ResourceConfig
 from repro.workloads.generator import (
@@ -103,36 +102,36 @@ from tests.sim.test_loop_golden import _jobs
 
 NAMES = available_schedulers()
 
-#: ``(decentral, lockstep, batch_supported on integral work)`` per
-#: registry name.  Pinned by hand, so a decentral mixin that slips
-#: behind its centralized base in a class's bases shows up here.
+#: ``(decentral, lockstep, row_kind)`` per registry name.  Pinned by
+#: hand, so a decentral mixin that slips behind its centralized base in
+#: a class's bases shows up here.
 DECLARATIONS = {
-    "random": (False, None, False),
-    "kgreedy": (False, "static", True),
-    "lspan": (False, "static", True),
-    "maxdp": (False, "static", True),
-    "dtype": (False, "static", True),
-    "shiftbt": (False, "static", True),
-    "mqb": (False, "mqb", True),
-    "mqb[min]": (False, "mqb", True),
-    "mqb[sum]": (False, "mqb", True),
-    "mqb[nocarry]": (False, "mqb", True),
-    "mqb+all+pre": (False, "mqb", True),
-    "mqb+all+exp": (False, "mqb", True),
-    "mqb+all+noise": (False, "mqb", True),
-    "mqb+1step+pre": (False, "mqb", True),
-    "mqb+1step+exp": (False, "mqb", True),
-    "mqb+1step+noise": (False, "mqb", True),
-    "dkgreedy": (True, None, False),
-    "dkgreedy[half]": (True, None, False),
-    "dkgreedy[global]": (True, None, False),
-    "dmqb": (True, None, False),
-    "dmqb[half]": (True, None, False),
-    "dmqb[global]": (True, None, False),
-    "emqb": (False, None, False),
-    "emqb[w=0.5]": (False, None, False),
-    "kgreedy-consolidate": (False, None, False),
-    "kgreedy-consolidate[r=0.5]": (False, None, False),
+    "random": (False, None, None),
+    "kgreedy": (False, "static", "static"),
+    "lspan": (False, "static", "static"),
+    "maxdp": (False, "static", "static"),
+    "dtype": (False, "static", "static"),
+    "shiftbt": (False, "static", "static"),
+    "mqb": (False, "mqb", "mqb"),
+    "mqb[min]": (False, "mqb", "mqb"),
+    "mqb[sum]": (False, "mqb", "mqb"),
+    "mqb[nocarry]": (False, "mqb", "mqb"),
+    "mqb+all+pre": (False, "mqb", "mqb"),
+    "mqb+all+exp": (False, "mqb", "mqb"),
+    "mqb+all+noise": (False, "mqb", "mqb"),
+    "mqb+1step+pre": (False, "mqb", "mqb"),
+    "mqb+1step+exp": (False, "mqb", "mqb"),
+    "mqb+1step+noise": (False, "mqb", "mqb"),
+    "dkgreedy": (True, None, None),
+    "dkgreedy[half]": (True, None, None),
+    "dkgreedy[global]": (True, None, None),
+    "dmqb": (True, None, None),
+    "dmqb[half]": (True, None, None),
+    "dmqb[global]": (True, None, None),
+    "emqb": (False, None, None),
+    "emqb[w=0.5]": (False, None, None),
+    "kgreedy-consolidate": (False, None, None),
+    "kgreedy-consolidate[r=0.5]": (False, None, None),
 }
 DECENTRAL = [name for name in NAMES if DECLARATIONS[name][0]]
 CENTRAL = [name for name in NAMES if not DECLARATIONS[name][0]]
@@ -152,7 +151,7 @@ IDENTICAL_TO = {
 #: override and the stealing loop's local picks stay on numpy.
 KERNEL = {name for name in NAMES if name.startswith("mqb")} | {"dmqb[global]"}
 #: Names with a row kind: the native whole-run loop carries their runs.
-ROW_NAMES = [name for name in NAMES if DECLARATIONS[name][1] is not None]
+ROW_NAMES = [name for name in NAMES if DECLARATIONS[name][2] is not None]
 
 SEED = 7
 #: The loop-golden inputs: six edge shapes, then three generated cells.
@@ -305,8 +304,8 @@ def _references(name: str, inputs: list) -> list:
 @functools.cache
 def _golden_references(name: str) -> list:
     """References over the loop-golden inputs: all of them for the
-    names the lockstep engine runs, the edge shapes for the rest."""
-    return _references(name, INPUTS if DECLARATIONS[name][2] else EDGE)
+    names with a row kind, the edge shapes for the rest."""
+    return _references(name, INPUTS if name in ROW_NAMES else EDGE)
 
 
 def _check_kernel(telemetry: Telemetry, picks: bool) -> None:
@@ -338,9 +337,8 @@ def test_declarations_cover_the_registry():
 @pytest.mark.parametrize("name", NAMES)
 def test_declarations(name):
     scheduler = make_scheduler(name)
-    job = INPUTS[0][0]
     assert (
-        scheduler.decentral, scheduler.lockstep, batch_supported(scheduler, job)
+        scheduler.decentral, scheduler.lockstep, row_kind(scheduler)
     ) == DECLARATIONS[name]
 
 
@@ -363,23 +361,6 @@ def _check_scalar(name: str, inputs: list, refs: list, bare: bool = True) -> Non
     if native.load_kernel() is not None:
         whole = sum(_whole_run(name, job) for job, _ in inputs)
         assert telemetry.counters.get("native.runs", 0) == whole, name
-
-
-def _check_batch(
-    names, inputs: list, refs: dict, on: bool, telemetry: Telemetry | None,
-    first: int = 0,
-) -> None:
-    """Batch column: one grid over ``names`` x ``inputs``, whose
-    references ran with the generators of indices ``first...``."""
-    seeds = range(first, first + len(inputs))
-    with _native(on):
-        grid = simulate_batch_grid(
-            inputs, names, rngs=[[_rng(i) for i in seeds] for _ in names],
-            record_trace=True, telemetry=telemetry,
-        )
-    for name, row in zip(names, grid):
-        for i, res in zip(seeds, row):
-            _same(res, refs[name][i], f"{name} batch, input {i}")
 
 
 def _check_run_kinds(name: str, inputs: list, refs: list) -> None:
@@ -410,28 +391,11 @@ def _check_run_kinds(name: str, inputs: list, refs: list) -> None:
 
 @pytest.mark.parametrize("name", NAMES)
 def test_scalar_and_run_kind_columns(name):
-    refs = _golden_references(name)[: len(EDGE)]
-    _check_scalar(name, EDGE, refs)
-    _check_run_kinds(name, EDGE, refs)
-
-
-@pytest.mark.parametrize(
-    "on,observe", [(True, True), (True, False), (False, False)],
-    ids=["native-telemetry", "native", "numpy"],
-)
-def test_batch_column(on, observe):
-    # Every name on the edge shapes.  On the generated cells, one run:
-    # native with telemetry, for the names the lockstep engine runs
-    # (the others fall back to plan_run's engine, which the scalar
-    # column checks).
-    refs = {name: _golden_references(name) for name in NAMES}
-    telemetry = Telemetry() if observe else None
-    _check_batch(NAMES, EDGE, refs, on, telemetry)
-    if observe:
-        lockstep = [name for name in NAMES if DECLARATIONS[name][2]]
-        generated = INPUTS[len(EDGE):]
-        _check_batch(lockstep, generated, refs, on, telemetry, first=len(EDGE))
-        _check_kernel(telemetry, picks=True)
+    # The names with a row kind also run the generated cells, whose
+    # runs the C loop carries.
+    refs = _golden_references(name)
+    _check_scalar(name, INPUTS[: len(refs)], refs)
+    _check_run_kinds(name, EDGE, refs[: len(EDGE)])
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -441,20 +405,15 @@ def test_every_column_on_generated_jobs(name, data):
     inputs = [data.draw(jobs_and_systems())]
     refs = _references(name, inputs)
     _check_scalar(name, inputs, refs)
-    for on, telemetry in ((False, None), (True, None), (True, Telemetry())):
-        _check_batch([name], inputs, {name: refs}, on, telemetry)
     _check_run_kinds(name, inputs, refs)
 
 
 def test_native_column_on_cells():
     if native.load_kernel() is None:
         pytest.skip(f"native kernel unavailable: {native.native_status()['error']}")
-    refs = {name: _references(name, NATIVE_CELLS) for name in VARIANTS}
     for name in VARIANTS:
-        _check_scalar(name, NATIVE_CELLS, refs[name], bare=False)
-    telemetry = Telemetry()
-    _check_batch(list(VARIANTS), NATIVE_CELLS, refs, True, telemetry)
-    _check_kernel(telemetry, picks=True)
+        refs = _references(name, NATIVE_CELLS)
+        _check_scalar(name, NATIVE_CELLS, refs, bare=False)
 
 
 def _check_counters(name: str, inputs: list) -> None:
