@@ -115,6 +115,63 @@ def measure_tree() -> dict[str, float]:
     return rows
 
 
+#: Target task counts of the preemptive rows' instances: the cells'
+#: medians, as perfbench/inputs.py sizes its preemptive operations.
+PREEMPTIVE_TASKS = {"small-layered-ep": 1400, "medium-layered-ir": 2750}
+
+
+def _sized_instance(cell: str, target: int, pool: int = 16):
+    """Of the instances seeds 42..42+pool draw from ``cell``, the one
+    whose task count is nearest ``target`` (the smaller seed on a tie)."""
+    spec = WORKLOAD_CELLS[cell]
+    drawn = [sample_instance(spec, np.random.default_rng(s)) for s in range(42, 42 + pool)]
+    return min(drawn, key=lambda inst: abs(inst[0].n_tasks - target))
+
+
+def measure_preemptive() -> dict[str, float]:
+    """Preemptive runs and one GlobalMQB stream, on numpy and in C.
+
+    One quantum-1 run of KGreedy on a small-layered-ep instance and of
+    MQB on a medium-layered-ir instance, each near its cell's median
+    size (the Python loop, then the kernel's preemptive loop), and one
+    GlobalMQB run of the stream experiment's first heavy-load stream
+    (seed 2018; picks on numpy's lexsort, then in the kernel).
+    """
+    from repro import native as _native
+    from repro.experiments.stream import STREAM_JOBS, STREAM_LOADS, STREAM_SPEC
+    from repro.multijob import GlobalMQB, poisson_stream, simulate_stream
+    from repro.sim.preemptive import simulate_preemptive
+    from repro.workloads.generator import sample_system
+
+    runs = {
+        "engine_preemptive_kgreedy_ep": (
+            "kgreedy", _sized_instance("small-layered-ep", PREEMPTIVE_TASKS["small-layered-ep"])
+        ),
+        "engine_preemptive_mqb_ir": (
+            "mqb", _sized_instance("medium-layered-ir", PREEMPTIVE_TASKS["medium-layered-ir"])
+        ),
+    }
+    heavy = 1
+    rng = np.random.default_rng(np.random.SeedSequence([2018, heavy, 0]))
+    stream_system = sample_system(STREAM_SPEC, rng)
+    stream = poisson_stream(STREAM_SPEC, STREAM_JOBS, STREAM_LOADS[heavy][1], rng)
+    rows: dict[str, float] = {}
+    for mode, suffix in (("0", ""), ("1", "_native")):
+        os.environ["REPRO_NATIVE"] = mode
+        if mode == "1" and _native.load_kernel() is None:
+            continue
+        for row, (name, (job, system)) in runs.items():
+            rows[row + suffix] = _best_of(
+                lambda: simulate_preemptive(job, system, make_scheduler(name)),
+                repeat=3 if mode == "0" else 10,
+            )
+        rows["stream_global_mqb" + suffix] = _best_of(
+            lambda: simulate_stream(stream, stream_system, GlobalMQB()), repeat=5
+        )
+    os.environ["REPRO_NATIVE"] = "0"
+    return rows
+
+
 def measure_offline(instances: dict) -> dict[str, float]:
     """The offline passes with a native path, on numpy and in C.
 
@@ -200,6 +257,7 @@ def measure() -> dict[str, float]:
         )
     os.environ["REPRO_NATIVE"] = "0"
     after.update(measure_tree())
+    after.update(measure_preemptive())
     after.update(measure_offline({"ir": (job, system), "tree": _tree_instance()}))
     after["engine_kgreedy_ir"] = _best_of(
         lambda: simulate(job, system, make_scheduler("kgreedy")), repeat=10
@@ -314,7 +372,8 @@ def main() -> int:
         )
         for label in ("ir", "tree")
     ] + ["sample_tree"]
-    for row in ("engine_kgreedy_ir", "engine_mqb_tree", *offline):
+    preemptive = ("engine_preemptive_kgreedy_ep", "engine_preemptive_mqb_ir", "stream_global_mqb")
+    for row in ("engine_kgreedy_ir", "engine_mqb_tree", *preemptive, *offline):
         if f"{row}_native" in after:
             speedups[f"{row}_native_vs_python"] = round(
                 after[row] / after[f"{row}_native"], 3
@@ -357,7 +416,16 @@ def main() -> int:
             "generator's expansion, its numpy draws and the KDag); their "
             "_native twins run the same work in the kernel's entry points "
             "(bit-identical). descendant_values_pass (no suffix) keeps "
-            "its history: the IR instance with REPRO_NATIVE=0."
+            "its history: the IR instance with REPRO_NATIVE=0. "
+            "engine_preemptive_kgreedy_ep and engine_preemptive_mqb_ir "
+            "time one quantum-1 simulate_preemptive run of KGreedy on the "
+            "small-layered-ep instance and of MQB on the medium-layered-ir "
+            "instance nearest the cell's median size (1,400 and 2,750 "
+            "tasks) among seeds 42-57, on the Python loop and (_native) "
+            "in the kernel's preemptive loop; stream_global_mqb times one "
+            "GlobalMQB run of the stream experiment's first heavy-load "
+            "stream (seed 2018), picks on numpy's lexsort and (_native) "
+            "in the kernel."
         ),
         "host": {
             "platform": platform.platform(),

@@ -310,6 +310,5 @@ def run_energy(
             "algorithms": list(energy_algorithm_names("<power>")),
             "deadline_factor": deadline_factor,
             "energy_price_factor": energy_price_factor,
-            "engine": "scalar",
         },
     }

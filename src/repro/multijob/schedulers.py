@@ -25,10 +25,12 @@ from typing import Callable
 
 import numpy as np
 
+from repro import native as _native
 from repro.core.descendants import descendant_values
 from repro.core.kdag import KDag
 from repro.errors import ConfigurationError, SchedulingError
 from repro.multijob.arrival import JobStream
+from repro.schedulers.mqb import best_slot
 from repro.system.resources import ResourceConfig
 
 __all__ = [
@@ -190,19 +192,50 @@ class GlobalMQB(StreamScheduler):
     descendants live in its own job — while the queue-work vector and
     the balance comparison span the whole system, exactly the
     single-job MQB rule applied to the union.
+
+    The ready pools are :class:`~repro.schedulers.mqb.MQB`'s: per type,
+    the candidates' descendant rows, works and ready seqs in array
+    buffers, swap-removed on pop.  A pick is one native ``pick_pop``
+    call when the kernel loads and MQB's lexsort
+    (:func:`~repro.schedulers.mqb.best_slot`) otherwise; both score
+    ``(l + extra) + d``, less the task's own work on its queue, over
+    ``P``, compare the sorted vectors lexicographically and give ties
+    to the smallest ready seq.
     """
 
     name = "global-mqb"
 
     def prepare(self, stream, resources, rng=None) -> None:
         super().prepare(stream, resources, rng)
-        self._pools: list[dict[tuple[int, int], int]] = [
-            {} for _ in range(stream.num_types)
-        ]
-        self._l = np.zeros(stream.num_types)
+        k = stream.num_types
+        self._l = np.zeros(k)
+        self._extra = np.zeros(k)
         self._parr = resources.as_array().astype(np.float64)
         self._d: dict[int, np.ndarray] = {}
         self._seq = 0
+        self._tasks: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+        self._dpool = [np.empty((8, k)) for _ in range(k)]
+        self._wpool = [np.empty(8) for _ in range(k)]
+        self._spool = [np.empty(8, dtype=np.int64) for _ in range(k)]
+        self._kpick = None
+        if _native.requested() and _native.supported("lex", k):
+            kernel = _native.load_kernel()
+            if kernel is None:
+                _native.note_fallback()
+            else:
+                self._kpick = kernel.pick_pop
+                # The per-pick call passes these addresses as plain ints.
+                self._ptrs = (
+                    self._l.ctypes.data, self._extra.ctypes.data,
+                    self._parr.ctypes.data,
+                )
+                self._pp = [self._pointers(a) for a in range(k)]
+
+    def _pointers(self, alpha: int) -> tuple[int, int, int]:
+        return (
+            self._dpool[alpha].ctypes.data, self._wpool[alpha].ctypes.data,
+            self._spool[alpha].ctypes.data,
+        )
 
     def job_arrived(self, jid, job, time):
         self._d[jid] = descendant_values(job)
@@ -210,47 +243,69 @@ class GlobalMQB(StreamScheduler):
     def task_ready(self, jid, task, time):
         job = self.stream.jobs[jid]
         alpha = int(job.types[task])
-        self._pools[alpha][(jid, task)] = self._seq
+        work = float(job.work[task])
+        tasks = self._tasks[alpha]
+        row = len(tasks)
+        if row == self._wpool[alpha].shape[0]:
+            for pool in (self._dpool, self._wpool, self._spool):
+                pool[alpha] = np.concatenate([pool[alpha], np.empty_like(pool[alpha])])
+            if self._kpick is not None:
+                self._pp[alpha] = self._pointers(alpha)
+        tasks.append((jid, task))
+        self._dpool[alpha][row] = self._d[jid][task]
+        self._wpool[alpha][row] = work
+        self._spool[alpha][row] = self._seq
         self._seq += 1
-        self._l[alpha] += float(job.work[task])
+        self._l[alpha] += work
 
     def pending(self, alpha):
-        return len(self._pools[alpha])
+        return len(self._tasks[alpha])
 
     def select(self, alpha, n_slots, time):
-        pool = self._pools[alpha]
+        tasks = self._tasks[alpha]
         out: list[tuple[int, int]] = []
-        extra = np.zeros(self.stream.num_types)
-        while pool and len(out) < n_slots:
-            if len(pool) <= n_slots - len(out):
-                batch = list(pool.keys())
-                for jid, task in batch:
-                    self._pop(alpha, jid, task)
-                    extra += self._d[jid][task]
-                out.extend(batch)
+        self._extra[:] = 0.0
+        while tasks and len(out) < n_slots:
+            m = len(tasks)
+            if m <= n_slots - len(out):
+                # Take all, in ready order: seqs rise with every
+                # announcement, so they are the pool's insertion order.
+                seqs = self._spool[alpha][:m].tolist()
+                works = self._wpool[alpha][:m].tolist()
+                for row in sorted(range(m), key=seqs.__getitem__):
+                    self._l[alpha] -= works[row]
+                    out.append(tasks[row])
+                tasks.clear()
                 break
-            best = None
-            best_key = None
-            for (jid, task), seq in pool.items():
-                job = self.stream.jobs[jid]
-                hypo = self._l + extra + self._d[jid][task]
-                hypo[alpha] -= float(job.work[task])
-                key = (tuple(-x for x in np.sort(hypo / self._parr)), seq)
-                # Maximize sorted-ascending lexicographically ==
-                # minimize its negation.
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (jid, task)
-            assert best is not None
-            jid, task = best
-            self._pop(alpha, jid, task)
-            extra += self._d[jid][task]
-            out.append(best)
+            out.append(self._pick(alpha, m))
         return out
 
-    def _pop(self, alpha: int, jid: int, task: int) -> None:
-        del self._pools[alpha][(jid, task)]
-        self._l[alpha] -= float(self.stream.jobs[jid].work[task])
+    def _pick(self, alpha: int, m: int) -> tuple[int, int]:
+        """Pop the best of the ``m`` ready alpha-tasks, take its work off
+        ``l`` and project its descendant row into ``extra``."""
+        if self._kpick is not None:
+            dptr, wptr, sptr = self._pp[alpha]
+            l_ptr, extra_ptr, parr_ptr = self._ptrs
+            slot = self._kpick(
+                dptr, wptr, sptr, m, len(self._l), alpha, l_ptr, extra_ptr,
+                parr_ptr, _native.MODE_CODES["lex"], 1,
+            )
+        else:
+            dpool, wpool, spool = (
+                pool[alpha] for pool in (self._dpool, self._wpool, self._spool)
+            )
+            slot = best_slot(
+                dpool, wpool, spool, m, self._l + self._extra, alpha, self._parr, "lex"
+            )
+            self._l[alpha] -= wpool[slot]
+            self._extra += dpool[slot]
+            last = m - 1
+            dpool[slot], wpool[slot], spool[slot] = dpool[last], wpool[last], spool[last]
+        tasks = self._tasks[alpha]
+        picked = tasks[slot]
+        tasks[slot] = tasks[-1]
+        tasks.pop()
+        return picked
 
 
 #: Registry of stream policies by name, in the study's plotting order —

@@ -1,6 +1,6 @@
 """Native compiled backend: MQB selection, whole runs, offline passes, trees.
 
-``_mqbkernel.c`` holds four things, consumed through :mod:`ctypes`
+``_mqbkernel.c`` holds five things, consumed through :mod:`ctypes`
 (entry points in brackets):
 
 * the hot inner loop of every MQB commit — score each ready candidate
@@ -13,6 +13,11 @@
   bit-identical (type, work, descendant row) ready tasks.  ``simulate``
   calls it once per run; everything else keeps the Python loop
   [``repro_list_schedule``];
+* a whole quantum-stepped run of
+  :func:`repro.sim.preemptive.simulate_preemptive`'s loop
+  (:meth:`MQBKernel.run_preemptive`) for the same schedulers, behind
+  the same gate: static heaps, or MQB rounds scoring every queued task
+  against its remaining work [``repro_preemptive_schedule``];
 * the offline passes, each behind a prologue in its numpy function:
   KDag's level-order peel (:meth:`MQBKernel.topo_levels`), the
   bottom-level, top-level and different-child-distance sweeps
@@ -92,6 +97,7 @@ import numpy as np
 __all__ = [
     "MQBKernel",
     "NativeRun",
+    "PreemptiveRun",
     "ABI_VERSION",
     "MODE_CODES",
     "mode",
@@ -104,11 +110,14 @@ __all__ = [
     "native_status",
 ]
 
-ABI_VERSION = 6
+ABI_VERSION = 7
 MODE_CODES = {"lex": 0, "min": 1, "sum": 2}
 
-#: repro_list_schedule's status codes.
+#: The whole-run loops' status codes.
 _RUN_OK, _RUN_NO_MEMORY, _RUN_STALLED = 0, -2, -3
+_RUN_TRACE_FULL = -6
+#: repro_preemptive_schedule's failures of the run itself, by code.
+_PREEMPTIVE_FAILURES = {-4: "budget", _RUN_STALLED: "stalled", -5: "idle"}
 
 #: numpy row sums are plain sequential accumulation only below this K.
 _PAIRWISE_SAFE_K = 8
@@ -164,6 +173,18 @@ class MQBKernel:
         )
         self.list_schedule = list_schedule
 
+        preemptive = lib.repro_preemptive_schedule
+        preemptive.restype = _c_ll
+        # kind, n, K, types, work, child_ptr, child_idx, counts, keys,
+        # d, mode, carry, quantum, budget, timing, trace_cap, trace_task,
+        # trace_proc, trace_start, trace_end, out_f, out_i
+        preemptive.argtypes = (
+            _c_ll, _c_ll, _c_ll, _c_p, _c_p, _c_p, _c_p, _c_p, _c_p,
+            _c_p, _c_ll, _c_ll, ctypes.c_double, _c_ll, _c_ll, _c_ll,
+            _c_p, _c_p, _c_p, _c_p, _c_p, _c_p,
+        )
+        self.preemptive_schedule = preemptive
+
         topo_levels = lib.repro_topo_levels
         topo_levels.restype = _c_ll
         # n, child_ptr, child_idx, order, depth
@@ -205,6 +226,40 @@ class MQBKernel:
         )
         self._tree_expand = tree
 
+    def _run_args(self, kind: str, mode: str, job, counts, keys, d) -> tuple:
+        """The arrays both whole-run loops read, checked, and the leading
+        arguments of either call (``kind`` through ``mode``); the arrays
+        must outlive the call."""
+        if kind not in ("static", "mqb"):
+            raise ValueError(f"native run: unknown row kind {kind!r}")
+        if mode not in MODE_CODES:
+            raise ValueError(f"native run: unknown balance mode {mode!r}")
+        n, k = job.n_tasks, job.num_types
+        types, child_ptr, child_idx, counts = (
+            _int64(a) for a in (job.types, job.child_ptr, job.child_idx, counts)
+        )
+        work = _float64(job.work)
+        static = kind == "static"
+        state = _float64(keys if static else d)
+        if (
+            state.shape != ((n,) if static else (n, k))
+            or types.shape != (n,) or work.shape != (n,)
+            or child_ptr.shape != (n + 1,)
+            or child_idx.shape != (int(child_ptr[-1]),)
+            or counts.shape != (k,)
+        ):
+            raise ValueError(
+                f"native {kind} run: arrays do not match n={n}, K={k}"
+            )
+        arrays = (types, work, child_ptr, child_idx, counts, state)
+        args = (
+            0 if static else 1, n, k, types.ctypes.data, work.ctypes.data,
+            child_ptr.ctypes.data, child_idx.ctypes.data, counts.ctypes.data,
+            state.ctypes.data if static else None,
+            None if static else state.ctypes.data, MODE_CODES[mode],
+        )
+        return arrays, args
+
     def run(
         self, kind: str, job, counts, keys=None, d=None, mode: str = "lex",
         carry: bool = True, record_trace: bool = False, timing: bool = False,
@@ -219,46 +274,12 @@ class MQBKernel:
         input the loop rejects or a failed allocation; a stall comes
         back as ``NativeRun.stalled``.
         """
-        if kind not in ("static", "mqb"):
-            raise ValueError(f"native run: unknown row kind {kind!r}")
-        if mode not in MODE_CODES:
-            raise ValueError(f"native run: unknown balance mode {mode!r}")
-        n, k = job.n_tasks, job.num_types
-        types, child_ptr, child_idx, counts = (
-            np.ascontiguousarray(a, dtype=np.int64)
-            for a in (job.types, job.child_ptr, job.child_idx, counts)
-        )
-        work = np.ascontiguousarray(job.work, dtype=np.float64)
-        static = kind == "static"
-        state = np.ascontiguousarray(keys if static else d, dtype=np.float64)
-        if (
-            state.shape != ((n,) if static else (n, k))
-            or types.shape != (n,) or work.shape != (n,)
-            or child_ptr.shape != (n + 1,)
-            or child_idx.shape != (int(child_ptr[-1]),)
-            or counts.shape != (k,)
-        ):
-            raise ValueError(
-                f"native {kind} run: arrays do not match n={n}, K={k}"
-            )
-        keys_ptr = state.ctypes.data if static else None
-        d_ptr = None if static else state.ctypes.data
+        arrays, args = self._run_args(kind, mode, job, counts, keys, d)
         out_f = np.zeros(3, dtype=np.float64)
         out_i = np.zeros(6, dtype=np.int64)
-        if record_trace:
-            trace = (
-                np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64),
-                np.empty(n, dtype=np.float64), np.empty(n, dtype=np.float64),
-            )
-            trace_ptrs = [a.ctypes.data for a in trace]
-        else:
-            trace = None
-            trace_ptrs = [None] * 4
+        trace, trace_ptrs = _trace_buffers(job.n_tasks if record_trace else None)
         rc = self.list_schedule(
-            0 if static else 1, n, k, types.ctypes.data, work.ctypes.data,
-            child_ptr.ctypes.data, child_idx.ctypes.data,
-            counts.ctypes.data, keys_ptr, d_ptr, MODE_CODES[mode],
-            1 if carry else 0, 1 if timing else 0, *trace_ptrs,
+            *args, 1 if carry else 0, 1 if timing else 0, *trace_ptrs,
             out_f.ctypes.data, out_i.ctypes.data,
         )
         if rc not in (_RUN_OK, _RUN_STALLED):
@@ -271,6 +292,61 @@ class MQBKernel:
             makespan=f[0], decision_s=f[1], decisions=i[0],
             events_pushed=i[1], heap_peak=i[2], picks=i[3],
             trace=trace, stalled=None if rc == _RUN_OK else (f[2], i[4], i[5]),
+        )
+
+    def run_preemptive(
+        self, kind: str, job, counts, quantum: float, budget: int, keys=None,
+        d=None, mode: str = "lex", carry: bool = True,
+        record_trace: bool = False, timing: bool = False,
+        trace_cap: int | None = None,
+    ) -> "PreemptiveRun":
+        """One whole preemptive run of ``job`` in C, ``budget`` quanta at most.
+
+        ``kind``, ``counts``, ``keys``, ``d``, ``mode`` and ``carry`` are
+        :meth:`run`'s.  The trace holds ``trace_cap`` segments; by
+        default it starts at each task's quanta plus one, which every
+        run short of float cancellation fits, and doubles until the run
+        fits.  Raises :class:`ValueError` for a bad ``kind``, ``mode``,
+        array shape or quantum, and :class:`OSError` for input the loop
+        rejects, a failed allocation or a trace past a given
+        ``trace_cap``; an overrun budget or a stall comes back as
+        ``PreemptiveRun.failed``.
+        """
+        arrays, args = self._run_args(kind, mode, job, counts, keys, d)
+        quantum = float(quantum)
+        if not (quantum > 0.0 and np.isfinite(quantum)):
+            raise ValueError(f"native preemptive run: bad quantum {quantum}")
+        budget = max(min(int(budget), _I64_MAX), -_I64_MAX)
+        grow = record_trace and trace_cap is None
+        if grow:
+            quanta = float(np.ceil(arrays[1] / quantum).sum()) + job.n_tasks
+            trace_cap = int(quanta) if quanta < _TRACE_START else _TRACE_START
+        elif not record_trace:
+            trace_cap = 0
+        out_f = np.zeros(3, dtype=np.float64)
+        out_i = np.zeros(4, dtype=np.int64)
+        while True:
+            trace, trace_ptrs = _trace_buffers(trace_cap if record_trace else None)
+            rc = self.preemptive_schedule(
+                *args, 1 if carry else 0, quantum, budget, 1 if timing else 0,
+                int(trace_cap), *trace_ptrs, out_f.ctypes.data, out_i.ctypes.data,
+            )
+            if rc != _RUN_TRACE_FULL or not grow:
+                break
+            trace_cap *= 2
+        if rc not in _PREEMPTIVE_FAILURES and rc != _RUN_OK:
+            reason = {
+                _RUN_NO_MEMORY: "allocation failed",
+                _RUN_TRACE_FULL: f"more than {trace_cap} trace segments",
+            }.get(rc, "bad input")
+            raise OSError(f"native preemptive loop failed: {reason}")
+        f, i = out_f.tolist(), out_i.tolist()
+        if trace is not None:
+            trace = tuple(a[: i[1]] for a in trace)
+        return PreemptiveRun(
+            makespan=f[0], decision_s=f[1], decisions=i[0], dispatched=i[1],
+            picks=i[2], trace=trace,
+            failed=None if rc == _RUN_OK else (_PREEMPTIVE_FAILURES[rc], f[2], i[3]),
         )
 
     # -- offline passes -------------------------------------------------
@@ -444,6 +520,8 @@ _PASS_BAD_INPUT, _PASS_NO_MEMORY, _PASS_NAN_KEY = -1, -2, -3
 _TREE_NEED_ROOM = 1
 #: expand_tree's first buffer size (max_nodes when smaller).
 _TREE_START = 8192
+#: run_preemptive's largest first trace buffer, in segments.
+_TRACE_START = 1 << 22
 _I64_MAX = 2**63 - 1
 
 
@@ -453,6 +531,18 @@ def _int64(a) -> np.ndarray:
 
 def _float64(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
+
+
+def _trace_buffers(cap: int | None) -> tuple:
+    """``(task, proc, start, end)`` arrays of ``cap`` slots and their
+    addresses, or ``None`` and four null pointers."""
+    if cap is None:
+        return None, [None] * 4
+    trace = (
+        np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64),
+        np.empty(cap, dtype=np.float64), np.empty(cap, dtype=np.float64),
+    )
+    return trace, [a.ctypes.data for a in trace]
 
 
 def _grown(a: np.ndarray, size: int) -> np.ndarray:
@@ -467,6 +557,26 @@ def _check_pass(rc: int, name: str) -> None:
             f"native {name} failed: "
             + ("allocation failed" if rc == _PASS_NO_MEMORY else "bad input")
         )
+
+
+class PreemptiveRun(NamedTuple):
+    """What one whole preemptive run in C reports
+    (:meth:`MQBKernel.run_preemptive`)."""
+
+    makespan: float
+    #: wall seconds inside decision rounds (0.0 unless timed)
+    decision_s: float
+    decisions: int
+    #: trace segments, one per task per quantum it ran in
+    dispatched: int
+    #: MQB picks scored in C (take-all steps make none)
+    picks: int
+    #: (task, proc, start, end) arrays in dispatch order, or None
+    trace: tuple | None
+    #: ("budget" | "stalled" | "idle", time, unfinished) when the run
+    #: overran its budget, found every queue empty or chose nothing,
+    #: else None
+    failed: tuple | None
 
 
 class NativeRun(NamedTuple):

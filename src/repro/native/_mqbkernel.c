@@ -1,4 +1,4 @@
-/* Native MQB selection kernel and whole-run list-scheduling loop.
+/* Native MQB selection kernel and whole-run scheduling loops.
  *
  * Implements the hot inner loop of MQB scheduling — score every ready
  * candidate of one type, pick the lexicographically best balance
@@ -6,8 +6,10 @@
  * for repro.schedulers.mqb.MQB, and, around it,
  * repro_list_schedule: one complete non-preemptive run of the scalar
  * engine's loop for a static-priority or MQB scheduler, which
- * repro.sim.engine.simulate calls once per run (the section at the end
- * of the file lists the orders it mirrors).
+ * repro.sim.engine.simulate calls once per run, and
+ * repro_preemptive_schedule, one complete quantum-stepped run for
+ * repro.sim.preemptive.simulate_preemptive (each loop's section lists
+ * the orders it mirrors).
  *
  * Bit-identity contract: every floating-point operation here replays
  * the numpy formulation in the same order on the same operands —
@@ -36,11 +38,12 @@
  * a toolchain ships a prebuilt .so) and as a plain shared library for
  * the lazy `cc -shared -DREPRO_NO_PYTHON` ctypes build path; the
  * symbols are always consumed through ctypes, never through the
- * (empty) Python module.  Entry points (ABI 6):
+ * (empty) Python module.  Entry points (ABI 7):
  *
  *   repro_native_abi
  *   repro_mqb_pick_pop                  MQB picks
  *   repro_list_schedule                 whole static/MQB runs
+ *   repro_preemptive_schedule           whole preemptive static/MQB runs
  *   repro_topo_levels                   KDag's level-order peel
  *   repro_bottom_levels, repro_top_levels,
  *   repro_different_child_distance      order-free offline sweeps
@@ -59,7 +62,7 @@
 #include <string.h>
 #include <time.h>
 
-#define REPRO_NATIVE_ABI 6
+#define REPRO_NATIVE_ABI 7
 #define MODE_LEX 0
 #define MODE_MIN 1
 #define MODE_SUM 2
@@ -751,6 +754,333 @@ done:
     free(st.next);
     free(st.seq);
     free(st.take);
+    free(st.l);
+    free(st.extra);
+    free(st.parr);
+    free(st.s);
+    free(st.key_a);
+    free(st.key_b);
+    return rc;
+}
+
+/* ------------------------------------------------------------------
+ * Whole-run preemptive scheduling (repro.sim.preemptive's C loop)
+ * ------------------------------------------------------------------
+ *
+ * One complete simulate_preemptive run for a scheduler whose protocol
+ * is QueueScheduler's ("static") or MQB's ("mqb"), statement for
+ * statement:
+ *
+ *   - each quantum checks the budget, then that some type has a queued
+ *     task, then runs one decision round over every type's P_alpha
+ *     processors; the chosen tasks, in chosen order, take processor ids
+ *     counted per type from 0, run min(quantum, remaining), finish when
+ *     their remaining work falls to 1e-12 or below and are otherwise
+ *     re-announced with their remaining work; then now += quantum, and
+ *     the finished tasks' children, in chosen order and then CSR order,
+ *     become ready;
+ *   - a task keeps the ready seq of its first announcement (the sticky
+ *     rank of QueueScheduler.task_ready and MQB.task_ready);
+ *   - static heaps hold (key, seq, task), sifted as heapq sifts;
+ *   - MQB pools hold one entry per task, scored by pool_pick_commit
+ *     against each task's remaining work.  There are no class pools:
+ *     remaining work changes a task's row.  A take-all step runs in
+ *     pool insertion order (MQB._pos's dict order), which a
+ *     re-announcement moves to the end while the task's seq stays, and
+ *     l and extra change in MQB's order.
+ *
+ * Buffers are allocated per call; nothing is process wide. */
+
+#define RUN_BUDGET -4
+#define RUN_IDLE -5
+#define RUN_TRACE_FULL -6
+
+static int csr_ok(i64 n, const i64 *ptr, const i64 *idx);
+
+/* Per-call state of one preemptive run. */
+typedef struct {
+    i64 kind, K, mode, carry;
+    const i64 *types;
+    const double *keys, *d;
+    double *remaining;      /* per task, what is left to run */
+    i64 *type_off;          /* K+1 offsets of per-type regions, by tasks */
+    ready_item *heap;       /* static: per-type ready heaps */
+    i64 *ptask, *pseq;      /* mqb: per-type pools, one entry per task */
+    i64 *ins;               /* mqb: each pooled task's insertion stamp */
+    i64 *first_seq;         /* each task's sticky ready seq, -1 */
+    i64 *n_pending;         /* queued tasks per type */
+    i64 ready_seq, n_ins;
+    double *l, *extra, *parr, *s, *key_a, *key_b;
+} preempt_state;
+
+/* QueueScheduler.task_ready / MQB.task_ready with the task's remaining
+ * work. */
+static void preempt_ready(preempt_state *st, i64 task) {
+    i64 a = st->types[task];
+    i64 seq = st->first_seq[task];
+    if (seq < 0) seq = st->first_seq[task] = st->ready_seq++;
+    if (st->kind == ROW_STATIC) {
+        ready_item item = {st->keys[task], seq, task};
+        ready_item_push(st->heap + st->type_off[a], &st->n_pending[a], item);
+    } else {
+        i64 slot = st->type_off[a] + st->n_pending[a]++;
+        st->ptask[slot] = task;
+        st->pseq[slot] = seq;
+        st->ins[task] = st->n_ins++;
+        st->l[a] += st->remaining[task];
+    }
+}
+
+/* Scheduler.assign over QueueScheduler.select: each type's heap, in
+ * type order, up to its processor count.  Returns the number chosen. */
+static i64 preempt_static_round(preempt_state *st, const i64 *counts,
+                                i64 *chosen) {
+    i64 nc = 0;
+    for (i64 a = 0; a < st->K; a++) {
+        ready_item *heap = st->heap + st->type_off[a];
+        for (i64 taken = 0; taken < counts[a] && st->n_pending[a] > 0; taken++) {
+            chosen[nc++] = ready_item_pop(heap, &st->n_pending[a]).task;
+        }
+    }
+    return nc;
+}
+
+/* MQB.assign with every processor free.  free: K scratch slots.
+ * Returns the number chosen; adds the kernel picks to *picks. */
+static i64 preempt_mqb_round(preempt_state *st, const i64 *counts,
+                             i64 *free, i64 *chosen, i64 *picks) {
+    i64 K = st->K, nc = 0;
+    for (i64 j = 0; j < K; j++) {
+        st->extra[j] = 0.0;
+        free[j] = counts[j];
+    }
+    int progress = 1;
+    while (progress) {
+        progress = 0;
+        for (i64 a = 0; a < K; a++) {
+            i64 m = st->n_pending[a];
+            if (free[a] <= 0 || m == 0) continue;
+            i64 *ptask = st->ptask + st->type_off[a];
+            if (m <= free[a]) {
+                /* Take all, in insertion order. */
+                i64 *take = chosen + nc;
+                for (i64 i = 0; i < m; i++) {
+                    i64 t = ptask[i], j = i - 1;
+                    while (j >= 0 && st->ins[take[j]] > st->ins[t]) {
+                        take[j + 1] = take[j];
+                        j--;
+                    }
+                    take[j + 1] = t;
+                }
+                for (i64 i = 0; i < m; i++) {
+                    i64 v = take[i];
+                    st->l[a] -= st->remaining[v];
+                    if (st->carry) {
+                        const double *drow = st->d + v * K;
+                        for (i64 j = 0; j < K; j++) st->extra[j] += drow[j];
+                    }
+                }
+                st->n_pending[a] = 0;
+                nc += m;
+                free[a] -= m;
+            } else {
+                chosen[nc++] = pool_pick_commit(
+                    st->d, st->remaining, ptask, st->pseq + st->type_off[a],
+                    &st->n_pending[a], st->l, st->extra, st->parr, K, a,
+                    st->mode, st->carry, st->s, st->key_a, st->key_b);
+                free[a] -= 1;
+                *picks += 1;
+            }
+            progress = 1;
+        }
+    }
+    return nc;
+}
+
+/* Run one whole preemptive simulation.
+ *
+ * kind, n, K, types, work, child_ptr, child_idx, counts, keys, d, mode,
+ * carry and timing: as repro_list_schedule.  quantum: the positive,
+ * finite quantum; budget: quanta before the run counts as overrun.
+ * trace_*: trace_cap slots each, written in dispatch order, or all
+ * NULL.
+ *
+ * out_f: [makespan, decision seconds, time of failure]; out_i:
+ * [decisions, segments dispatched, kernel picks, unfinished tasks].
+ * Returns RUN_OK, RUN_BUDGET (the budget ran out), RUN_STALLED (no
+ * type had a queued task), RUN_IDLE (a round chose nothing),
+ * RUN_TRACE_FULL (more than trace_cap segments), RUN_BAD_INPUT or
+ * RUN_NO_MEMORY. */
+EXPORT i64 repro_preemptive_schedule(i64 kind, i64 n, i64 K,
+                                     const i64 *types, const double *work,
+                                     const i64 *child_ptr,
+                                     const i64 *child_idx, const i64 *counts,
+                                     const double *keys, const double *d,
+                                     i64 mode, i64 carry, double quantum,
+                                     i64 budget, i64 timing, i64 trace_cap,
+                                     i64 *trace_task, i64 *trace_proc,
+                                     double *trace_start, double *trace_end,
+                                     double *out_f, i64 *out_i) {
+    preempt_state st = {0};
+    i64 *indeg = NULL, *chosen = NULL, *finished = NULL, *procs = NULL;
+    i64 rc = RUN_OK;
+
+    if (n < 0 || K <= 0 || !(quantum > 0.0) || isinf(quantum)) return RUN_BAD_INPUT;
+    if (trace_task != NULL && trace_cap < 0) return RUN_BAD_INPUT;
+    if (kind == ROW_STATIC) {
+        if (n > 0 && keys == NULL) return RUN_BAD_INPUT;
+    } else if (kind == ROW_MQB) {
+        if (n > 0 && d == NULL) return RUN_BAD_INPUT;
+        if (mode < MODE_LEX || mode > MODE_SUM) return RUN_BAD_INPUT;
+        if (mode == MODE_SUM && K >= 8) return RUN_BAD_INPUT;
+    } else {
+        return RUN_BAD_INPUT;
+    }
+    if (!csr_ok(n, child_ptr, child_idx)) return RUN_BAD_INPUT;
+    for (i64 v = 0; v < n; v++) {
+        if (types[v] < 0 || types[v] >= K) return RUN_BAD_INPUT;
+    }
+    for (i64 a = 0; a < K; a++) {
+        if (counts[a] < 0) return RUN_BAD_INPUT;
+    }
+
+    st.kind = kind;
+    st.K = K;
+    st.mode = mode;
+    st.carry = carry;
+    st.types = types;
+    st.keys = keys;
+    st.d = d;
+
+    indeg = calloc((size_t)n + 1, sizeof(i64));
+    chosen = malloc(((size_t)n + 1) * sizeof(i64));
+    finished = malloc(((size_t)n + 1) * sizeof(i64));
+    procs = calloc((size_t)K, sizeof(i64));
+    st.remaining = malloc(((size_t)n + 1) * sizeof(double));
+    st.first_seq = malloc(((size_t)n + 1) * sizeof(i64));
+    st.type_off = calloc((size_t)K + 1, sizeof(i64));
+    st.n_pending = calloc((size_t)K, sizeof(i64));
+    if (!indeg || !chosen || !finished || !procs || !st.remaining ||
+        !st.first_seq || !st.type_off || !st.n_pending) {
+        rc = RUN_NO_MEMORY;
+        goto done;
+    }
+    if (kind == ROW_STATIC) {
+        st.heap = malloc(((size_t)n + 1) * sizeof(ready_item));
+        if (!st.heap) {
+            rc = RUN_NO_MEMORY;
+            goto done;
+        }
+    } else {
+        st.ptask = malloc(((size_t)n + 1) * sizeof(i64));
+        st.pseq = malloc(((size_t)n + 1) * sizeof(i64));
+        st.ins = malloc(((size_t)n + 1) * sizeof(i64));
+        st.l = calloc((size_t)K, sizeof(double));
+        st.extra = calloc((size_t)K, sizeof(double));
+        st.parr = malloc((size_t)K * sizeof(double));
+        st.s = malloc((size_t)K * sizeof(double));
+        st.key_a = malloc((size_t)K * sizeof(double));
+        st.key_b = malloc((size_t)K * sizeof(double));
+        if (!st.ptask || !st.pseq || !st.ins || !st.l || !st.extra ||
+            !st.parr || !st.s || !st.key_a || !st.key_b) {
+            rc = RUN_NO_MEMORY;
+            goto done;
+        }
+        for (i64 a = 0; a < K; a++) st.parr[a] = (double)counts[a];
+    }
+    for (i64 v = 0; v < n; v++) {
+        st.type_off[types[v] + 1]++;
+        st.remaining[v] = work[v];
+        st.first_seq[v] = -1;
+    }
+    for (i64 a = 0; a < K; a++) st.type_off[a + 1] += st.type_off[a];
+    for (i64 e = 0; e < child_ptr[n]; e++) indeg[child_idx[e]]++;
+
+    i64 completed = 0, decisions = 0, picks = 0, segments = 0;
+    double now = 0.0, makespan = 0.0, decision_s = 0.0;
+    for (i64 v = 0; v < n; v++) {
+        if (indeg[v] == 0) preempt_ready(&st, v);
+    }
+    while (completed < n) {
+        if (budget <= 0) {
+            rc = RUN_BUDGET;
+            break;
+        }
+        budget--;
+        int queued = 0;
+        for (i64 a = 0; a < K && !queued; a++) queued = st.n_pending[a] > 0;
+        if (!queued) {
+            rc = RUN_STALLED;
+            break;
+        }
+        decisions++;
+        double t0 = timing ? clock_seconds() : 0.0;
+        /* procs doubles as MQB's free counts until the round is over. */
+        i64 nc = kind == ROW_STATIC
+                     ? preempt_static_round(&st, counts, chosen)
+                     : preempt_mqb_round(&st, counts, procs, chosen, &picks);
+        if (timing) decision_s += clock_seconds() - t0;
+        if (nc == 0) {
+            rc = RUN_IDLE;
+            break;
+        }
+        for (i64 a = 0; a < K; a++) procs[a] = 0;
+        i64 n_done = 0;
+        for (i64 i = 0; i < nc; i++) {
+            i64 task = chosen[i];
+            double left = st.remaining[task];
+            double run = left < quantum ? left : quantum;
+            if (trace_task != NULL) {
+                if (segments >= trace_cap) {
+                    rc = RUN_TRACE_FULL;
+                    goto done;
+                }
+                trace_task[segments] = task;
+                trace_proc[segments] = procs[types[task]];
+                trace_start[segments] = now;
+                trace_end[segments] = now + run;
+            }
+            procs[types[task]]++;
+            segments++;
+            st.remaining[task] -= run;
+            if (st.remaining[task] <= 1e-12) {
+                finished[n_done++] = task;
+                if (now + run > makespan) makespan = now + run;
+            } else {
+                preempt_ready(&st, task);
+            }
+        }
+        now += quantum;
+        for (i64 i = 0; i < n_done; i++) {
+            i64 task = finished[i];
+            completed++;
+            for (i64 e = child_ptr[task]; e < child_ptr[task + 1]; e++) {
+                i64 c = child_idx[e];
+                if (--indeg[c] == 0) preempt_ready(&st, c);
+            }
+        }
+    }
+    out_f[0] = makespan;
+    out_f[1] = decision_s;
+    out_f[2] = now;
+    out_i[0] = decisions;
+    out_i[1] = segments;
+    out_i[2] = picks;
+    out_i[3] = n - completed;
+
+done:
+    free(indeg);
+    free(chosen);
+    free(finished);
+    free(procs);
+    free(st.remaining);
+    free(st.first_seq);
+    free(st.type_off);
+    free(st.n_pending);
+    free(st.heap);
+    free(st.ptask);
+    free(st.pseq);
+    free(st.ins);
     free(st.l);
     free(st.extra);
     free(st.parr);

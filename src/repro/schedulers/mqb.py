@@ -42,9 +42,41 @@ from repro.schedulers.base import Scheduler
 from repro.schedulers.info import ExactInformation, InformationModel
 from repro.system.resources import ResourceConfig
 
-__all__ = ["MQB"]
+__all__ = ["MQB", "best_slot"]
 
 _BALANCE_MODES = ("lex", "min", "sum")
+
+
+def best_slot(
+    dpool: np.ndarray, wpool: np.ndarray, spool: np.ndarray, m: int,
+    queued: np.ndarray, alpha: int, parr: np.ndarray, mode: str,
+) -> int:
+    """The slot of the best of ``m`` pooled alpha-candidates, on numpy.
+
+    ``dpool``/``wpool``/``spool`` hold the candidates' descendant rows,
+    own works and FIFO ready seqs in rows ``0..m``; ``queued`` is the
+    queue-work vector ``l + extra``.  A candidate scores
+    ``(d + queued)``, its own work taken off its queue, over ``parr``,
+    and the best score under ``mode`` wins, ties going to the smallest
+    seq: the arithmetic and order of the native kernel's picks.
+    """
+    r = dpool[:m] + queued
+    r[:, alpha] -= wpool[:m]
+    r /= parr
+
+    # One comparison-only lexsort picks the winner: most-significant
+    # key last, FIFO ready sequence (negated: earliest wins the tie)
+    # least significant.  Comparisons are exact, so the winner is
+    # identical to the narrow-by-column formulation.
+    neg_seq = -spool[:m]
+    if mode == "lex":
+        r.sort(axis=1)
+        sort_keys = (neg_seq, *(r[:, j] for j in range(r.shape[1] - 1, 0, -1)), r[:, 0])
+    elif mode == "min":
+        sort_keys = (neg_seq, r.min(axis=1))
+    else:  # sum
+        sort_keys = (neg_seq, r.sum(axis=1))
+    return int(np.lexsort(sort_keys)[-1])
 
 
 class MQB(Scheduler):
@@ -255,24 +287,11 @@ class MQB(Scheduler):
         assert self._d is not None and self._l is not None
         assert self._wcur is not None and self._parr is not None
         tasks = self._ptasks[alpha]
-        m = len(tasks)
-        r = self._dpool[alpha][:m] + (self._l + extra)
-        r[:, alpha] -= self._wpool[alpha][:m]
-        r /= self._parr
-
-        # One comparison-only lexsort picks the winner: most-significant
-        # key last, FIFO ready sequence (negated: earliest wins the tie)
-        # least significant.  Comparisons are exact, so the winner is
-        # identical to the narrow-by-column formulation.
-        neg_seq = -self._spool[alpha][:m]
-        if self._balance_mode == "lex":
-            r.sort(axis=1)
-            sort_keys = (neg_seq, *(r[:, j] for j in range(r.shape[1] - 1, 0, -1)), r[:, 0])
-        elif self._balance_mode == "min":
-            sort_keys = (neg_seq, r.min(axis=1))
-        else:  # sum
-            sort_keys = (neg_seq, r.sum(axis=1))
-        return tasks[int(np.lexsort(sort_keys)[-1])]
+        slot = best_slot(
+            self._dpool[alpha], self._wpool[alpha], self._spool[alpha],
+            len(tasks), self._l + extra, alpha, self._parr, self._balance_mode,
+        )
+        return tasks[slot]
 
     def _commit_pick(self, alpha: int, extra: np.ndarray) -> int:
         """Pick the best ready alpha-task, pop it, project its carry.

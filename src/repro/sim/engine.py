@@ -116,10 +116,9 @@ def simulate(
         library schedulers are work conserving and never trigger this.
     """
     obs = _prepare(job, resources, scheduler, rng, telemetry)
-    if (obs is None or obs.events is None) and _native.requested():
-        result = _native_run(job, resources, scheduler, record_trace, obs)
-        if result is not None:
-            return result
+    plan = _native_plan(job, scheduler, obs)
+    if plan is not None:
+        return _native_run(job, resources, scheduler, record_trace, obs, *plan)
     return _list_schedule(job, resources, scheduler, record_trace, obs, None)
 
 
@@ -150,22 +149,24 @@ def _prepare(
     return obs
 
 
-def _native_run(
-    job: KDag,
-    resources: ResourceConfig,
-    scheduler: Scheduler,
-    record_trace: bool,
-    obs: Telemetry | None,
-) -> ScheduleResult | None:
-    """The whole run in the native kernel, or ``None`` for the Python loop.
+def _native_plan(
+    job: KDag, scheduler: Scheduler, obs: Telemetry | None
+) -> tuple | None:
+    """``(kernel, kind, state)`` for a whole run in the native kernel, or
+    ``None`` for the Python loop.
 
-    Runs when the scheduler has a row kind
-    (:func:`repro.capabilities.row_kind`), the kernel loads and, for
-    MQB, supports its balance mode at this K.  A kernel that cannot
-    load counts one ``native.fallbacks`` per run: here for static
-    rows, in ``MQB.prepare`` for MQB rows.  Reports the counters and
-    timers of the Python loop (DESIGN.md, "Native whole-run loop").
+    The gate of :func:`simulate` and
+    :func:`repro.sim.preemptive.simulate_preemptive`: ``REPRO_NATIVE``
+    allows the kernel, no event stream watches the run, the prepared
+    scheduler has a row kind (:func:`repro.capabilities.row_kind`), the
+    kernel loads and, for MQB, supports its balance mode at this K.  A
+    kernel that cannot load counts one ``native.fallbacks`` per run:
+    here for static rows, in ``MQB.prepare`` for MQB rows.  ``state``
+    holds the keyword arguments the kernel's run methods take for
+    ``kind``.
     """
+    if (obs is not None and obs.events is not None) or not _native.requested():
+        return None
     kind = row_kind(scheduler)
     if kind is None:
         return None
@@ -184,6 +185,52 @@ def _native_run(
         state = {"keys": state["keys"]}
     if kernel is None:
         return None
+    return kernel, kind, state
+
+
+def _native_trace(job: KDag, arrays: tuple | None) -> ScheduleTrace | None:
+    """A native run's ``(task, proc, start, end)`` arrays as a trace."""
+    if arrays is None:
+        return None
+    tasks, procs, starts, ends = (a.tolist() for a in arrays)
+    alphas = job.types[arrays[0]].tolist()
+    return ScheduleTrace(
+        segments=list(map(Segment, tasks, alphas, procs, starts, ends))
+    )
+
+
+def _note_native_run(
+    obs: Telemetry, name: str, n: int, run, dispatched: int, t_loop: float
+) -> None:
+    """The Python loop's counters and timers for a native run (which
+    reports ``decisions``, ``decision_s`` and ``picks``), plus
+    ``native.runs``."""
+    obs.add_time("phase.engine_loop", perf_counter() - t_loop)
+    if run.decisions:
+        obs.add_time("decision." + name, run.decision_s, run.decisions)
+        obs.inc("decisions." + name, run.decisions)
+        obs.inc("dispatched." + name, dispatched)
+    if run.picks:
+        obs.inc("native.calls", run.picks)
+    obs.inc("native.runs")
+    obs.inc("engine.runs")
+    obs.inc("engine.tasks", n)
+    obs.inc("engine.decisions", run.decisions)
+
+
+def _native_run(
+    job: KDag,
+    resources: ResourceConfig,
+    scheduler: Scheduler,
+    record_trace: bool,
+    obs: Telemetry | None,
+    kernel,
+    kind: str,
+    state: dict,
+) -> ScheduleResult:
+    """The whole run in the native kernel, as :func:`_native_plan`
+    planned it; reports the counters and timers of the Python loop
+    (DESIGN.md, "Native whole-run loop")."""
     _t_loop = perf_counter() if obs is not None else 0.0
     run = kernel.run(
         kind, job, resources.counts, record_trace=record_trace,
@@ -195,27 +242,8 @@ def _native_run(
             f"{scheduler.name} stalled at t={now}: {n_ready} ready, "
             f"{unfinished} unfinished, nothing running"
         )
-    trace = None
-    if run.trace is not None:
-        tasks, procs, starts, ends = (a.tolist() for a in run.trace)
-        alphas = job.types[run.trace[0]].tolist()
-        trace = ScheduleTrace(
-            segments=list(map(Segment, tasks, alphas, procs, starts, ends))
-        )
     if obs is not None:
-        obs.add_time("phase.engine_loop", perf_counter() - _t_loop)
-        n = job.n_tasks
-        name = scheduler.name
-        if run.decisions:
-            obs.add_time("decision." + name, run.decision_s, run.decisions)
-            obs.inc("decisions." + name, run.decisions)
-            obs.inc("dispatched." + name, n)
-        if run.picks:
-            obs.inc("native.calls", run.picks)
-        obs.inc("native.runs")
-        obs.inc("engine.runs")
-        obs.inc("engine.tasks", n)
-        obs.inc("engine.decisions", run.decisions)
+        _note_native_run(obs, scheduler.name, job.n_tasks, run, job.n_tasks, _t_loop)
         obs.inc("engine.events_pushed", run.events_pushed)
         obs.observe("engine.heap_peak", run.heap_peak)
     return ScheduleResult(
@@ -224,7 +252,7 @@ def _native_run(
         job=job,
         resources=resources,
         preemptive=False,
-        trace=trace,
+        trace=_native_trace(job, run.trace),
         decisions=run.decisions,
     )
 

@@ -16,6 +16,14 @@ completes mid-quantum; its processor stays idle until the next boundary
 Because selections repeat every quantum the cost per run is
 ``O((makespan / quantum) * selection_cost)`` — fine for the paper's
 job sizes, and the honest price of modeling preemption faithfully.
+
+The same loop exists once more, in C
+(:meth:`repro.native.MQBKernel.run_preemptive`), behind
+:func:`repro.sim.engine.simulate`'s gate: a static-priority or MQB
+scheduler with a row kind, a loaded kernel and no event stream.  It
+mirrors this loop's orders statement for statement and reports the
+same counters and timers; this loop, in Python, stays the reference
+and the path for every other scheduler.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from repro.errors import SchedulingError
 from repro.obs.events import SLICE
 from repro.obs.telemetry import Telemetry
 from repro.schedulers.base import Scheduler
+from repro.sim.engine import _native_plan, _native_trace, _note_native_run, _prepare
 from repro.sim.result import ScheduleResult
 from repro.sim.trace import ScheduleTrace
 from repro.system.resources import ResourceConfig
@@ -55,17 +64,35 @@ def simulate_preemptive(
     """
     if quantum <= 0 or not np.isfinite(quantum):
         raise SchedulingError(f"quantum must be positive and finite, got {quantum}")
-    obs = telemetry if (telemetry is not None and telemetry.enabled) else None
-    scheduler.attach_telemetry(obs)
-    if obs is None:
-        scheduler.prepare(job, resources, rng)
-    else:
-        _t0 = perf_counter()
-        scheduler.prepare(job, resources, rng)
-        obs.add_time("phase.prepare", perf_counter() - _t0)
+    obs = _prepare(job, resources, scheduler, rng, telemetry)
     k = job.num_types
     n = job.n_tasks
     types = job.types
+    # Upper bound on quanta: serializing all work on one processor per
+    # type is at most total_work / quantum rounds; multiply for slack.
+    budget = int(_MAX_QUANTA_FACTOR * (float(job.work.sum()) / quantum + n + 1))
+
+    plan = _native_plan(job, scheduler, obs)
+    if plan is not None:
+        kernel, kind, state = plan
+        _t_loop = perf_counter() if obs is not None else 0.0
+        run = kernel.run_preemptive(
+            kind, job, resources.counts, quantum, budget,
+            record_trace=record_trace, timing=obs is not None, **state,
+        )
+        if run.failed is not None:
+            raise _failure(scheduler.name, *run.failed)
+        if obs is not None:
+            _note_native_run(obs, scheduler.name, n, run, run.dispatched, _t_loop)
+        return ScheduleResult(
+            makespan=run.makespan,
+            scheduler=scheduler.name,
+            job=job,
+            resources=resources,
+            preemptive=True,
+            trace=_native_trace(job, run.trace),
+            decisions=run.decisions,
+        )
 
     indeg = job.in_degrees()
     remaining = job.work.copy()
@@ -82,35 +109,22 @@ def simulate_preemptive(
         state[vi] = 1
         scheduler.task_ready(vi, now, float(remaining[vi]))
 
-    # Upper bound on quanta: serializing all work on one processor per
-    # type is at most total_work / quantum rounds; multiply for slack.
-    budget = int(_MAX_QUANTA_FACTOR * (float(job.work.sum()) / quantum + n + 1))
-
     assign = scheduler.assign if obs is None else scheduler.on_decision
     _t_loop = perf_counter() if obs is not None else 0.0
 
     free_template = list(resources.counts)
     while completed < n:
         if budget <= 0:
-            raise SchedulingError(
-                f"{scheduler.name} exceeded the quantum budget — "
-                "scheduler is not work conserving"
-            )
+            raise _failure(scheduler.name, "budget", now, n - completed)
         budget -= 1
 
         if not any(scheduler.pending(a) for a in range(k)):
-            raise SchedulingError(
-                f"{scheduler.name} stalled at t={now}: "
-                f"{n - completed} unfinished, empty queues"
-            )
+            raise _failure(scheduler.name, "stalled", now, n - completed)
 
         decisions += 1
         chosen = assign(list(free_template), now)
         if not chosen:
-            raise SchedulingError(
-                f"{scheduler.name} assigned nothing at t={now} with "
-                "work pending"
-            )
+            raise _failure(scheduler.name, "idle", now, n - completed)
         counts = [0] * k
         newly_done: list[int] = []
         seen_round: set[int] = set()
@@ -176,3 +190,17 @@ def simulate_preemptive(
         trace=trace,
         decisions=decisions,
     )
+
+
+def _failure(name: str, kind: str, now: float, unfinished: int) -> SchedulingError:
+    """The error of a run that overran its budget (``"budget"``), found
+    every queue empty (``"stalled"``) or chose nothing (``"idle"``)."""
+    if kind == "budget":
+        return SchedulingError(
+            f"{name} exceeded the quantum budget — scheduler is not work conserving"
+        )
+    if kind == "stalled":
+        return SchedulingError(
+            f"{name} stalled at t={now}: {unfinished} unfinished, empty queues"
+        )
+    return SchedulingError(f"{name} assigned nothing at t={now} with work pending")

@@ -19,8 +19,9 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import ResourceConfig, make_scheduler, simulate
+from repro import ResourceConfig, make_scheduler, simulate, simulate_preemptive
 from repro import native
+from repro.multijob import GlobalMQB, JobStream, simulate_stream
 from repro.obs.telemetry import Telemetry
 from repro.workloads.generator import WORKLOAD_CELLS, sample_job
 from tests.conftest import make_random_job
@@ -78,17 +79,20 @@ class TestDisabledWholeRun:
         monkeypatch.setattr(native, "_build_shared_object", boom)
         monkeypatch.setattr(native, "_probe_add_order", boom)
         for entry in (
-            "run", "topo_levels", "bottom_levels", "top_levels",
-            "different_child_distance", "edd_schedule", "descendant_values",
-            "untyped_descendant_values", "one_step_descendant_values",
-            "expand_tree",
+            "run", "run_preemptive", "topo_levels", "bottom_levels",
+            "top_levels", "different_child_distance", "edd_schedule",
+            "descendant_values", "untyped_descendant_values",
+            "one_step_descendant_values", "expand_tree",
         ):
             monkeypatch.setattr(native.MQBKernel, entry, boom)
         tel = Telemetry()
         tree = sample_job(WORKLOAD_CELLS["medium-layered-tree"], rng)
         for job in (make_random_job(rng, n=40, k=3), tree):
-            simulate(job, ResourceConfig((2,) * job.num_types),
-                     make_scheduler(name), telemetry=tel)
+            system = ResourceConfig((2,) * job.num_types)
+            simulate(job, system, make_scheduler(name), telemetry=tel)
+            simulate_preemptive(job, system, make_scheduler(name), telemetry=tel)
+        stream = JobStream((make_random_job(rng, n=30, k=3),) * 2, (0.0, 4.0))
+        simulate_stream(stream, ResourceConfig((2, 2, 2)), GlobalMQB())
         assert not any(key.startswith("native.") for key in tel.counters)
         assert not native.native_status()["attempted"]
 

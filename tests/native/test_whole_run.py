@@ -1,13 +1,15 @@
-"""Which runs the native whole-run loop carries, and which it leaves.
+"""Which runs the native whole-run loops carry, and which they leave.
 
-:func:`repro.sim.engine.simulate` runs a static-priority or MQB
-scheduler's whole run in C when :func:`repro.capabilities.row_kind`
-grants its row kind and the kernel loads; bit-identity and telemetry
-are the differential harness's native and counters columns.  These
-tests pin the other side: a protocol override (on a subclass or on the
-instance), an attached event stream and the fault engine keep the
-Python loop and really call the protocol, and the C loop answers bad
-input and a stall with an error rather than a crash.
+:func:`repro.sim.engine.simulate` and
+:func:`repro.sim.preemptive.simulate_preemptive` run a static-priority
+or MQB scheduler's whole run in C when
+:func:`repro.capabilities.row_kind` grants its row kind and the kernel
+loads; bit-identity and telemetry are the differential harness's
+native, preemptive and counters columns.  These tests pin the other
+side: a protocol override (on a subclass or on the instance), an
+attached event stream and the fault engine keep the Python loop and
+really call the protocol, and the C loops answer bad input, a stall
+and an overrun budget with an error rather than a crash.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.obs.telemetry import Telemetry
 from repro.schedulers.lspan import LSpan
 from repro.schedulers.registry import make_scheduler
 from repro.sim.engine import simulate
+from repro.sim.preemptive import simulate_preemptive
 from repro.workloads.generator import WORKLOAD_CELLS, sample_instance
 
 ROW_NAMES = ("kgreedy", "mqb")
@@ -117,6 +120,34 @@ def test_event_stream_runs_python_loop(kernel, instance, name):
     assert "native.runs" not in tel.counters
     assert len(events.of_kind("decision")) == res.decisions
     _same(res, simulate(*instance, make_scheduler(name), record_trace=True))
+
+
+@pytest.mark.parametrize("name", ROW_NAMES)
+def test_preemptive_override_and_event_stream_run_python_loop(kernel, instance, name):
+    # The preemptive loop takes the same gate: a wrapped protocol sees
+    # every quantum, an event stream sees every slice.
+    scheduler = make_scheduler(name)
+    inner = scheduler.assign
+    rounds = []
+
+    def assign(free, time):
+        rounds.append(time)
+        return inner(free, time)
+
+    scheduler.assign = assign
+    tel = Telemetry()
+    res = simulate_preemptive(*instance, scheduler, record_trace=True, telemetry=tel)
+    assert len(rounds) == res.decisions > 0
+    assert "native.runs" not in tel.counters
+    events = EventStream()
+    tel = Telemetry(events=events)
+    streamed = simulate_preemptive(
+        *instance, make_scheduler(name), record_trace=True, telemetry=tel
+    )
+    assert "native.runs" not in tel.counters
+    assert len(events.of_kind("slice")) == len(streamed.trace.segments)
+    for other in (res, streamed):
+        _same(other, simulate_preemptive(*instance, make_scheduler(name), record_trace=True))
 
 
 @pytest.mark.parametrize("name", ROW_NAMES)
@@ -219,18 +250,39 @@ def test_bad_input_is_an_error_not_a_crash(kernel):
     job.child_idx = np.array([7])  # no such task
     with pytest.raises(OSError, match="bad input"):
         kernel.run("mqb", job, (1, 1), d=np.zeros((2, 2)))
-    # Generated well-formed jobs, each broken one way.
+    # Generated well-formed jobs, each broken one way, through both
+    # whole-run loops.
     rng = np.random.default_rng(11)
+    loops = {
+        "run": kernel.run,
+        "run_preemptive": lambda kind, job, counts, **state: kernel.run_preemptive(
+            kind, job, counts, 1.0, 1000, record_trace=True, **state
+        ),
+    }
     for corrupt in CORRUPTIONS:
         for kind in ("static", "mqb"):
-            for _ in range(50):
-                job, counts, state = _random_raw_job(rng)
-                corrupt(job, counts, state, rng)
-                try:
-                    kernel.run(kind, job, counts, **state)
-                except (ValueError, OSError):
-                    continue
-                pytest.fail(f"{corrupt.__name__} ran as {kind}")
+            for loop, run in loops.items():
+                for _ in range(50):
+                    job, counts, state = _random_raw_job(rng)
+                    corrupt(job, counts, state, rng)
+                    try:
+                        run(kind, job, counts, **state)
+                    except (ValueError, OSError):
+                        continue
+                    pytest.fail(f"{corrupt.__name__} ran as {kind} in {loop}")
+    # Well-formed jobs with a quantum that is not positive and finite, or
+    # a trace one segment short of the tasks (each runs at least once).
+    for _ in range(50):
+        job, counts, state = _random_raw_job(rng)
+        for kind in ("static", "mqb"):
+            for quantum in (0.0, -1.0, -0.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="quantum"):
+                    kernel.run_preemptive(kind, job, counts, quantum, 1000, **state)
+            with pytest.raises((ValueError, OSError)):
+                kernel.run_preemptive(
+                    kind, job, counts, 1.0, 1000, record_trace=True,
+                    trace_cap=job.n_tasks - 1, **state,
+                )
 
 
 @pytest.mark.parametrize("kind", ["static", "mqb"])
@@ -240,3 +292,12 @@ def test_stall_is_reported(kernel, kind):
     state = {"keys": np.zeros(2)} if kind == "static" else {"d": np.zeros((2, 2))}
     run = kernel.run(kind, job, (1, 0), **state)
     assert run.stalled == (2.0, 1, 1)
+    # Preemptive: the quantum at t=2 chooses nothing; one quantum of
+    # budget runs out at t=1; a cycle leaves every queue empty.
+    run = kernel.run_preemptive(kind, job, (1, 0), 1.0, 100, **state)
+    assert run.failed == ("idle", 2.0, 1)
+    run = kernel.run_preemptive(kind, job, (1, 1), 1.0, 1, **state)
+    assert run.failed == ("budget", 1.0, 2)
+    cycle = _raw_job([0, 1], [1.0, 1.0], [[1], [0]], 2)
+    run = kernel.run_preemptive(kind, cycle, (1, 1), 1.0, 100, **state)
+    assert run.failed == ("stalled", 0.0, 2)

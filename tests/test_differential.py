@@ -17,6 +17,10 @@ through every run kind and checks one of two outcomes:
   **telemetry**: the counters, histograms and timers of the Python
   loop (which an attached event stream keeps), over the loop-golden
   inputs and the native matrix's cells;
+* for the names with a row kind, the native **preemptive** loop:
+  identity to ``simulate_preemptive`` on ``REPRO_NATIVE=0`` (makespan,
+  decisions and every segment) at quanta 1.0, 0.5 and 2.5, and its
+  telemetry against the Python loop's;
 * the native **offline passes**, byte for byte against numpy: KDag's
   peel (order, depth, levels), the bottom and top levels, the
   different-child distance, the typed, untyped and one-step descendant
@@ -43,6 +47,8 @@ Inputs:
   native and counters columns for MQB's balance, carry and information
   variants;
 * the energy matrix's 3 cells x 3 instances: the energy off-switches;
+* for the preemptive columns: the loop-golden edge shapes, hypothesis
+  draws and one instance of each of Fig. 7's three layered cells;
 * for the offline passes: the loop-golden inputs, hypothesis draws,
   one instance of each of the eight cells, EDD subproblems at
   P_alpha = 1 and P_alpha >= tasks with tied due dates and releases,
@@ -90,6 +96,7 @@ from repro.schedulers.registry import available_schedulers, make_scheduler
 from repro.schedulers.shiftbt import edd_max_lateness_schedule, top_levels
 from repro.service.executor import ServiceExecutor
 from repro.service.protocol import ProtocolError, ScheduleRequest, SweepRequest
+from repro.sim.preemptive import simulate_preemptive
 from repro.sim.validate import validate_schedule
 from repro.system.resources import ResourceConfig
 from repro.workloads.generator import (
@@ -416,12 +423,12 @@ def test_native_column_on_cells():
         _check_scalar(name, NATIVE_CELLS, refs, bare=False)
 
 
-def _check_counters(name: str, inputs: list) -> None:
+def _check_counters(name: str, inputs: list, preemptive: bool = False) -> None:
     """Counters column: native on, ``Telemetry()`` runs take the C
     loop, and an attached event stream keeps the Python loop.  Both
     report the same counters (but the C loop's ``native.runs``),
     histograms, timer keys and decision-round counts."""
-    engine = plan_run(make_scheduler(name))
+    engine = plan_run(make_scheduler(name), preemptive=preemptive)
     with _native(True):
         for i, (job, system) in enumerate(inputs):
             fast, slow = Telemetry(), Telemetry(events=EventStream())
@@ -466,6 +473,65 @@ def test_class_pool_columns(name):
     take_all = refs[list(CLASS_POOLS).index("take-all")].trace.segments[1:13]
     assert [seg.task for seg in take_all] == list(range(1, 13))
     assert len({seg.start for seg in take_all}) == 1
+
+
+# ----------------------------------------------------------------------
+# preemptive columns
+# ----------------------------------------------------------------------
+#: Fig. 7's three layered cells, one instance each (1,116, 379 and 2,332
+#: tasks): the Python reference runs them at every quantum.
+PREEMPTIVE_CELLS = [
+    sample_instance(WORKLOAD_CELLS[cell], _rng(2))
+    for cell in ("small-layered-ep", "medium-layered-tree", "medium-layered-ir")
+]
+#: Quanta of the preemptive native column: a whole, a half and one that
+#: integer works end in the middle of.
+QUANTA = (1.0, 0.5, 2.5)
+
+
+def _check_preemptive(name: str, inputs: list) -> None:
+    """Preemptive native column: native runs, telemetry off and on,
+    against ``REPRO_NATIVE=0`` at every quantum."""
+    telemetry = Telemetry()
+    for quantum in QUANTA:
+        with _native(False):
+            refs = [
+                _run(simulate_preemptive, name, job, system, i, quantum=quantum)
+                for i, (job, system) in enumerate(inputs)
+            ]
+        with _native(True):
+            for i, (job, system) in enumerate(inputs):
+                for t in (None, telemetry):
+                    _same(
+                        _run(
+                            simulate_preemptive, name, job, system, i,
+                            quantum=quantum, telemetry=t,
+                        ),
+                        refs[i], f"{name} preemptive, quantum {quantum}, input {i}",
+                    )
+    _check_kernel(telemetry, False)
+    if native.load_kernel() is not None:
+        whole = sum(_whole_run(name, job) for job, _ in inputs) * len(QUANTA)
+        assert telemetry.counters.get("native.runs", 0) == whole, name
+
+
+@pytest.mark.parametrize("name", ROW_NAMES)
+def test_preemptive_native_column(name):
+    _check_preemptive(name, EDGE + PREEMPTIVE_CELLS)
+
+
+@pytest.mark.parametrize("name", ROW_NAMES)
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_preemptive_native_column_on_generated_jobs(name, data):
+    _check_preemptive(name, [data.draw(jobs_and_systems())])
+
+
+@pytest.mark.parametrize("name", ROW_NAMES)
+def test_preemptive_counters_column(name):
+    if native.load_kernel() is None:
+        pytest.skip(f"native kernel unavailable: {native.native_status()['error']}")
+    _check_counters(name, EDGE + PREEMPTIVE_CELLS, preemptive=True)
 
 
 # ----------------------------------------------------------------------

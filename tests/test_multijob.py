@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import KDag, ResourceConfig
+from repro import KDag, ResourceConfig, native
+from repro.core.cache import clear_offline_cache
 from repro.errors import ConfigurationError, SchedulingError
+from repro.experiments.stream import STREAM_LOADS, run_stream
 from repro.multijob import (
     GlobalKGreedy,
     GlobalMQB,
@@ -16,6 +18,7 @@ from repro.multijob import (
     poisson_stream,
     simulate_stream,
 )
+from repro.multijob.schedulers import STREAM_POLICIES, StreamScheduler
 from repro.workloads.params import EPParams, WorkloadSpec
 
 POLICIES = [GlobalKGreedy, JobFCFS, SmallestRemainingFirst, GlobalMQB]
@@ -182,3 +185,77 @@ class TestPolicyBehaviour:
         s = JobStream((job,), (0.0,))
         with pytest.raises(SchedulingError):
             simulate_stream(s, ResourceConfig((1, 1)), Liar())
+
+
+class ReferenceGlobalMQB(GlobalMQB):
+    """GlobalMQB's select as it was before the pool buffers: a dict pool
+    per type, every candidate scored in Python, one sort each."""
+
+    def prepare(self, stream, resources, rng=None) -> None:
+        StreamScheduler.prepare(self, stream, resources, rng)
+        self._pools = [{} for _ in range(stream.num_types)]
+        self._l = np.zeros(stream.num_types)
+        self._parr = resources.as_array().astype(np.float64)
+        self._d = {}
+        self._seq = 0
+
+    def task_ready(self, jid, task, time):
+        job = self.stream.jobs[jid]
+        alpha = int(job.types[task])
+        self._pools[alpha][(jid, task)] = self._seq
+        self._seq += 1
+        self._l[alpha] += float(job.work[task])
+
+    def pending(self, alpha):
+        return len(self._pools[alpha])
+
+    def select(self, alpha, n_slots, time):
+        pool = self._pools[alpha]
+        out = []
+        extra = np.zeros(self.stream.num_types)
+        while pool and len(out) < n_slots:
+            if len(pool) <= n_slots - len(out):
+                batch = list(pool.keys())
+                for jid, task in batch:
+                    self._pop(alpha, jid, task)
+                    extra += self._d[jid][task]
+                out.extend(batch)
+                break
+            best = None
+            best_key = None
+            for (jid, task), seq in pool.items():
+                job = self.stream.jobs[jid]
+                hypo = self._l + extra + self._d[jid][task]
+                hypo[alpha] -= float(job.work[task])
+                key = (tuple(-x for x in np.sort(hypo / self._parr)), seq)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = (jid, task)
+            jid, task = best
+            self._pop(alpha, jid, task)
+            extra += self._d[jid][task]
+            out.append(best)
+        return out
+
+    def _pop(self, alpha, jid, task):
+        del self._pools[alpha][(jid, task)]
+        self._l[alpha] -= float(self.stream.jobs[jid].work[task])
+
+
+@pytest.mark.parametrize("backend", ["0", "1"])
+def test_global_mqb_matches_its_reference(backend, monkeypatch):
+    # run_stream at both loads: the pool buffers, with picks on numpy's
+    # lexsort (REPRO_NATIVE=0) or in the kernel, reproduce the
+    # per-candidate Python scoring.
+    assert len(STREAM_LOADS) == 2
+    if backend == "1" and native.load_kernel() is None:
+        pytest.skip(f"native kernel unavailable: {native.native_status()['error']}")
+    for seed in (1, 4, 2018):
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        monkeypatch.setitem(STREAM_POLICIES, GlobalMQB.name, ReferenceGlobalMQB)
+        clear_offline_cache()
+        want = run_stream(2, seed)
+        monkeypatch.setenv("REPRO_NATIVE", backend)
+        monkeypatch.setitem(STREAM_POLICIES, GlobalMQB.name, GlobalMQB)
+        clear_offline_cache()
+        assert run_stream(2, seed) == want, seed
