@@ -1,15 +1,35 @@
 #!/usr/bin/env python
-"""Sustained-soak harness for the sharded scheduling cluster.
+"""Smoke checks, open-loop load levels and a sharded soak of the serving plane.
 
-Drives an open-loop mixed profile (``/schedule`` + ``/sweep`` +
-``/stream``) against a freshly spawned ``repro route`` cluster at each
-shard count (default 1, 2, 4), records time-bucketed p50/p95/p99
-latency trajectories, and asserts the serving-plane contract: **every
-offered request is answered** (zero hung, zero silently dropped), none
-with an ``internal`` error, and the SIGTERM drain is clean at every
-shard count.
+Three stages, each against freshly spawned processes:
 
-The profile mixes three request classes:
+1. **Daemon checks** on ``repro serve --workers 1`` (the process
+   pool): ``/healthz`` is ok; one ``/schedule``, one ``/sweep`` and one
+   ``/stream`` answer; the warm schedule repeat is ``cached`` and equal
+   to the fresh result; ``/metrics`` counts 4 admitted requests, one
+   ``exec.ok.<kind>`` per kind and at least one cache hit; SIGTERM
+   drains to exit 0.
+2. **Levels** (the ``loadgen`` section of the output): open-loop
+   Poisson ``/schedule`` load at 4 and 40 req/s against a daemon
+   rate-limited to 10 req/s, below the top level, so the overload
+   level produces 429s on any host.  Every offered request must be
+   answered, none with an error other than a 429, at least one 429 at
+   the overload level, and the drain must be clean.
+3. **Soak** (the ``soak`` section): an open-loop mixed profile
+   (``/schedule`` + ``/sweep`` + ``/stream``) through a freshly spawned
+   ``repro route`` cluster at each shard count.  Every offered request
+   must be answered (zero hung, zero silently dropped), none with an
+   ``internal`` error, and the SIGTERM drain must be clean at every
+   shard count.
+
+*Open loop* means arrivals are drawn up front from a Poisson process
+and never wait for earlier responses: the generator keeps offering load
+when the server slows down, which is the regime where admission control
+earns its keep.  Each request class sends from its own sender threads,
+so a sender blocked on a multi-second sweep never delays another
+class's arrivals.
+
+The soak profile mixes three request classes:
 
 * *cheap* — ``/schedule`` cycling a small seed set, plus ``/sweep``
   and ``/stream`` on fixed seeds: warm LRU hits on their owner shard
@@ -39,10 +59,10 @@ if 4 shards do not beat 1.
 Run from the repo root::
 
     PYTHONPATH=src python scripts/soak.py               # full: >= 1e5 requests
+    PYTHONPATH=src python scripts/soak.py --shards 4    # one shard count
     PYTHONPATH=src python scripts/soak.py --smoke        # CI: 2 shards, seconds
 
-Results merge into ``BENCH_service.json`` under the ``"soak"`` key
-(the loadgen's single-daemon results live under ``"loadgen"``).
+The results replace ``BENCH_service.json`` (``--out`` writes elsewhere).
 """
 
 from __future__ import annotations
@@ -52,23 +72,31 @@ import json
 import sys
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "scripts"))
 
-from loadgen import fmt_ms, merge_write, percentile  # noqa: E402
-from repro.cluster.testing import spawn_cluster  # noqa: E402
+from repro.cluster.workers import free_port, serve_command  # noqa: E402
 from repro.service.client import ServiceClient, ServiceResponse  # noqa: E402
-from repro.service.testing import free_port  # noqa: E402
+from repro.service.protocol import HTTP_STATUS  # noqa: E402
+from repro.testing import spawn  # noqa: E402
 
 OUT_PATH = REPO_ROOT / "BENCH_service.json"
 
 CHEAP_CELL = "small-layered-ep"
 HEAVY_CELL = "medium-layered-ir"
+SEED = 2011
+
+#: Levels: offered /schedule rates against the daemon's admission rate.
+LEVEL_RATES = (4.0, 40.0)
+LEVEL_RATE_LIMIT = 10.0
+LEVEL_SENDERS = 8
+#: Level requests cycle this many seeds: a mix of fresh and cached.
+LEVEL_SEEDS = 16
 
 #: Cheap-class mix (must sum to 1): schedule / cached sweep / cached stream.
 MIX = (("schedule", 0.90), ("sweep", 0.05), ("stream", 0.05))
@@ -81,8 +109,269 @@ HEAVY_DEADLINE = 30.0
 #: 67 instances of the heavy cell is ~2s of pure compute, fanned over
 #: 4 chunks — enough to occupy a shard's whole default thread pool.
 HEAVY_INSTANCES = 67
+#: Per-shard default deadline (heavy sweeps carry their own) and
+#: admission queue depth — small on purpose, so a blast sheds loudly
+#: instead of buffering.
+SHARD_DEADLINE = 1.5
+SHARD_QUEUE_LIMIT = 8
+#: Senders reserved for each of the mid and heavy classes.
+CLASS_SENDERS = 4
+#: A request still unanswered this long after the last arrival is hung.
+JOIN_GRACE = HEAVY_DEADLINE + 60.0
+
+Plan = list[tuple[float, str, str, dict]]
 
 
+@dataclass(frozen=True)
+class Profile:
+    """How much load one run offers: level length, then the soak's."""
+
+    level_duration: float
+    shards: tuple[int, ...]
+    #: offered cheap, mid and heavy requests per second
+    rate: float
+    mid_rate: float
+    heavy_rate: float
+    duration: float
+    senders: int
+    #: latency-trajectory bucket width in seconds
+    bucket: float
+
+
+FULL = Profile(level_duration=5.0, shards=(1, 2, 4), rate=170.0,
+               mid_rate=8.0, heavy_rate=0.2, duration=190.0, senders=32,
+               bucket=10.0)
+SMOKE = Profile(level_duration=3.0, shards=(2,), rate=40.0, mid_rate=3.0,
+                heavy_rate=0.4, duration=10.0, senders=16, bucket=5.0)
+
+
+def log(message: str) -> None:
+    print(f"[soak] {message}", file=sys.stderr, flush=True)
+
+
+def percentile(latencies: list[float], q: float) -> float | None:
+    """A percentile, or ``None`` on an empty sample (a fully rejected
+    level has no ok-latencies; null in the JSON beats a fake 0.0)."""
+    return float(np.percentile(np.asarray(latencies), q)) if latencies else None
+
+
+def fmt_ms(value: float | None) -> str:
+    return "n/a" if value is None else f"{value * 1000:.1f}ms"
+
+
+def poisson_arrivals(
+    rng: np.random.Generator, rate: float, duration: float
+) -> np.ndarray:
+    if rate <= 0:
+        return np.empty(0)
+    gaps = rng.exponential(1.0 / rate, size=max(1, int(rate * duration * 2)))
+    arrivals = np.cumsum(gaps)
+    return arrivals[arrivals < duration]
+
+
+def offer(
+    client: ServiceClient, plan: Plan, pools: dict[str, int]
+) -> list[ServiceResponse | None]:
+    """Offer ``plan`` open-loop, each class from its own sender pool.
+
+    ``plan`` holds ``(at, class, kind, payload)`` sorted by arrival
+    time; ``pools`` maps each class to its sender count.  Returns one
+    answer per plan entry, ``None`` for a request still unanswered
+    :data:`JOIN_GRACE` seconds after the last arrival.  A transport
+    failure is an answer (status 0), not a hang.
+    """
+    answers: list[ServiceResponse | None] = [None] * len(plan)
+    senders: dict[tuple[str, int], list[int]] = {}
+    sent = dict.fromkeys(pools, 0)
+    for index, (_, klass, _, _) in enumerate(plan):
+        senders.setdefault((klass, sent[klass] % pools[klass]), []).append(index)
+        sent[klass] += 1
+    start = time.perf_counter()
+
+    def sender(indices: list[int]) -> None:
+        for index in indices:
+            at, _, kind, payload = plan[index]
+            delay = start + at - time.perf_counter()
+            if delay > 0:
+                time.sleep(delay)
+            t0 = time.perf_counter()
+            try:
+                answers[index] = client.post(kind, payload)
+            except Exception as exc:
+                answers[index] = ServiceResponse(
+                    status=0,
+                    body={"error": {
+                        "code": "transport",
+                        "message": f"{type(exc).__name__}: {exc}",
+                    }},
+                    latency=time.perf_counter() - t0,
+                )
+
+    threads = [
+        threading.Thread(target=sender, args=(indices,), daemon=True)
+        for indices in senders.values()
+    ]
+    for thread in threads:
+        thread.start()
+    join_deadline = start + (plan[-1][0] if plan else 0.0) + JOIN_GRACE
+    for thread in threads:
+        thread.join(timeout=max(0.0, join_deadline - time.perf_counter()))
+    return answers
+
+
+def census(answers: list[ServiceResponse | None]) -> dict:
+    """Offered, hung, ok, errors by code, ok-latency percentiles, sources."""
+    answered = [r for r in answers if r is not None]
+    ok = [r for r in answered if r.ok]
+    latencies = sorted(r.latency for r in ok)
+    errors: dict[str, int] = {}
+    for response in answered:
+        if not response.ok:
+            code = response.error_code or f"http_{response.status}"
+            errors[code] = errors.get(code, 0) + 1
+    return {
+        "offered": len(answers),
+        "hung": len(answers) - len(answered),
+        "ok": len(ok),
+        "errors": errors,
+        "latency": {
+            "p50": percentile(latencies, 50),
+            "p95": percentile(latencies, 95),
+            "p99": percentile(latencies, 99),
+        },
+        "sources": {
+            source: sum(1 for r in ok if r.body.get("source") == source)
+            for source in ("fresh", "cached", "joined")
+        },
+    }
+
+
+def shed_429(errors: dict[str, int]) -> int:
+    return sum(n for code, n in errors.items() if HTTP_STATUS.get(code) == 429)
+
+
+# -- stage 1: daemon checks -------------------------------------------
+def daemon_failures(client: ServiceClient) -> list[str]:
+    """One request of each kind; the first failed check ends the stage."""
+    health = client.healthz()
+    if health["status"] != "ok":
+        return [f"unhealthy at start: {health}"]
+    schedule = client.schedule(CHEAP_CELL, scheduler="mqb", seed=3)
+    if schedule["result"]["makespan"] <= 0:
+        return [f"bad schedule result: {schedule}"]
+    repeat = client.schedule(CHEAP_CELL, scheduler="mqb", seed=3)
+    if repeat["source"] != "cached":
+        return [f"warm repeat not cached: {repeat['source']}"]
+    if repeat["result"] != schedule["result"]:
+        return ["cached result differs from fresh result"]
+    sweep = client.sweep(CHEAP_CELL, ["kgreedy", "mqb"], n_instances=4, seed=7)
+    keys = [s["key"] for s in sweep["result"]["series"]]
+    if keys != ["kgreedy", "mqb"]:
+        return [f"bad sweep series: {keys}"]
+    stream = client.stream(CHEAP_CELL, policy="global-mqb", n_jobs=4,
+                           mean_interarrival=30.0, seed=1)
+    if stream["result"]["makespan"] <= 0:
+        return [f"bad stream result: {stream}"]
+    counters = client.metrics()["telemetry"]["counters"]
+    expected = {"admission.admitted": 4, "exec.ok.schedule": 1,
+                "exec.ok.sweep": 1, "exec.ok.stream": 1}
+    failures = [
+        f"counter {name} = {counters.get(name, 0)}, expected {n}"
+        for name, n in expected.items() if counters.get(name, 0) != n
+    ]
+    # cache.hits is >= 1, not == 1: the warm schedule repeat is one
+    # hit, and the sweep may add persistent-cache hits from earlier
+    # daemon runs (sharing instance work across restarts is the
+    # cache's whole point).
+    if counters.get("cache.hits", 0) < 1:
+        failures.append("no cache hit for the warm repeat")
+    return failures
+
+
+def check_daemon() -> list[str]:
+    port = free_port()
+    log(f"checks: repro serve --workers 1 on port {port}")
+    with spawn(serve_command(port, workers=1, queue_limit=16), port) as daemon:
+        try:
+            failures = daemon_failures(daemon.client)
+        except Exception as exc:
+            failures = [f"{type(exc).__name__}: {exc}"]
+        code = daemon.terminate()
+    if code != 0:
+        failures.append(f"SIGTERM drain exited {code}, expected 0")
+    log(f"checks: {'FAILED' if failures else 'passed'}, drain exit {code}")
+    return [f"daemon checks: {message}" for message in failures]
+
+
+# -- stage 2: levels ---------------------------------------------------
+def run_levels(duration: float) -> tuple[dict, list[str]]:
+    port = free_port()
+    log(f"levels: repro serve on port {port}, "
+        f"rate limit {LEVEL_RATE_LIMIT:g}/s")
+    command = serve_command(port, workers=0, queue_limit=64,
+                            rate_limit=LEVEL_RATE_LIMIT,
+                            burst=LEVEL_RATE_LIMIT)
+    levels = []
+    counters: dict = {}
+    with spawn(command, port) as daemon:
+        try:
+            for index, rate in enumerate(LEVEL_RATES):
+                rng = np.random.default_rng(SEED + index)
+                plan = [
+                    (float(at), "level", "schedule",
+                     {"cell": CHEAP_CELL, "scheduler": "mqb",
+                      "seed": n % LEVEL_SEEDS})
+                    for n, at in enumerate(poisson_arrivals(rng, rate, duration))
+                ]
+                record = census(offer(daemon.client, plan,
+                                      {"level": LEVEL_SENDERS}))
+                record = {"offered_rate": rate, **record,
+                          "throughput": record["ok"] / duration}
+                levels.append(record)
+                log(f"  {rate:g} req/s for {duration:g}s: offered "
+                    f"{record['offered']}, ok {record['ok']}, "
+                    f"429 {shed_429(record['errors'])}, "
+                    f"p50 {fmt_ms(record['latency']['p50'])}, "
+                    f"p99 {fmt_ms(record['latency']['p99'])}")
+            counters = daemon.client.metrics()["telemetry"]["counters"]
+        finally:
+            code = daemon.terminate()
+    failures = []
+    for record in levels:
+        rate = record["offered_rate"]
+        if record["hung"]:
+            failures.append(f"{record['hung']} requests unanswered at {rate:g}/s")
+        other = sum(record["errors"].values()) - shed_429(record["errors"])
+        if other:
+            failures.append(f"{other} non-429 errors at {rate:g}/s")
+    if not shed_429(levels[-1]["errors"]):
+        failures.append("overload level produced no 429s")
+    if code != 0:
+        failures.append(f"drain was not clean (exit {code})")
+    payload = {
+        "benchmark": "service-loadgen",
+        "recorded": time.strftime("%Y-%m-%d %H:%M:%S"),
+        "workload": {
+            "cell": CHEAP_CELL,
+            "scheduler": "mqb",
+            "distinct_seeds": LEVEL_SEEDS,
+            "arrivals": "open-loop Poisson",
+        },
+        "daemon": {
+            "rate_limit": LEVEL_RATE_LIMIT,
+            "clean_sigterm_exit": code == 0,
+        },
+        "levels": levels,
+        "admission_counters": {
+            k: v for k, v in sorted(counters.items())
+            if k.startswith(("admission.", "cache.", "dedup.", "service.requests"))
+        },
+        "passed": not failures,
+    }
+    return payload, [f"levels: {message}" for message in failures]
+
+
+# -- stage 3: soak ----------------------------------------------------
 def cheap_payload(kind: str, index: int) -> dict:
     if kind == "schedule":
         return {"cell": CHEAP_CELL, "scheduler": "mqb",
@@ -108,38 +397,23 @@ def heavy_payload(salt: int, index: int) -> dict:
             "seed": salt * 10_000 + index, "deadline": HEAVY_DEADLINE}
 
 
-def build_schedule(
-    rate: float,
-    mid_rate: float,
-    heavy_rate: float,
-    duration: float,
-    seed: int,
-    salt: int,
-) -> list[tuple[float, str, str, dict]]:
-    """The full open-loop plan: ``(at, class, kind, payload)`` sorted by
-    arrival time.  Drawn up front so the offered load never depends on
-    responses; built from the same ``seed`` for every shard count so
-    the comparison offers byte-identical plans (only the heavy seeds
-    carry the per-config salt, to defeat the persistent store)."""
-    rng = np.random.default_rng(seed)
-
-    def poisson_arrivals(r: float) -> np.ndarray:
-        if r <= 0:
-            return np.empty(0)
-        gaps = rng.exponential(1.0 / r, size=max(1, int(r * duration * 2)))
-        arrivals = np.cumsum(gaps)
-        return arrivals[arrivals < duration]
-
-    plan: list[tuple[float, str, str, dict]] = []
+def build_schedule(profile: Profile, salt: int) -> Plan:
+    """The soak's open-loop plan, sorted by arrival time.  Built from
+    the same seed for every shard count so the comparison offers
+    byte-identical plans (only the heavy seeds carry the per-config
+    salt, to defeat the persistent store)."""
+    rng = np.random.default_rng(SEED)
+    duration = profile.duration
+    plan: Plan = []
     kinds, weights = zip(*MIX)
-    choices = rng.choice(len(kinds), size=len(arr := poisson_arrivals(rate)),
-                         p=np.asarray(weights))
-    for index, at in enumerate(arr):
+    arrivals = poisson_arrivals(rng, profile.rate, duration)
+    choices = rng.choice(len(kinds), size=len(arrivals), p=np.asarray(weights))
+    for index, at in enumerate(arrivals):
         kind = kinds[int(choices[index])]
         plan.append((float(at), "cheap", kind, cheap_payload(kind, index)))
-    for index, at in enumerate(poisson_arrivals(mid_rate)):
+    for index, at in enumerate(poisson_arrivals(rng, profile.mid_rate, duration)):
         plan.append((float(at), "mid", "schedule", mid_payload(index)))
-    for index, at in enumerate(poisson_arrivals(heavy_rate)):
+    for index, at in enumerate(poisson_arrivals(rng, profile.heavy_rate, duration)):
         plan.append((float(at), "heavy", "sweep", heavy_payload(salt, index)))
     plan.sort(key=lambda item: item[0])
     return plan
@@ -149,246 +423,85 @@ def prime_caches(client: ServiceClient) -> int:
     """Synchronously warm every cheap fingerprint's owner shard, so the
     measured window is steady-state rather than cold-start."""
     n = 0
-    for seed in range(SCHEDULE_SEEDS):
-        client.post("schedule", cheap_payload("schedule", seed))
-        n += 1
-    for seed in range(SWEEP_SEEDS):
-        client.post("sweep", cheap_payload("sweep", seed))
-        n += 1
-    for seed in range(STREAM_SEEDS):
-        client.post("stream", cheap_payload("stream", seed))
-        n += 1
+    for kind, seeds in (("schedule", SCHEDULE_SEEDS), ("sweep", SWEEP_SEEDS),
+                        ("stream", STREAM_SEEDS)):
+        for seed in range(seeds):
+            client.post(kind, cheap_payload(kind, seed))
+            n += 1
     return n
 
 
-def run_soak_level(
-    client: ServiceClient,
-    plan: list[tuple[float, str, str, dict]],
-    duration: float,
-    senders: int,
-    mid_senders: int,
-    heavy_senders: int,
-    bucket_seconds: float,
-    join_grace: float,
-) -> dict:
-    """Offer the plan open-loop from a sender pool; return the record.
-
-    Each class runs on its own disjoint sender subset so a sender
-    blocked on a multi-second sweep (or a mid request waiting out its
-    deadline) never delays cheap arrivals — the generator itself must
-    not reintroduce the head-of-line blocking it is measuring.
-    """
-    results: list[tuple[float, str, str, ServiceResponse] | None]
-    results = [None] * len(plan)
-    cheap_pool = max(1, senders - mid_senders - heavy_senders)
-
-    by_sender: dict[int, list[int]] = {}
-    counters = {"cheap": 0, "mid": 0, "heavy": 0}
-    for index, (_, klass, _, _) in enumerate(plan):
-        n = counters[klass]
-        counters[klass] += 1
-        if klass == "heavy" and heavy_senders:
-            slot = cheap_pool + mid_senders + n % heavy_senders
-        elif klass == "mid" and mid_senders:
-            slot = cheap_pool + n % mid_senders
-        else:
-            slot = n % cheap_pool
-        by_sender.setdefault(slot, []).append(index)
-
-    start = time.perf_counter()
-
-    def sender(indices: list[int]) -> None:
-        for index in indices:
-            at, klass, kind, payload = plan[index]
-            delay = start + at - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            t0 = time.perf_counter()
-            try:
-                response = client.post(kind, payload)
-            except Exception as exc:  # transport failure: an answer, not a hang
-                response = ServiceResponse(
-                    status=0,
-                    body={"error": {
-                        "code": "transport",
-                        "message": f"{type(exc).__name__}: {exc}",
-                    }},
-                    latency=time.perf_counter() - t0,
-                )
-            results[index] = (at, klass, kind, response)
-
-    threads = [
-        threading.Thread(target=sender, args=(indices,), daemon=True)
-        for indices in by_sender.values()
-    ]
-    for thread in threads:
-        thread.start()
-    horizon = plan[-1][0] + join_grace if plan else join_grace
-    join_deadline = start + horizon
-    for thread in threads:
-        thread.join(timeout=max(0.0, join_deadline - time.perf_counter()))
-    elapsed = time.perf_counter() - start
-    hung = sum(1 for r in results if r is None)
-
-    answered = [r for r in results if r is not None]
-
-    def census(klass: str) -> dict:
-        rows = [r for r in answered if r[1] == klass]
-        ok = [r for r in rows if r[3].ok]
-        latencies = sorted(r[3].latency for r in ok)
-        codes: dict[str, int] = {}
-        for row in rows:
-            if not row[3].ok:
-                code = row[3].error_code or f"http_{row[3].status}"
-                codes[code] = codes.get(code, 0) + 1
-        return {
-            "offered": len(rows),
-            "ok": len(ok),
-            "errors": codes,
-            "latency": {
-                "p50": percentile(latencies, 50),
-                "p95": percentile(latencies, 95),
-                "p99": percentile(latencies, 99),
-            },
-            "sources": {
-                source: sum(1 for r in ok if r[3].body.get("source") == source)
-                for source in ("fresh", "cached", "joined")
-            },
-        }
-
+def soak_record(plan: Plan, answers: list, profile: Profile) -> dict:
+    """The per-class census and the latency trajectory of one soak."""
+    rows = list(zip(plan, answers))
+    by_class = {
+        klass: census([a for (_, k, _, _), a in rows if k == klass])
+        for klass in ("cheap", "mid", "heavy")
+    }
     # The latency trajectory buckets cover the serving plane (cheap +
     # mid, by arrival time); heavies are background load, reported in
     # their own census but kept out of the percentile stream.
     buckets = []
     if plan:
-        n_buckets = int(plan[-1][0] // bucket_seconds) + 1
-        for b in range(n_buckets):
-            lo, hi = b * bucket_seconds, (b + 1) * bucket_seconds
-            rows = [r for r in answered if r[1] != "heavy" and lo <= r[0] < hi]
-            latencies = sorted(r[3].latency for r in rows if r[3].ok)
-            buckets.append({
-                "t": lo,
-                "offered": sum(1 for at, klass, _, _ in plan
-                               if klass != "heavy" and lo <= at < hi),
-                "ok": len(latencies),
-                "shed": sum(1 for r in rows if not r[3].ok),
-                "p50": percentile(latencies, 50),
-                "p95": percentile(latencies, 95),
-                "p99": percentile(latencies, 99),
-            })
-
-    cheap = census("cheap")
-    mid = census("mid")
-    heavy = census("heavy")
-    total_ok = cheap["ok"] + mid["ok"] + heavy["ok"]
+        for b in range(int(plan[-1][0] // profile.bucket) + 1):
+            lo, hi = b * profile.bucket, (b + 1) * profile.bucket
+            window = [a for (at, k, _, _), a in rows
+                      if k != "heavy" and lo <= at < hi]
+            buckets.append({"t": lo, **census(window)})
+    total_ok = sum(c["ok"] for c in by_class.values())
+    hung = sum(c["hung"] for c in by_class.values())
     return {
         "offered": len(plan),
-        "answered": len(answered),
+        "answered": len(plan) - hung,
         "hung": hung,
-        "elapsed": elapsed,
         "ok": total_ok,
         # Goodput over the *offered* window: the plan is identical for
         # every shard count, so this compares ok-counts, not clock
         # noise in the drain tail.
-        "throughput": total_ok / duration if duration > 0 else 0.0,
-        "cheap": cheap,
-        "mid": mid,
-        "heavy": heavy,
+        "throughput": total_ok / profile.duration,
+        **by_class,
         "buckets": buckets,
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--shards", default="1,2,4",
-        help="comma-separated shard counts to soak (default 1,2,4)",
-    )
-    parser.add_argument(
-        "--rate", type=float, default=170.0,
-        help="cheap offered load in req/s (default 170)",
-    )
-    parser.add_argument(
-        "--mid-rate", type=float, default=8.0,
-        help="pool-bound fresh schedules per second (default 8)",
-    )
-    parser.add_argument(
-        "--heavy-rate", type=float, default=0.2,
-        help="fresh heavy sweeps per second (default 0.2)",
-    )
-    parser.add_argument(
-        "--duration", type=float, default=190.0,
-        help="seconds of offered load per shard count (default 190)",
-    )
-    parser.add_argument(
-        "--deadline", type=float, default=1.5,
-        help="per-shard default deadline in seconds (default 1.5; heavy "
-        "sweeps carry their own 30s deadline)",
-    )
-    parser.add_argument(
-        "--queue-limit", type=int, default=8,
-        help="per-shard admission queue depth (default 8 — small on "
-        "purpose, so a blast sheds loudly instead of buffering)",
-    )
-    parser.add_argument(
-        "--senders", type=int, default=32,
-        help="sender threads (default 32; 4 are reserved for heavies "
-        "and 4 for mids)",
-    )
-    parser.add_argument(
-        "--bucket", type=float, default=10.0,
-        help="latency-trajectory bucket width in seconds (default 10)",
-    )
-    parser.add_argument("--seed", type=int, default=2011)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI preset: 2 shards only, ~10s, a few hundred requests",
-    )
-    parser.add_argument("--out", default=str(OUT_PATH))
-    args = parser.parse_args(argv)
+def route_command(port: int, shards: int) -> list[str]:
+    return [
+        sys.executable, "-m", "repro.cli", "route",
+        "--host", "127.0.0.1",
+        "--port", str(port),
+        "--shards", str(shards),
+        "--workers-per-shard", "0",
+        "--queue-limit", str(SHARD_QUEUE_LIMIT),
+        "--default-deadline", str(SHARD_DEADLINE),
+    ]
 
-    if args.smoke:
-        args.shards, args.rate, args.duration = "2", 40.0, 10.0
-        args.mid_rate, args.heavy_rate = 3.0, 0.4
-        args.senders, args.bucket = 16, 5.0
 
-    shard_counts = [int(s) for s in args.shards.split(",") if s.strip()]
+def run_soak(profile: Profile, shard_counts: list[int]) -> tuple[dict, list[str]]:
     salt = int(time.time()) % 1_000_000
-    exit_code = 0
+    failures = []
     configs = []
-
+    pools = {"cheap": max(1, profile.senders - 2 * CLASS_SENDERS),
+             "mid": CLASS_SENDERS, "heavy": CLASS_SENDERS}
     for config_index, n_shards in enumerate(shard_counts):
-        plan = build_schedule(
-            args.rate, args.mid_rate, args.heavy_rate, args.duration,
-            seed=args.seed, salt=salt + config_index,
-        )
-        print(f"[soak] {n_shards} shard(s): offering {len(plan)} requests "
-              f"({args.rate:g}/s cheap + {args.mid_rate:g}/s mid + "
-              f"{args.heavy_rate:g}/s heavy for {args.duration:g}s)",
-              file=sys.stderr)
+        plan = build_schedule(profile, salt=salt + config_index)
+        log(f"soak, {n_shards} shard(s): offering {len(plan)} requests "
+            f"({profile.rate:g}/s cheap + {profile.mid_rate:g}/s mid + "
+            f"{profile.heavy_rate:g}/s heavy for {profile.duration:g}s)")
         port = free_port()
-        spawned = spawn_cluster(
-            port, shards=n_shards, workers_per_shard=0,
-            queue_limit=args.queue_limit, default_deadline=args.deadline,
-        )
         health: dict = {}
         metrics: dict = {}
-        try:
-            primed = prime_caches(spawned.client)
-            record = run_soak_level(
-                spawned.client, plan, duration=args.duration,
-                senders=args.senders, mid_senders=4, heavy_senders=4,
-                bucket_seconds=args.bucket,
-                join_grace=HEAVY_DEADLINE + 60.0,
-            )
+        with spawn(route_command(port, n_shards), port) as cluster:
             try:
-                health = spawned.client.healthz()
-                metrics = spawned.client.metrics()
-            except Exception as exc:
-                print(f"[soak] warning: post-run metrics fetch failed: {exc}",
-                      file=sys.stderr)
-        finally:
-            code = spawned.terminate()
+                primed = prime_caches(cluster.client)
+                record = soak_record(plan, offer(cluster.client, plan, pools),
+                                     profile)
+                try:
+                    health = cluster.client.healthz()
+                    metrics = cluster.client.metrics()
+                except Exception as exc:
+                    log(f"warning: post-run metrics fetch failed: {exc}")
+            finally:
+                code = cluster.terminate()
         record.update({
             "shards": n_shards,
             "primed": primed,
@@ -403,43 +516,34 @@ def main(argv: list[str] | None = None) -> int:
         })
         configs.append(record)
         cheap, mid = record["cheap"], record["mid"]
-        print(
-            f"[soak]   answered {record['answered']}/{record['offered']}, "
+        log(f"  answered {record['answered']}/{record['offered']}, "
             f"hung {record['hung']}, ok {record['ok']} "
             f"({record['throughput']:.1f}/s sustained), cheap p50 "
             f"{fmt_ms(cheap['latency']['p50'])} p99 "
             f"{fmt_ms(cheap['latency']['p99'])}, mid ok {mid['ok']}/"
             f"{mid['offered']} (shed {mid['errors']}), drain "
-            f"{'clean' if code == 0 else f'EXIT {code}'}",
-            file=sys.stderr,
-        )
+            f"{'clean' if code == 0 else f'EXIT {code}'}")
+        where = f"at {n_shards} shard(s)"
         if record["hung"]:
-            print(f"[soak] FAIL: {record['hung']} hung requests at "
-                  f"{n_shards} shard(s)", file=sys.stderr)
-            exit_code = 1
+            failures.append(f"{record['hung']} hung requests {where}")
         internal = sum(
             record[klass]["errors"].get("internal", 0)
             for klass in ("cheap", "mid", "heavy")
         )
         if internal:
-            print(f"[soak] FAIL: {internal} internal errors at "
-                  f"{n_shards} shard(s)", file=sys.stderr)
-            exit_code = 1
+            failures.append(f"{internal} internal errors {where}")
         if code != 0:
-            print(f"[soak] FAIL: unclean drain (exit {code}) at "
-                  f"{n_shards} shard(s)", file=sys.stderr)
-            exit_code = 1
+            failures.append(f"unclean drain (exit {code}) {where}")
 
     by_shards = {record["shards"]: record for record in configs}
     if 1 in by_shards and max(by_shards) > 1:
         solo, best = by_shards[1], by_shards[max(by_shards)]
         if best["throughput"] <= solo["throughput"]:
-            print(
-                f"[soak] FAIL: {best['shards']} shards sustained "
+            failures.append(
+                f"{best['shards']} shards sustained "
                 f"{best['throughput']:.1f}/s, not above 1 shard's "
-                f"{solo['throughput']:.1f}/s", file=sys.stderr,
+                f"{solo['throughput']:.1f}/s"
             )
-            exit_code = 1
 
     payload = {
         "benchmark": "cluster-soak",
@@ -448,14 +552,14 @@ def main(argv: list[str] | None = None) -> int:
             "cheap_cell": CHEAP_CELL,
             "heavy_cell": HEAVY_CELL,
             "mix": dict(MIX),
-            "rate": args.rate,
-            "mid_rate": args.mid_rate,
-            "heavy_rate": args.heavy_rate,
+            "rate": profile.rate,
+            "mid_rate": profile.mid_rate,
+            "heavy_rate": profile.heavy_rate,
             "heavy_instances": HEAVY_INSTANCES,
-            "duration": args.duration,
-            "deadline": args.deadline,
-            "queue_limit": args.queue_limit,
-            "senders": args.senders,
+            "duration": profile.duration,
+            "deadline": SHARD_DEADLINE,
+            "queue_limit": SHARD_QUEUE_LIMIT,
+            "senders": profile.senders,
             "heavy_salt": salt,
             "arrivals": "open-loop Poisson, identical plan per shard "
                         "count, per-class sender pools",
@@ -463,13 +567,43 @@ def main(argv: list[str] | None = None) -> int:
         "total_offered": sum(r["offered"] for r in configs),
         "total_hung": sum(r["hung"] for r in configs),
         "configs": configs,
-        "passed": exit_code == 0,
+        "passed": not failures,
     }
-    merge_write(Path(args.out), "soak", payload)
-    print(f"[soak] wrote {args.out} "
-          f"({payload['total_offered']} requests offered, "
-          f"{payload['total_hung']} hung)", file=sys.stderr)
-    return exit_code
+    return payload, [f"soak: {message}" for message in failures]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help="CI preset: 3 s levels and one 10 s soak at 2 shards",
+    )
+    parser.add_argument(
+        "--shards", default=None,
+        help="comma-separated shard counts to soak (default 1,2,4; "
+        "with --smoke, 2)",
+    )
+    parser.add_argument(
+        "--out", default=str(OUT_PATH), help=f"output path (default {OUT_PATH})"
+    )
+    args = parser.parse_args(argv)
+    profile = SMOKE if args.smoke else FULL
+    shard_counts = list(profile.shards)
+    if args.shards:
+        shard_counts = [int(s) for s in args.shards.split(",") if s.strip()]
+
+    failures = check_daemon()
+    loadgen, level_failures = run_levels(profile.level_duration)
+    soak, soak_failures = run_soak(profile, shard_counts)
+    failures += level_failures + soak_failures
+    Path(args.out).write_text(
+        json.dumps({"loadgen": loadgen, "soak": soak}, indent=2) + "\n"
+    )
+    log(f"wrote {args.out} ({soak['total_offered']} soak requests offered, "
+        f"{soak['total_hung']} hung)")
+    for message in failures:
+        log(f"FAIL: {message}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -93,9 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "compiled MQB selection kernel (default: the REPRO_NATIVE env "
-            "var, else auto); 'on' warns if the kernel cannot be loaded, "
-            "'off' forces the pure-numpy path — results are bit-identical "
-            "either way"
+            "var, else auto); 'on' is the same as 'auto', which warns once "
+            "if the kernel cannot be loaded; 'off' forces the pure-numpy "
+            "path — results are bit-identical either way"
         ),
     )
     run_p.add_argument("--out", default=None, help="directory for JSON results")

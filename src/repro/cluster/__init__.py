@@ -16,16 +16,16 @@ warm-cache coherence for sweeps.  The pieces:
 * :mod:`~repro.cluster.workers` — worker supervision: spawn, health
   probes, capped-exponential-backoff restart, coordinated drain;
 * :mod:`~repro.cluster.router` — the listener: validate, fingerprint,
-  route, fail over, aggregate ``/healthz`` and ``/metrics``;
-* :mod:`~repro.cluster.testing` — in-thread and subprocess harnesses.
+  route, fail over, aggregate ``/healthz`` and ``/metrics``.
 
 Entry point: ``repro route`` (see :mod:`repro.cluster.cli`), plus
 ``scripts/soak.py`` for sustained mixed-profile load at shard counts
-1/2/4.
+1/2/4; :func:`repro.testing.static_cluster` hosts a router over
+in-thread daemons for tests.
 """
 
 from repro.cluster.ring import DEFAULT_REPLICAS, HashRing
-from repro.cluster.router import ClusterRouter, RouterConfig, run_cluster
+from repro.cluster.router import ClusterRouter, RouterConfig
 from repro.cluster.workers import WorkerSpec, WorkerSupervisor
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "HashRing",
     "ClusterRouter",
     "RouterConfig",
-    "run_cluster",
     "WorkerSpec",
     "WorkerSupervisor",
 ]

@@ -81,7 +81,8 @@ def add_cluster_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    from repro.cluster.router import RouterConfig, run_cluster
+    from repro.cluster.router import ClusterRouter, RouterConfig
+    from repro.service.server import run_front
 
     shard_urls: tuple[str, ...] = ()
     if args.shard_urls:
@@ -103,4 +104,4 @@ def cmd_route(args: argparse.Namespace) -> int:
         health_interval=args.health_interval,
         drain_timeout=args.drain_timeout,
     )
-    return run_cluster(config)
+    return run_front(ClusterRouter(config))

@@ -2,7 +2,9 @@
 
 ``repro route`` runs this: an asyncio HTTP listener speaking the
 daemon's exact versioned JSON protocol, placed in front of N
-``repro serve`` shard processes.  Work requests (``/schedule``,
+``repro serve`` shard processes.  It is an
+:class:`~repro.service.server.HttpFront`, so it shares the daemon's
+listener lifecycle, keep-alive loop and framing.  Work requests (``/schedule``,
 ``/sweep``, ``/stream``) are validated *at the router* (malformed
 requests never touch a shard), keyed by their content fingerprint —
 the same SHA-256 identity the result cache and every shard's LRU
@@ -37,8 +39,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import signal
-import sys
 import time
 from dataclasses import dataclass
 from time import perf_counter
@@ -47,22 +47,25 @@ from urllib.parse import urlparse
 from repro.errors import ConfigurationError
 from repro.obs.telemetry import TelemetrySnapshot, Telemetry, merge_snapshots
 from repro.cluster.ring import DEFAULT_REPLICAS, HashRing
-from repro.cluster.workers import WorkerSpec, WorkerSupervisor, serve_command
+from repro.cluster.workers import (
+    WorkerSpec,
+    WorkerSupervisor,
+    free_port,
+    serve_command,
+)
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     REQUEST_KINDS,
     ProtocolError,
-    error_response,
     parse_request,
     request_fingerprint,
 )
-from repro.service.server import (
-    BadHttp,
-    read_http_request,
-    render_http_response,
-)
+from repro.service.server import HttpFront, json_body
 
-__all__ = ["RouterConfig", "ClusterRouter", "run_cluster"]
+__all__ = ["RouterConfig", "ClusterRouter"]
+
+#: How long one forward waits for its shard's answer.
+FORWARD_TIMEOUT = 120.0
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,6 @@ class RouterConfig:
     #: Per-shard admission settings, forwarded to ``repro serve``.
     queue_limit: int = 64
     rate_limit: float | None = None
-    burst: float | None = None
     default_deadline: float | None = None
     cache_entries: int = 256
     #: Virtual nodes per shard on the hash ring.
@@ -93,15 +95,8 @@ class RouterConfig:
     #: draining shards only — admission 429s are answers, not failures).
     retries: int = 2
     health_interval: float = 0.5
-    probe_timeout: float = 2.0
     fail_threshold: int = 2
-    kill_threshold: int = 10
-    backoff_base: float = 0.5
-    backoff_cap: float = 10.0
-    forward_timeout: float = 120.0
-    read_timeout: float = 30.0
     drain_timeout: float = 20.0
-    max_body_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
         if not self.shard_urls and self.shards < 1:
@@ -130,8 +125,6 @@ def _specs_from_config(config: RouterConfig) -> list[WorkerSpec]:
                 )
             )
         return specs
-    from repro.service.testing import free_port
-
     specs = []
     for index in range(config.shards):
         port = free_port()
@@ -146,7 +139,6 @@ def _specs_from_config(config: RouterConfig) -> list[WorkerSpec]:
                         workers=config.workers_per_shard,
                         queue_limit=config.queue_limit,
                         rate_limit=config.rate_limit,
-                        burst=config.burst,
                         default_deadline=config.default_deadline,
                         cache_entries=config.cache_entries,
                     )
@@ -156,79 +148,59 @@ def _specs_from_config(config: RouterConfig) -> list[WorkerSpec]:
     return specs
 
 
-class ClusterRouter:
+class ClusterRouter(HttpFront):
     """Listener + ring + supervisor; one per ``repro route`` process."""
+
+    command = "route"
 
     def __init__(
         self,
         config: RouterConfig | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
-        self.config = config or RouterConfig()
+        super().__init__(config or RouterConfig())
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.supervisor: WorkerSupervisor | None = None
         self.ring = HashRing(replicas=self.config.replicas)
-        self.port: int | None = None
-        self._server: asyncio.Server | None = None
-        self._shutdown: asyncio.Event | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._started_at = 0.0
         self._in_flight = 0
         self._draining = False
+
+    @property
+    def draining(self) -> bool:
+        return self._draining
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
         """Spawn/adopt the fleet and bind the listener."""
-        self._loop = asyncio.get_running_loop()
-        self._shutdown = asyncio.Event()
         specs = _specs_from_config(self.config)
         self.supervisor = WorkerSupervisor(
             specs,
             health_interval=self.config.health_interval,
-            probe_timeout=self.config.probe_timeout,
             fail_threshold=self.config.fail_threshold,
-            kill_threshold=self.config.kill_threshold,
-            backoff_base=self.config.backoff_base,
-            backoff_cap=self.config.backoff_cap,
             telemetry=self.telemetry,
         )
         for spec in specs:
             self.ring.add(spec.shard_id)
         await self.supervisor.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+        await self._listen()
+
+    async def _announce(self) -> None:
+        assert self.supervisor is not None
+        mode = "static" if self.config.shard_urls else "managed"
+        self._log(
+            f"listening on http://{self.config.host}:{self.port} "
+            f"({len(self.supervisor.workers)} {mode} shards, "
+            f"replicas={self.config.replicas}, "
+            f"retries={self.config.retries}) — SIGTERM drains"
         )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._started_at = time.monotonic()
-
-    def request_shutdown(self) -> None:
-        if self._loop is not None and self._shutdown is not None:
-            self._loop.call_soon_threadsafe(self._shutdown.set)
-
-    async def serve_forever(self) -> bool:
-        assert self._shutdown is not None, "start() first"
-        loop = asyncio.get_running_loop()
-        installed = []
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, self._shutdown.set)
-                installed.append(sig)
-            except (NotImplementedError, RuntimeError, ValueError):
-                pass
-        try:
-            await self._shutdown.wait()
-        finally:
-            for sig in installed:
-                loop.remove_signal_handler(sig)
-        return await self.drain()
+        ready = await self.supervisor.wait_healthy(min_healthy=1)
+        shard_urls = [w.spec.url for w in self.supervisor.workers.values()]
+        self._log(f"shards {'healthy' if ready else 'NOT READY'}: {shard_urls}")
 
     async def drain(self) -> bool:
         """Coordinated drain: listener, in-flight forwards, then the fleet."""
         self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self._close_listener()
         deadline = time.monotonic() + self.config.drain_timeout
         while self._in_flight > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.02)
@@ -238,71 +210,6 @@ class ClusterRouter:
             clean = await self.supervisor.drain(timeout=remaining) and clean
         return clean
 
-    # -- connection handling --------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            keep = True
-            while keep:
-                keep = await self._serve_one(reader, writer)
-        except asyncio.CancelledError:
-            # Loop teardown cancels idle keep-alive connections; exit
-            # quietly (3.11's stream callback would log the cancel).
-            pass
-        finally:
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    async def _serve_one(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> bool:
-        status, payload, retry_after = 500, b"{}", None
-        keep_alive = False
-        try:
-            request = await read_http_request(
-                reader,
-                timeout=self.config.read_timeout,
-                max_body_bytes=self.config.max_body_bytes,
-            )
-            if request is None:
-                return False
-            method, path, _headers, body, keep_alive = request
-            status, payload, retry_after = await self._dispatch(
-                method, path, body
-            )
-        except ProtocolError as err:
-            status = err.http_status
-            payload = json.dumps(err.to_body()).encode("utf-8")
-            retry_after = err.retry_after
-        except (BadHttp, asyncio.TimeoutError):
-            status, keep_alive = 400, False
-            payload = json.dumps(
-                error_response("bad_request", "malformed HTTP request")
-            ).encode("utf-8")
-        except (asyncio.IncompleteReadError, ConnectionError, BrokenPipeError):
-            return False
-        except Exception as exc:
-            status = 500
-            payload = json.dumps(
-                error_response("internal", f"{type(exc).__name__}: {exc}")
-            ).encode("utf-8")
-        if self._draining:
-            keep_alive = False
-        try:
-            writer.write(
-                render_http_response(
-                    status, payload, keep_alive=keep_alive,
-                    retry_after=retry_after,
-                )
-            )
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            return False
-        return keep_alive
-
     # -- dispatch -------------------------------------------------------
     async def _dispatch(
         self, method: str, path: str, raw_body: bytes
@@ -310,11 +217,10 @@ class ClusterRouter:
         if path == "/healthz":
             self._require_method(method, "GET")
             status, body = self._healthz_body()
-            return status, json.dumps(body).encode("utf-8"), None
+            return status, json_body(body), None
         if path == "/metrics":
             self._require_method(method, "GET")
-            body = await self._metrics_body()
-            return 200, json.dumps(body).encode("utf-8"), None
+            return 200, json_body(await self._metrics_body()), None
         kind = path.lstrip("/")
         if kind not in REQUEST_KINDS:
             raise ProtocolError(
@@ -376,7 +282,7 @@ class ClusterRouter:
             endpoint = self.supervisor.endpoint(shard_id)
             try:
                 response = await endpoint.request(
-                    "POST", path, raw_body, timeout=self.config.forward_timeout
+                    "POST", path, raw_body, timeout=FORWARD_TIMEOUT
                 )
             except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
                 self.telemetry.inc("router.shard_down")
@@ -439,7 +345,7 @@ class ClusterRouter:
         async def fetch(shard_id: str) -> tuple[str, dict | None]:
             try:
                 response = await self.supervisor.endpoint(shard_id).request(
-                    "GET", "/metrics", timeout=self.config.probe_timeout
+                    "GET", "/metrics", timeout=self.supervisor.probe_timeout
                 )
             except (ConnectionError, OSError, asyncio.TimeoutError):
                 return shard_id, None
@@ -471,51 +377,3 @@ class ClusterRouter:
             "cluster": cluster.to_dict() if cluster is not None else None,
             "shards": shard_reports,
         }
-
-    @staticmethod
-    def _require_method(method: str, expected: str) -> None:
-        if method != expected:
-            raise ProtocolError(
-                "method_not_allowed", f"use {expected}, not {method}"
-            )
-
-
-def run_cluster(config: RouterConfig | None = None) -> int:
-    """Blocking entry point of ``repro route``; returns an exit code."""
-
-    async def main() -> bool:
-        router = ClusterRouter(config)
-        await router.start()
-        assert router.supervisor is not None
-        mode = (
-            f"{len(router.supervisor.workers)} managed shards"
-            if not router.config.shard_urls
-            else f"{len(router.supervisor.workers)} static shards"
-        )
-        print(
-            f"[repro route] listening on http://{router.config.host}:"
-            f"{router.port} ({mode}, replicas={router.config.replicas}, "
-            f"retries={router.config.retries}) — SIGTERM drains",
-            file=sys.stderr,
-            flush=True,
-        )
-        ready = await router.supervisor.wait_healthy(min_healthy=1)
-        shard_urls = [w.spec.url for w in router.supervisor.workers.values()]
-        print(
-            f"[repro route] shards {'healthy' if ready else 'NOT READY'}: "
-            f"{shard_urls}",
-            file=sys.stderr,
-            flush=True,
-        )
-        clean = await router.serve_forever()
-        print(
-            f"[repro route] drained {'cleanly' if clean else 'WITH TIMEOUT'}",
-            file=sys.stderr,
-            flush=True,
-        )
-        return clean
-
-    try:
-        return 0 if asyncio.run(main()) else 1
-    except KeyboardInterrupt:
-        return 130

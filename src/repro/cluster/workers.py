@@ -27,16 +27,25 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.obs.telemetry import Telemetry
 from repro.cluster.wire import PooledEndpoint
 
-__all__ = ["WorkerSpec", "ManagedWorker", "WorkerSupervisor", "serve_command"]
+__all__ = [
+    "WorkerSpec",
+    "ManagedWorker",
+    "WorkerSupervisor",
+    "serve_command",
+    "free_port",
+    "spawn_repro",
+]
 
 
 def serve_command(
@@ -65,6 +74,23 @@ def serve_command(
     if default_deadline is not None:
         cmd += ["--default-deadline", str(default_deadline)]
     return cmd
+
+
+def free_port() -> int:
+    """An OS-assigned free TCP port (racy in principle, fine on loopback)."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def spawn_repro(command: Sequence[str]) -> subprocess.Popen:
+    """Start a ``repro`` subprocess that imports this checkout's sources."""
+    env = dict(os.environ)
+    src = os.path.dirname(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    )
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(list(command), env=env)
 
 
 @dataclass(frozen=True)
@@ -172,12 +198,7 @@ class WorkerSupervisor:
     # -- lifecycle ------------------------------------------------------
     def _spawn(self, worker: ManagedWorker) -> None:
         assert worker.spec.command is not None
-        env = dict(os.environ)
-        src = os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        )
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        worker.process = subprocess.Popen(list(worker.spec.command), env=env)
+        worker.process = spawn_repro(worker.spec.command)
         self.telemetry.inc("supervisor.spawned")
 
     async def start(self) -> None:

@@ -52,10 +52,10 @@ Backend selection is environment-driven via ``REPRO_NATIVE``:
 
 ``auto`` (default)
     Use the kernel when a prebuilt extension or a working C compiler is
-    available; fall back to Python and numpy otherwise (one warning).
+    available; fall back to Python and numpy otherwise (one warning
+    that names the failure reason).
 ``1`` / ``on``
-    Same dispatch, but the fallback is considered noteworthy — the
-    warning names the failure reason.
+    An alias of ``auto`` (:func:`mode` still reports ``"1"``).
 ``0`` / ``off``
     Never load or build anything; pure Python and numpy.
 
@@ -102,7 +102,6 @@ __all__ = [
     "MODE_CODES",
     "mode",
     "requested",
-    "forced",
     "supported",
     "load_kernel",
     "summing_kernel",
@@ -609,11 +608,6 @@ def mode() -> str:
 def requested() -> bool:
     """Whether the current environment wants the native backend at all."""
     return mode() != "0"
-
-
-def forced() -> bool:
-    """Whether ``REPRO_NATIVE`` explicitly demands the native backend."""
-    return mode() == "1"
 
 
 def supported(balance_mode: str, num_types: int) -> bool:

@@ -15,13 +15,14 @@ daemon that executes them on a shared worker pool.  The pieces:
   and an LRU response cache keyed by content fingerprint;
 * :mod:`~repro.service.server` — the asyncio HTTP daemon
   (``/schedule`` ``/sweep`` ``/stream`` ``/healthz`` ``/metrics``),
-  graceful SIGTERM drain;
-* :mod:`~repro.service.client` — synchronous stdlib client;
-* :mod:`~repro.service.testing` — in-thread and subprocess harnesses.
+  graceful SIGTERM drain, and the HTTP front it shares with the
+  cluster router;
+* :mod:`~repro.service.client` — synchronous stdlib client.
 
 Entry points: ``repro serve`` and ``repro submit`` (see
-:mod:`repro.service.cli`), plus ``scripts/loadgen.py`` for open-loop
-load testing and ``scripts/service_smoke.py`` for end-to-end smoke.
+:mod:`repro.service.cli`).  :mod:`repro.testing` hosts the daemon on a
+thread or spawns it, and ``scripts/soak.py`` smoke-tests and
+load-tests it.
 """
 
 from repro.service.client import ServiceClient, ServiceError, ServiceResponse
@@ -31,7 +32,7 @@ from repro.service.protocol import (
     parse_request,
     request_fingerprint,
 )
-from repro.service.server import ScheduleService, ServiceConfig, run_service
+from repro.service.server import ScheduleService, ServiceConfig, run_front
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -40,7 +41,7 @@ __all__ = [
     "request_fingerprint",
     "ScheduleService",
     "ServiceConfig",
-    "run_service",
+    "run_front",
     "ServiceClient",
     "ServiceError",
     "ServiceResponse",

@@ -122,7 +122,7 @@ def add_service_parsers(sub: argparse._SubParsersAction) -> None:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service.server import ServiceConfig, run_service
+    from repro.service.server import ScheduleService, ServiceConfig, run_front
 
     config = ServiceConfig(
         host=args.host,
@@ -135,7 +135,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         drain_timeout=args.drain_timeout,
         cache_entries=args.cache_entries,
     )
-    return run_service(config)
+    return run_front(ScheduleService(config))
 
 
 def cmd_submit(args: argparse.Namespace) -> int:

@@ -266,7 +266,11 @@ class ServiceClient:
         return self._checked(self.request("GET", "/metrics"))
 
     def wait_until_up(self, timeout: float = 10.0) -> dict:
-        """Poll ``/healthz`` until the daemon answers (startup races)."""
+        """Poll ``/healthz`` until it answers 200 (startup races).
+
+        Rides out a listener that is not bound yet, and a router that
+        answers 503 ``no_shards`` while its shards boot.
+        """
         import time
 
         deadline = time.monotonic() + timeout
@@ -274,9 +278,9 @@ class ServiceClient:
         while time.monotonic() < deadline:
             try:
                 return self.healthz()
-            except (ConnectionError, OSError, socket.timeout) as exc:
+            except (ServiceError, ConnectionError, OSError, socket.timeout) as exc:
                 last = exc
                 time.sleep(0.05)
         raise ConfigurationError(
-            f"service at {self.url} not reachable within {timeout}s: {last}"
+            f"service at {self.url} not healthy within {timeout}s: {last}"
         )

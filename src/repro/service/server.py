@@ -1,4 +1,4 @@
-"""The scheduling daemon: asyncio JSON-over-HTTP front-end.
+"""The scheduling daemon, and the HTTP front it shares with the router.
 
 A deliberately small HTTP/1.1 server on ``asyncio.start_server`` — the
 stdlib has no async HTTP server, and the protocol subset a scheduling
@@ -25,15 +25,16 @@ overload is explicit, never an unbounded buffer or a silent drop.
 Graceful drain: SIGTERM/SIGINT stop the listener, reject new requests
 with ``503 draining``, wait for admitted requests (bounded by
 ``drain_timeout``), then shut the pool down — clean exit code 0, no
-orphaned workers (``scripts/service_smoke.py`` asserts this end to
-end).  Connections are HTTP/1.1 keep-alive: at soak rates the TCP
-handshake per request is the dominant client-side cost, so the server
-answers as many requests as the client pipelines sequentially on one
-connection, closing on client request (``Connection: close``), idle
-timeout, framing errors, or drain.  The low-level framing
-(:func:`read_http_request` / :func:`render_http_response`) is shared
-with the cluster router (:mod:`repro.cluster.router`), which speaks
-the same wire protocol in front of many daemons.
+orphaned workers (``scripts/soak.py`` asserts this end to end).
+Connections are HTTP/1.1 keep-alive: at soak rates the TCP handshake
+per request is the dominant client-side cost, so the server answers as
+many requests as the client pipelines sequentially on one connection,
+closing on client request (``Connection: close``), idle timeout,
+framing errors, or drain.  The cluster router
+(:mod:`repro.cluster.router`) speaks the same wire protocol in front of
+many daemons, so the listener lifecycle, the connection loop and the
+framing live in :class:`HttpFront`, which both subclass, and
+:func:`run_front` is the blocking entry point of both commands.
 """
 
 from __future__ import annotations
@@ -60,14 +61,12 @@ from repro.service.protocol import (
     parse_request,
 )
 
-__all__ = [
-    "ServiceConfig",
-    "ScheduleService",
-    "run_service",
-    "BadHttp",
-    "read_http_request",
-    "render_http_response",
-]
+__all__ = ["ServiceConfig", "ScheduleService", "HttpFront", "run_front", "json_body"]
+
+#: Timeout for reading one request head/body off a connection; an idle
+#: keep-alive connection closes after it.
+READ_TIMEOUT = 30.0
+MAX_BODY_BYTES = 1 << 20
 
 _REASONS = {
     200: "OK",
@@ -88,8 +87,6 @@ class BadHttp(Exception):
 
 async def read_http_request(
     reader: asyncio.StreamReader,
-    timeout: float,
-    max_body_bytes: int,
 ) -> tuple[str, str, dict[str, str], bytes, bool] | None:
     """Read one framed HTTP request off a (possibly reused) connection.
 
@@ -102,7 +99,7 @@ async def read_http_request(
     :class:`ProtocolError`.
     """
     try:
-        request_line = await asyncio.wait_for(reader.readline(), timeout)
+        request_line = await asyncio.wait_for(reader.readline(), READ_TIMEOUT)
     except asyncio.TimeoutError:
         return None  # idle keep-alive connection: close silently
     if not request_line:
@@ -113,7 +110,7 @@ async def read_http_request(
     method, target, version = parts[0].upper(), parts[1], parts[2].upper()
     headers: dict[str, str] = {}
     while True:
-        line = await asyncio.wait_for(reader.readline(), timeout)
+        line = await asyncio.wait_for(reader.readline(), READ_TIMEOUT)
         if line in (b"\r\n", b"\n"):
             break
         if not line:
@@ -130,14 +127,14 @@ async def read_http_request(
         ) from None
     if length < 0:
         raise ProtocolError("bad_request", "negative Content-Length")
-    if length > max_body_bytes:
+    if length > MAX_BODY_BYTES:
         raise ProtocolError(
             "payload_too_large",
             f"request body of {length} bytes exceeds the "
-            f"{max_body_bytes}-byte limit",
+            f"{MAX_BODY_BYTES}-byte limit",
         )
     body = (
-        await asyncio.wait_for(reader.readexactly(length), timeout)
+        await asyncio.wait_for(reader.readexactly(length), READ_TIMEOUT)
         if length
         else b""
     )
@@ -154,12 +151,11 @@ def render_http_response(
     payload: bytes,
     keep_alive: bool,
     retry_after: float | None = None,
-    content_type: str = "application/json",
 ) -> bytes:
     """Serialize one framed HTTP response (body passed through verbatim)."""
     head = [
         f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-        f"Content-Type: {content_type}",
+        "Content-Type: application/json",
         f"Content-Length: {len(payload)}",
         f"Connection: {'keep-alive' if keep_alive else 'close'}",
     ]
@@ -168,6 +164,11 @@ def render_http_response(
         # hint of 0.2s never becomes "retry immediately".
         head.append(f"Retry-After: {max(1, math.ceil(retry_after))}")
     return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + payload
+
+
+def json_body(body: dict) -> bytes:
+    """The wire bytes of a JSON answer."""
+    return json.dumps(body).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -192,9 +193,6 @@ class ServiceConfig:
     drain_timeout: float = 20.0
     #: In-memory response-cache entries (0 disables).
     cache_entries: int = 256
-    max_body_bytes: int = 1 << 20
-    #: Timeout for reading one request head/body off a connection.
-    read_timeout: float = 30.0
 
     def __post_init__(self) -> None:
         if self.queue_limit < 1:
@@ -205,31 +203,28 @@ class ServiceConfig:
             raise ConfigurationError(f"workers must be >= 0, got {self.workers}")
 
 
-class ScheduleService:
-    """One daemon instance: listener + admission + shared executor."""
+class HttpFront:
+    """Listener lifecycle and keep-alive connection loop of both servers.
 
-    def __init__(
-        self,
-        config: ServiceConfig | None = None,
-        telemetry: Telemetry | None = None,
-        work_fns: dict | None = None,
-    ) -> None:
-        self.config = config or ServiceConfig()
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.executor = ServiceExecutor(
-            n_workers=self.config.workers,
-            cache_entries=self.config.cache_entries,
-            telemetry=self.telemetry,
-            work_fns=work_fns,
-        )
-        bucket = (
-            TokenBucket(self.config.rate_limit, self.config.burst)
-            if self.config.rate_limit is not None
-            else None
-        )
-        self.admission = AdmissionController(
-            self.config.queue_limit, bucket=bucket, telemetry=self.telemetry
-        )
+    :class:`ScheduleService` and the cluster router subclass it.  A
+    subclass provides:
+
+    * ``start()``, which ends by binding the listener with
+      :meth:`_listen`, and ``drain() -> bool``, which closes it with
+      :meth:`_close_listener` and reports whether the drain was clean;
+    * ``draining``, true once new work is refused (each answer then
+      closes its connection);
+    * ``_dispatch(method, path, raw_body)``, which answers one request
+      as ``(status, body bytes, Retry-After seconds or None)`` or raises
+      :class:`ProtocolError`;
+    * ``_announce()``, the startup lines :func:`run_front` logs.
+    """
+
+    #: The ``repro`` subcommand that runs this front, for log lines.
+    command = ""
+
+    def __init__(self, config) -> None:
+        self.config = config
         self.port: int | None = None
         self._server: asyncio.Server | None = None
         self._shutdown: asyncio.Event | None = None
@@ -237,16 +232,21 @@ class ScheduleService:
         self._started_at = 0.0
 
     # -- lifecycle ------------------------------------------------------
-    async def start(self) -> None:
+    async def _listen(self) -> None:
         """Bind the listener (resolves ``port`` — pass 0 for ephemeral)."""
         self._loop = asyncio.get_running_loop()
         self._shutdown = asyncio.Event()
-        self.executor.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = time.monotonic()
+
+    async def _close_listener(self) -> None:
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
 
     def request_shutdown(self) -> None:
         """Trigger a graceful drain; safe from any thread or signal."""
@@ -275,19 +275,8 @@ class ScheduleService:
                 loop.remove_signal_handler(sig)
         return await self.drain()
 
-    async def drain(self) -> bool:
-        """Stop accepting, finish admitted work, tear the pool down."""
-        self.admission.start_draining()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        deadline = time.monotonic() + self.config.drain_timeout
-        while self.admission.pending > 0 and time.monotonic() < deadline:
-            await asyncio.sleep(0.02)
-        remaining = max(0.0, deadline - time.monotonic())
-        clean = await self.executor.drain(timeout=remaining)
-        return clean and self.admission.pending == 0
+    def _log(self, message: str) -> None:
+        print(f"[repro {self.command}] {message}", file=sys.stderr, flush=True)
 
     # -- request handling -----------------------------------------------
     async def _handle_connection(
@@ -311,44 +300,116 @@ class ScheduleService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> bool:
         """One request/response exchange; returns whether to keep serving."""
-        status, body, retry_after = 500, error_response("internal", "unset"), None
+        retry_after = None
         keep_alive = False
         try:
-            request = await read_http_request(
-                reader,
-                timeout=self.config.read_timeout,
-                max_body_bytes=self.config.max_body_bytes,
-            )
+            request = await read_http_request(reader)
             if request is None:
                 return False  # clean EOF / idle timeout: close silently
-            method, path, _headers, payload, keep_alive = request
-            status, body, retry_after = await self._dispatch(method, path, payload)
+            method, path, _headers, body, keep_alive = request
+            status, payload, retry_after = await self._dispatch(method, path, body)
         except ProtocolError as err:
-            status, body, retry_after = err.http_status, err.to_body(), err.retry_after
+            status, payload = err.http_status, json_body(err.to_body())
+            retry_after = err.retry_after
         except (BadHttp, asyncio.TimeoutError):
             # Framing is broken mid-request; answer and close (the
             # stream position is no longer trustworthy).
-            status, body = 400, error_response("bad_request", "malformed HTTP request")
-            keep_alive = False
+            status, keep_alive = 400, False
+            payload = json_body(
+                error_response("bad_request", "malformed HTTP request")
+            )
         except (
             asyncio.IncompleteReadError, ConnectionError, BrokenPipeError
         ):
             return False
         except Exception as exc:  # never leak a traceback as a hang
-            status, body = 500, error_response(
-                "internal", f"{type(exc).__name__}: {exc}"
+            status = 500
+            payload = json_body(
+                error_response("internal", f"{type(exc).__name__}: {exc}")
             )
-        if self.admission.draining:
+        if self.draining:
             keep_alive = False  # drain: finish this answer, then close
         try:
-            await self._write_response(writer, status, body, retry_after, keep_alive)
+            writer.write(
+                render_http_response(
+                    status, payload, keep_alive=keep_alive,
+                    retry_after=retry_after,
+                )
+            )
+            await writer.drain()
         except (ConnectionError, BrokenPipeError):
             return False
         return keep_alive
 
+    @staticmethod
+    def _require_method(method: str, expected: str) -> None:
+        if method != expected:
+            raise ProtocolError(
+                "method_not_allowed", f"use {expected}, not {method}"
+            )
+
+
+class ScheduleService(HttpFront):
+    """One daemon instance: listener + admission + shared executor."""
+
+    command = "serve"
+
+    def __init__(
+        self,
+        config: ServiceConfig | None = None,
+        telemetry: Telemetry | None = None,
+        work_fns: dict | None = None,
+    ) -> None:
+        super().__init__(config or ServiceConfig())
+        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        self.executor = ServiceExecutor(
+            n_workers=self.config.workers,
+            cache_entries=self.config.cache_entries,
+            telemetry=self.telemetry,
+            work_fns=work_fns,
+        )
+        bucket = (
+            TokenBucket(self.config.rate_limit, self.config.burst)
+            if self.config.rate_limit is not None
+            else None
+        )
+        self.admission = AdmissionController(
+            self.config.queue_limit, bucket=bucket, telemetry=self.telemetry
+        )
+
+    @property
+    def draining(self) -> bool:
+        return self.admission.draining
+
+    # -- lifecycle ------------------------------------------------------
+    async def start(self) -> None:
+        """Start the pool, then bind the listener."""
+        self.executor.start()
+        await self._listen()
+
+    async def _announce(self) -> None:
+        self._log(
+            f"listening on http://{self.config.host}:{self.port} "
+            f"(workers={self.config.workers}, "
+            f"queue={self.config.queue_limit}, "
+            f"rate={self.config.rate_limit or 'off'}) — SIGTERM drains"
+        )
+
+    async def drain(self) -> bool:
+        """Stop accepting, finish admitted work, tear the pool down."""
+        self.admission.start_draining()
+        await self._close_listener()
+        deadline = time.monotonic() + self.config.drain_timeout
+        while self.admission.pending > 0 and time.monotonic() < deadline:
+            await asyncio.sleep(0.02)
+        remaining = max(0.0, deadline - time.monotonic())
+        clean = await self.executor.drain(timeout=remaining)
+        return clean and self.admission.pending == 0
+
+    # -- request handling -----------------------------------------------
     async def _dispatch(
         self, method: str, path: str, raw_body: bytes
-    ) -> tuple[int, dict, float | None]:
+    ) -> tuple[int, bytes, float | None]:
         if path == "/healthz":
             self._require_method(method, "GET")
             draining = self.admission.draining
@@ -356,7 +417,7 @@ class ScheduleService:
             # queue pressure, and uptime — not just liveness.
             return (
                 503 if draining else 200,
-                {
+                json_body({
                     "protocol": PROTOCOL_VERSION,
                     "status": "draining" if draining else "ok",
                     "uptime": time.monotonic() - self._started_at,
@@ -364,12 +425,12 @@ class ScheduleService:
                     "pending": self.admission.pending,
                     "queue_limit": self.config.queue_limit,
                     "in_flight": self.executor.in_flight,
-                },
+                }),
                 None,
             )
         if path == "/metrics":
             self._require_method(method, "GET")
-            return 200, self._metrics_body(), None
+            return 200, json_body(self._metrics_body()), None
         kind = path.lstrip("/")
         if kind not in REQUEST_KINDS:
             raise ProtocolError(
@@ -409,14 +470,7 @@ class ScheduleService:
             ticket.release()
         elapsed = perf_counter() - t0
         self.telemetry.add_time(f"service.latency.{kind}", elapsed)
-        return 200, ok_response(kind, result, elapsed, source), None
-
-    @staticmethod
-    def _require_method(method: str, expected: str) -> None:
-        if method != expected:
-            raise ProtocolError(
-                "method_not_allowed", f"use {expected}, not {method}"
-            )
+        return 200, json_body(ok_response(kind, result, elapsed, source)), None
 
     def _metrics_body(self) -> dict:
         return {
@@ -430,46 +484,22 @@ class ScheduleService:
             "telemetry": self.telemetry.snapshot().to_dict(),
         }
 
-    async def _write_response(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        body: dict,
-        retry_after: float | None,
-        keep_alive: bool = False,
-    ) -> None:
-        payload = json.dumps(body).encode("utf-8")
-        writer.write(
-            render_http_response(
-                status, payload, keep_alive=keep_alive, retry_after=retry_after
-            )
-        )
-        await writer.drain()
 
+def run_front(front: HttpFront) -> int:
+    """Blocking entry point of ``repro serve`` and ``repro route``.
 
-def run_service(config: ServiceConfig | None = None) -> int:
-    """Blocking entry point of ``repro serve``; returns an exit code."""
+    Returns the exit code: 0 after a clean drain, 1 after one that
+    timed out, 130 on a second Ctrl-C during the drain.
+    """
 
     async def main() -> bool:
-        service = ScheduleService(config)
-        await service.start()
-        print(
-            f"[repro serve] listening on http://{service.config.host}:"
-            f"{service.port} (workers={service.config.workers}, "
-            f"queue={service.config.queue_limit}, "
-            f"rate={service.config.rate_limit or 'off'}) — SIGTERM drains",
-            file=sys.stderr,
-            flush=True,
-        )
-        clean = await service.serve_forever()
-        print(
-            f"[repro serve] drained {'cleanly' if clean else 'WITH TIMEOUT'}",
-            file=sys.stderr,
-            flush=True,
-        )
+        await front.start()
+        await front._announce()
+        clean = await front.serve_forever()
+        front._log(f"drained {'cleanly' if clean else 'WITH TIMEOUT'}")
         return clean
 
     try:
         return 0 if asyncio.run(main()) else 1
-    except KeyboardInterrupt:  # second Ctrl-C during drain
+    except KeyboardInterrupt:
         return 130

@@ -16,7 +16,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs.telemetry import Telemetry
 from repro.cluster.router import RouterConfig
-from repro.cluster.testing import static_cluster
+from repro.testing import static_cluster
 from repro.service.protocol import PROTOCOL_VERSION
 
 CELL = "small-layered-ep"

@@ -16,8 +16,13 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs.telemetry import Telemetry
-from repro.cluster.workers import WorkerSpec, WorkerSupervisor, serve_command
-from repro.service.testing import ServiceThread, free_port
+from repro.cluster.workers import (
+    WorkerSpec,
+    WorkerSupervisor,
+    free_port,
+    serve_command,
+)
+from repro.testing import ServiceThread
 
 
 def static_spec(shard_id: str, port: int) -> WorkerSpec:

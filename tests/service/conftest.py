@@ -12,7 +12,7 @@ import pytest
 
 from repro.obs.telemetry import Telemetry
 from repro.service.server import ServiceConfig
-from repro.service.testing import ServiceThread
+from repro.testing import ServiceThread
 
 #: Small cell shared by the service tests: fast, deterministic.
 CELL = "small-layered-ep"

@@ -6,7 +6,7 @@ import threading
 import time
 
 from repro.service.server import ServiceConfig
-from repro.service.testing import ServiceThread
+from repro.testing import ServiceThread
 
 from tests.service.conftest import CELL
 

@@ -21,7 +21,7 @@ from repro.schedulers.registry import available_schedulers, make_scheduler
 from repro.service.client import ServiceError
 from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.server import ServiceConfig
-from repro.service.testing import ServiceThread
+from repro.testing import ServiceThread
 from repro.sim.engine import simulate
 from repro.workloads.generator import (
     sample_instance,
