@@ -172,6 +172,59 @@ def measure_preemptive() -> dict[str, float]:
     return rows
 
 
+def measure_variants() -> dict[str, float]:
+    """Fault-injected and energy-aware runs, on the Python loop and
+    (``_native``) whole in the kernel's list-scheduling loop.
+
+    On the medium-layered-ir instance nearest the cell's median size:
+    ``faults_*`` time one restart run of KGreedy and of MQB under the
+    robustness experiment's λ = 0.5 timeline (exponential faults, MTBF
+    L(J)/0.5, MTTR 0.25·L(J), horizon 12·L(J)); ``energy_*`` time one
+    traced EMQB (w = 0.5) and KGreedyConsolidate (r = 0.5) run plus its
+    ``energy_breakdown`` on the hetero power config, as the energy
+    experiment computes them.
+    """
+    from repro import native as _native
+    from repro.core.properties import lower_bound
+    from repro.energy.metrics import energy_breakdown
+    from repro.energy.models import power_config
+    from repro.faults.engine import simulate_with_faults
+    from repro.faults.models import ExponentialFaults
+
+    job, system = _sized_instance("medium-layered-ir", PREEMPTIVE_TASKS["medium-layered-ir"])
+    bound = lower_bound(job, system.as_array())
+    timeline = ExponentialFaults(mtbf=bound / 0.5, mttr=0.25 * bound).sample(
+        system, 12.0 * bound, np.random.default_rng(0)
+    )
+    power = power_config("hetero", job.num_types)
+
+    def faulty(name):
+        return lambda: simulate_with_faults(job, system, make_scheduler(name), timeline)
+
+    def energy(name):
+        def run():
+            res = simulate(job, system, make_scheduler(name), record_trace=True)
+            energy_breakdown(res.trace, system, power, res.makespan)
+
+        return run
+
+    runs = {
+        "faults_kgreedy_ir": faulty("kgreedy"),
+        "faults_mqb_ir": faulty("mqb"),
+        "energy_emqb_ir": energy("emqb[w=0.5,power=hetero]"),
+        "energy_consolidate_ir": energy("kgreedy-consolidate[r=0.5]"),
+    }
+    rows: dict[str, float] = {}
+    for mode, suffix in (("0", ""), ("1", "_native")):
+        os.environ["REPRO_NATIVE"] = mode
+        if mode == "1" and _native.load_kernel() is None:
+            continue
+        for row, fn in runs.items():
+            rows[row + suffix] = _best_of(fn, repeat=3 if mode == "0" else 10)
+    os.environ["REPRO_NATIVE"] = "0"
+    return rows
+
+
 def measure_offline(instances: dict) -> dict[str, float]:
     """The offline passes with a native path, on numpy and in C.
 
@@ -258,6 +311,7 @@ def measure() -> dict[str, float]:
     os.environ["REPRO_NATIVE"] = "0"
     after.update(measure_tree())
     after.update(measure_preemptive())
+    after.update(measure_variants())
     after.update(measure_offline({"ir": (job, system), "tree": _tree_instance()}))
     after["engine_kgreedy_ir"] = _best_of(
         lambda: simulate(job, system, make_scheduler("kgreedy")), repeat=10
@@ -373,7 +427,8 @@ def main() -> int:
         for label in ("ir", "tree")
     ] + ["sample_tree"]
     preemptive = ("engine_preemptive_kgreedy_ep", "engine_preemptive_mqb_ir", "stream_global_mqb")
-    for row in ("engine_kgreedy_ir", "engine_mqb_tree", *preemptive, *offline):
+    variants = ("faults_kgreedy_ir", "faults_mqb_ir", "energy_emqb_ir", "energy_consolidate_ir")
+    for row in ("engine_kgreedy_ir", "engine_mqb_tree", *preemptive, *variants, *offline):
         if f"{row}_native" in after:
             speedups[f"{row}_native_vs_python"] = round(
                 after[row] / after[f"{row}_native"], 3
@@ -425,7 +480,13 @@ def main() -> int:
             "in the kernel's preemptive loop; stream_global_mqb times one "
             "GlobalMQB run of the stream experiment's first heavy-load "
             "stream (seed 2018), picks on numpy's lexsort and (_native) "
-            "in the kernel."
+            "in the kernel. faults_kgreedy_ir and faults_mqb_ir time one "
+            "restart run under the robustness experiment's lambda = 0.5 "
+            "exponential timeline on that medium-layered-ir instance, "
+            "and energy_emqb_ir and energy_consolidate_ir one traced "
+            "emqb[w=0.5,power=hetero] and kgreedy-consolidate[r=0.5] run "
+            "plus its energy_breakdown on the hetero power config; their "
+            "_native twins run whole in the kernel's list-scheduling loop."
         ),
         "host": {
             "platform": platform.platform(),

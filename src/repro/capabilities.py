@@ -7,12 +7,17 @@ which reads prepared state instead of calling the protocol, may run
 it as).  :func:`plan_run` is the one place the CLI, the sweeps and the
 service turn them into an engine; the service answers its refusal
 with ``bad_request``.  :func:`row_kind` is the one place the native
-whole-run loop decides whether a declaration holds for a given
-scheduler object.
+whole-run loops (plain, fault-injected and preemptive runs) decide
+whether a declaration holds for a given scheduler object.  The row
+kinds are ``"static"`` (every ``QueueScheduler``), ``"mqb"``, and
+the energy variants' own ``"emqb"`` and ``"consolidate"``; the
+decentralized schedulers keep their bases' kinds, which only the
+degenerate steal's :func:`~repro.sim.engine.simulate` runs read.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Callable
 
 from repro.errors import ConfigurationError
@@ -30,17 +35,31 @@ DECENTRAL_REFUSALS = {
     "energy": "energy accounting",
 }
 
-#: The protocol methods each row kind replaces with its own loop.  A
-#: scheduler keeps its row kind only while every one of them is the
-#: family's own, on its class and not set on the instance.
+_STATIC_PROTOCOL = (
+    "task_ready", "pending", "select", "assign", "task_finished",
+    "capacity_changed",
+)
+_MQB_PROTOCOL = _STATIC_PROTOCOL + ("_pick_best", "_commit_pick", "_pop")
+
+#: The protocol methods each row kind replaces with its own loop (the
+#: fault seam calls ``capacity_changed``).  A scheduler keeps its row
+#: kind only while every one of them is the family's own, on its class
+#: and not set on the instance.
 ROW_PROTOCOLS = {
-    "static": ("task_ready", "pending", "select", "assign", "task_finished"),
-    "mqb": (
-        "_pick_best", "_commit_pick", "_pop", "select", "assign",
-        "task_ready", "pending", "task_finished",
-    ),
+    "static": _STATIC_PROTOCOL,
+    "consolidate": _STATIC_PROTOCOL,
+    "mqb": _MQB_PROTOCOL,
+    "emqb": _MQB_PROTOCOL,
 }
-_ROW_BASES = {"static": QueueScheduler, "mqb": MQB}
+#: The family each row kind's protocol must come from.  The energy
+#: families are looked up only for a scheduler that declares their
+#: kind, so this module imports nothing for them.
+_ROW_BASES = {
+    "static": QueueScheduler,
+    "mqb": MQB,
+    "emqb": ("repro.energy.schedulers", "EMQB"),
+    "consolidate": ("repro.energy.schedulers", "KGreedyConsolidate"),
+}
 
 
 def plan_run(
@@ -77,18 +96,24 @@ def plan_run(
 
 
 def row_kind(scheduler: Scheduler) -> str | None:
-    """``"static"``, ``"mqb"`` or ``None``: how the C loop may run it.
+    """``"static"``, ``"consolidate"``, ``"mqb"``, ``"emqb"`` or ``None``:
+    how the C loop may run it.
 
     The scheduler's ``lockstep`` declaration, provided the methods of
-    :data:`ROW_PROTOCOLS` are those of :class:`QueueScheduler` (static)
-    or :class:`MQB` — neither overridden by a subclass that inherits
-    the declaration nor wrapped on the instance (as a tracer does).
-    Anything else runs the Python loop, which calls the protocol.
+    :data:`ROW_PROTOCOLS` are those of its family — :class:`QueueScheduler`
+    (static), :class:`MQB`, or the energy variants ``EMQB`` and
+    ``KGreedyConsolidate`` — neither overridden by a subclass that
+    inherits the declaration nor wrapped on the instance (as a tracer
+    does).  Anything else runs the Python loop, which calls the
+    protocol.
     """
     kind = scheduler.lockstep
     base = _ROW_BASES.get(kind)
     if base is None:
         return None
+    if isinstance(base, tuple):
+        module, name = base
+        base = getattr(import_module(module), name)
     cls = type(scheduler)
     own = scheduler.__dict__
     for name in ROW_PROTOCOLS[kind]:

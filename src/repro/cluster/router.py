@@ -193,7 +193,13 @@ class ClusterRouter(HttpFront):
             f"replicas={self.config.replicas}, "
             f"retries={self.config.retries}) — SIGTERM drains"
         )
-        ready = await self.supervisor.wait_healthy(min_healthy=1)
+        # A shutdown request ends the wait: the drain takes the fleet
+        # down as far as it has come up.
+        ready = await self.supervisor.wait_healthy(
+            min_healthy=1, stop=self._shutdown_event()
+        )
+        if self.shutdown_requested:
+            return
         shard_urls = [w.spec.url for w in self.supervisor.workers.values()]
         self._log(f"shards {'healthy' if ready else 'NOT READY'}: {shard_urls}")
 

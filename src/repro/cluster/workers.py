@@ -83,14 +83,15 @@ def free_port() -> int:
         return sock.getsockname()[1]
 
 
-def spawn_repro(command: Sequence[str]) -> subprocess.Popen:
-    """Start a ``repro`` subprocess that imports this checkout's sources."""
+def spawn_repro(command: Sequence[str], **popen) -> subprocess.Popen:
+    """Start a ``repro`` subprocess that imports this checkout's sources
+    (``popen``: further :class:`subprocess.Popen` arguments)."""
     env = dict(os.environ)
     src = os.path.dirname(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     )
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.Popen(list(command), env=env)
+    return subprocess.Popen(list(command), env=env, **popen)
 
 
 @dataclass(frozen=True)
@@ -211,11 +212,15 @@ class WorkerSupervisor:
         )
 
     async def wait_healthy(
-        self, min_healthy: int = 1, timeout: float = 30.0
+        self, min_healthy: int = 1, timeout: float = 30.0,
+        stop: asyncio.Event | None = None,
     ) -> bool:
-        """Block until ``min_healthy`` shards answer, or time out."""
+        """Block until ``min_healthy`` shards answer, the timeout passes
+        or ``stop`` is set."""
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
+        while time.monotonic() < deadline and not (
+            stop is not None and stop.is_set()
+        ):
             if len(self.healthy_ids()) >= min_healthy:
                 return True
             await asyncio.sleep(0.05)
@@ -280,7 +285,8 @@ class WorkerSupervisor:
         """Stop monitoring, SIGTERM managed children, await clean exits.
 
         Returns ``True`` when every managed child exited 0 within the
-        timeout (static workers are not ours to stop and don't count).
+        timeout, or was still starting and died of the SIGTERM itself
+        (static workers are not ours to stop and don't count).
         """
         self._draining = True
         if self._monitor is not None:
@@ -309,7 +315,10 @@ class WorkerSupervisor:
                 worker.process.kill()
                 worker.process.wait(timeout=10.0)
                 code = worker.process.returncode
-            if code != 0:
+            # A child that SIGTERM's default action ended had not
+            # installed its handlers yet: it was still starting and held
+            # no work, so that exit is as clean as a drain's.
+            if code not in (0, -signal.SIGTERM):
                 clean = False
             worker.healthy = False
             worker.endpoint.close()

@@ -19,7 +19,9 @@ In the degenerate limit (``StealPolicy(victims="global", cost=0)``) the
 run is :func:`repro.sim.engine.simulate`, which drives the standard
 ``assign`` protocol — for DKGreedy that *is* KGreedy and for DMQB it
 *is* MQB, so the centralized limit is the centralized engine, not an
-approximate re-derivation.
+approximate re-derivation.  Neither class overrides that protocol, so
+they keep their bases' row kinds (``"static"``, ``"mqb"``) and the
+degenerate runs go whole to the native loop like their bases'.
 
 Global knowledge boundary: DKGreedy stays fully local (FIFO by ready
 sequence).  DMQB keeps the O(K) aggregate queue-work vector ``l`` and
@@ -47,14 +49,15 @@ class DecentralScheduler:
 
     It declares ``decentral = True``, which
     :func:`repro.capabilities.plan_run` routes to the work-stealing
-    engine, and ``lockstep = None``, which keeps the native whole-run
-    loop off it.  It must come first in a subclass's bases so these
-    values win over the centralized class's.  It also carries the steal
-    policy and the two extra protocol hooks.
+    engine; it must come first in a subclass's bases so the value wins
+    over the centralized class's.  The row kind stays the centralized
+    family's: only the degenerate policy reaches
+    :func:`repro.sim.engine.simulate`, whose native loop then runs it as
+    KGreedy or MQB.  It also carries the steal policy and the two extra
+    protocol hooks.
     """
 
     decentral = True
-    lockstep = None
     steal_policy: StealPolicy
 
     def pick_local(

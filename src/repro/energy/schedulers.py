@@ -23,9 +23,12 @@ off (the correctness anchor ``tests/test_differential.py`` asserts):
 
 Both names flow through the scheduler registry's bracket-suffix
 parsing (:func:`make_energy_scheduler`), so sweeps, the result cache,
-and the service pick them up unchanged.  Both declare
-``lockstep = None``: they subclass MQB/KGreedy, whose row kinds would
-run their bases, so they always run on the Python loop.
+and the service pick them up unchanged.  Each declares a row kind of
+its own family, ``"emqb"`` and ``"consolidate"``
+(:func:`repro.capabilities.row_kind`), so the native whole-run loops
+run them with their weights and caps — reading ``_eweights`` and
+``_cap`` after :meth:`prepare` — while a subclass that overrides their
+protocol falls back to the Python loop instead of running as them.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ class EMQB(MQB):
     """
 
     requires_offline = True
-    lockstep = None
+    lockstep = "emqb"
 
     def __init__(self, w: float = 0.5, power: str | PowerModel = DEFAULT_EMQB_POWER) -> None:
         super().__init__(balance_mode="lex", carry_projection=True)
@@ -158,7 +161,7 @@ class KGreedyConsolidate(KGreedy):
     """
 
     requires_offline = False
-    lockstep = None
+    lockstep = "consolidate"
 
     def __init__(self, ratio: float = 0.5) -> None:
         super().__init__()

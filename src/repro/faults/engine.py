@@ -34,6 +34,14 @@ segment pops as stale and is skipped.  Trace segments are recorded at
 dispatch, as in every run of the loop; a kill cuts its segment short
 in place (:meth:`~repro.sim.trace.ScheduleTrace.cut`).
 
+The seam has a C mirror inside the native whole-run loop
+(:meth:`repro.native.MQBKernel.run` with a timeline): behind
+:func:`simulate`'s gate (``REPRO_NATIVE``, no event stream, a row kind
+whose protocol, ``capacity_changed`` included, is its family's own, a
+loaded kernel) the whole fault run goes to C, which replays the seam's
+orders and reports the same result, counters and errors.  The seam in
+Python stays the reference and the path for every other run.
+
 **λ=0 guarantee**: with an empty (or ``None``) timeline the seam puts
 nothing in the heap and only tracks dispatches, so the run makes the
 same scheduler calls, float operations and heap pops as
@@ -55,7 +63,9 @@ from repro.faults.models import FaultTimeline
 from repro.obs.events import FAIL, KILL, REPAIR, SLICE
 from repro.obs.telemetry import Telemetry
 from repro.schedulers.base import Scheduler
-from repro.sim.engine import _list_schedule, _prepare
+from repro.sim.engine import (
+    _list_schedule, _native_plan, _native_run, _prepare, _stalled,
+)
 from repro.sim.result import ScheduleResult
 from repro.system.resources import ResourceConfig
 
@@ -111,8 +121,8 @@ def simulate_with_faults(
         ``"restart"`` (fail-stop re-execution, the default) or
         ``"checkpoint"`` (resume with remaining work).
     max_kills:
-        Livelock guard: abort with :class:`SchedulingError` after this
-        many kills (default ``10 * n_tasks + 1000``) — deterministic
+        Livelock guard (``>= 0``): abort with :class:`SchedulingError`
+        after this many kills (default ``10 * n_tasks + 1000``) — deterministic
         maintenance windows shorter than a task's work would otherwise
         restart it forever.
     telemetry:
@@ -132,37 +142,84 @@ def simulate_with_faults(
         raise ConfigurationError(
             f"unknown fault policy {policy!r}; known: {list(POLICIES)}"
         )
+    if max_kills is not None and max_kills < 0:
+        raise ConfigurationError(f"max_kills must be >= 0, got {max_kills}")
     if timeline is None:
         timeline = FaultTimeline()
     timeline.check_procs(resources)
     kill_budget = max_kills if max_kills is not None else 10 * job.n_tasks + 1000
-    seam = _FaultSeam(job, resources, scheduler, timeline, policy, kill_budget)
+    events = timeline.events()
     obs = _prepare(job, resources, scheduler, rng, telemetry)
-    res = _list_schedule(job, resources, scheduler, record_trace, obs, seam)
+    plan = _native_plan(job, scheduler, obs)
+    if plan is None:
+        seam = _FaultSeam(job, resources, scheduler, events, policy, kill_budget)
+        res = _list_schedule(job, resources, scheduler, record_trace, obs, seam)
+        kills, wasted = seam.kills, seam.wasted
+    else:
+        res, run = _native_run(
+            job, resources, scheduler, record_trace, obs, *plan,
+            timeline=_timeline_arrays(events),
+            checkpoint=policy == "checkpoint", kill_budget=kill_budget,
+        )
+        if run.livelock is not None:
+            raise _livelock(scheduler.name, run.kills, kill_budget, run.livelock)
+        if res is None:
+            raise _stalled(
+                scheduler.name, *run.stalled, _down_note(resources.counts, run.up)
+            )
+        kills, wasted = run.kills, run.wasted_work
     if obs is not None:
         # The loop counts the dispatches it pushed; the timeline's
         # entries count as pushed events too.
-        obs.inc("engine.events_pushed", len(seam.timeline_events))
-        obs.inc("engine.kills", seam.kills)
-        obs.observe("engine.wasted_work", seam.wasted)
+        obs.inc("engine.events_pushed", len(events))
+        obs.inc("engine.kills", kills)
+        obs.observe("engine.wasted_work", wasted)
 
     return FaultScheduleResult(
-        **vars(res), timeline=timeline, policy=policy, kills=seam.kills,
-        wasted_work=seam.wasted,
+        **vars(res), timeline=timeline, policy=policy, kills=kills,
+        wasted_work=wasted,
     )
+
+
+def _timeline_arrays(events: list) -> tuple:
+    """``FaultTimeline.events()`` as the native loop's ``(time, fail,
+    alpha, proc)`` arrays."""
+    if not events:
+        return tuple(np.empty(0) for _ in range(4))
+    times, kinds, alphas, procs = zip(*events)
+    return (
+        np.array(times, dtype=np.float64),
+        np.array([kind == "fail" for kind in kinds]),
+        np.array(alphas, dtype=np.int64),
+        np.array(procs, dtype=np.int64),
+    )
+
+
+def _livelock(name: str, kills: int, budget: int, victim: int) -> SchedulingError:
+    return SchedulingError(
+        f"{name}: {kills} kills exceed the livelock guard ({budget}); the "
+        f"fault timeline likely never leaves task {victim} a window long "
+        f"enough to finish"
+    )
+
+
+def _down_note(counts, up) -> str:
+    """The stall error's note on the processors a timeline holds down."""
+    down = [c - u for c, u in zip(counts, up)]
+    return f" (down processors per type: {down})"
 
 
 class _FaultSeam:
     """FAIL/REPAIR events, kills and stale completions inside the loop."""
 
-    def __init__(self, job, resources, scheduler, timeline, policy, kill_budget):
+    def __init__(self, job, resources, scheduler, events, policy, kill_budget):
         self.scheduler = scheduler
         self.types = job.types.tolist()
         self.checkpoint = policy == "checkpoint"
         self.kill_budget = kill_budget
         self.counts = resources.counts
         self.up = list(resources.counts)
-        self.timeline_events = timeline.events()
+        self.timeline_events = events
         self.is_fail = [kind == "fail" for _, kind, _, _ in self.timeline_events]
         # Timeline entries' heap keys start above every dispatch's
         # sequence number: a run makes at most n + kill_budget dispatches.
@@ -231,12 +288,7 @@ class _FaultSeam:
         self.running[alpha][proc] = _IDLE
         self.kills += 1
         if self.kills > self.kill_budget:
-            raise SchedulingError(
-                f"{self.scheduler.name}: {self.kills} kills exceed the "
-                f"livelock guard ({self.kill_budget}); the fault "
-                f"timeline likely never leaves task {victim} "
-                f"a window long enough to finish"
-            )
+            raise _livelock(self.scheduler.name, self.kills, self.kill_budget, victim)
         # Entries at a dispatch instant pop before its decision round,
         # so a failure lands strictly after the start it cuts short.
         if self.trace is not None:
@@ -258,5 +310,4 @@ class _FaultSeam:
         return 1
 
     def stall_note(self):
-        down = [c - u for c, u in zip(self.counts, self.up)]
-        return f" (down processors per type: {down})"
+        return _down_note(self.counts, self.up)

@@ -109,12 +109,22 @@ __all__ = [
     "native_status",
 ]
 
-ABI_VERSION = 7
+ABI_VERSION = 8
 MODE_CODES = {"lex": 0, "min": 1, "sum": 2}
+
+#: The whole-run loops' row kinds: the C row each runs as, and the
+#: per-type vector it adds (``None`` for the plain rows).
+_ROW_STATIC, _ROW_MQB = 0, 1
+_ROWS = {
+    "static": (_ROW_STATIC, None),
+    "consolidate": (_ROW_STATIC, "caps"),
+    "mqb": (_ROW_MQB, None),
+    "emqb": (_ROW_MQB, "weights"),
+}
 
 #: The whole-run loops' status codes.
 _RUN_OK, _RUN_NO_MEMORY, _RUN_STALLED = 0, -2, -3
-_RUN_TRACE_FULL = -6
+_RUN_TRACE_FULL, _RUN_LIVELOCK = -6, -7
 #: repro_preemptive_schedule's failures of the run itself, by code.
 _PREEMPTIVE_FAILURES = {-4: "budget", _RUN_STALLED: "stalled", -5: "idle"}
 
@@ -161,25 +171,31 @@ class MQBKernel:
         )
         self.pick_pop = pick_pop
 
+        # kind, n, K, types, work, child_ptr, child_idx, counts, keys,
+        # d, mode, carry, weights, caps: both whole-run loops' leading
+        # arguments
+        rows = (
+            _c_ll, _c_ll, _c_ll, _c_p, _c_p, _c_p, _c_p, _c_p, _c_p,
+            _c_p, _c_ll, _c_ll, _c_p, _c_p,
+        )
         list_schedule = lib.repro_list_schedule
         list_schedule.restype = _c_ll
-        # kind, n, K, types, work, child_ptr, child_idx, counts, keys,
-        # d, mode, carry, timing, trace_task, trace_proc, trace_start,
-        # trace_end, out_f, out_i
-        list_schedule.argtypes = (
-            _c_ll, _c_ll, _c_ll, _c_p, _c_p, _c_p, _c_p, _c_p, _c_p,
-            _c_p, _c_ll, _c_ll, _c_ll, _c_p, _c_p, _c_p, _c_p, _c_p, _c_p,
+        # rows, n_faults, fault_time, fault_fail, fault_alpha,
+        # fault_proc, checkpoint, kill_budget, up, timing, trace_cap,
+        # trace_task, trace_proc, trace_start, trace_end, trace_killed,
+        # out_f, out_i
+        list_schedule.argtypes = rows + (
+            _c_ll, _c_p, _c_p, _c_p, _c_p, _c_ll, _c_ll, _c_p, _c_ll, _c_ll,
+            _c_p, _c_p, _c_p, _c_p, _c_p, _c_p, _c_p,
         )
         self.list_schedule = list_schedule
 
         preemptive = lib.repro_preemptive_schedule
         preemptive.restype = _c_ll
-        # kind, n, K, types, work, child_ptr, child_idx, counts, keys,
-        # d, mode, carry, quantum, budget, timing, trace_cap, trace_task,
+        # rows, quantum, budget, timing, trace_cap, trace_task,
         # trace_proc, trace_start, trace_end, out_f, out_i
-        preemptive.argtypes = (
-            _c_ll, _c_ll, _c_ll, _c_p, _c_p, _c_p, _c_p, _c_p, _c_p,
-            _c_p, _c_ll, _c_ll, ctypes.c_double, _c_ll, _c_ll, _c_ll,
+        preemptive.argtypes = rows + (
+            ctypes.c_double, _c_ll, _c_ll, _c_ll,
             _c_p, _c_p, _c_p, _c_p, _c_p, _c_p,
         )
         self.preemptive_schedule = preemptive
@@ -225,93 +241,156 @@ class MQBKernel:
         )
         self._tree_expand = tree
 
-    def _run_args(self, kind: str, mode: str, job, counts, keys, d) -> tuple:
+    def _run_args(
+        self, kind: str, mode: str, carry: bool, job, counts, keys, d, weights,
+        caps,
+    ) -> tuple:
         """The arrays both whole-run loops read, checked, and the leading
-        arguments of either call (``kind`` through ``mode``); the arrays
+        arguments of either call (``kind`` through ``caps``); the arrays
         must outlive the call."""
-        if kind not in ("static", "mqb"):
+        if kind not in _ROWS:
             raise ValueError(f"native run: unknown row kind {kind!r}")
         if mode not in MODE_CODES:
             raise ValueError(f"native run: unknown balance mode {mode!r}")
+        code, vector = _ROWS[kind]
+        given = {"weights": weights, "caps": caps}
+        for name, value in given.items():
+            if (value is not None) != (name == vector):
+                raise ValueError(
+                    f"native {kind} run: "
+                    + (f"needs {name}" if value is None else f"takes no {name}")
+                )
         n, k = job.n_tasks, job.num_types
         types, child_ptr, child_idx, counts = (
             _int64(a) for a in (job.types, job.child_ptr, job.child_idx, counts)
         )
         work = _float64(job.work)
-        static = kind == "static"
+        static = code == _ROW_STATIC
         state = _float64(keys if static else d)
+        extra = None
+        if vector is not None:
+            extra = (_float64 if vector == "weights" else _int64)(given[vector])
         if (
             state.shape != ((n,) if static else (n, k))
             or types.shape != (n,) or work.shape != (n,)
             or child_ptr.shape != (n + 1,)
             or child_idx.shape != (int(child_ptr[-1]),)
             or counts.shape != (k,)
+            or (extra is not None and extra.shape != (k,))
         ):
             raise ValueError(
                 f"native {kind} run: arrays do not match n={n}, K={k}"
             )
-        arrays = (types, work, child_ptr, child_idx, counts, state)
+        arrays = (types, work, child_ptr, child_idx, counts, state, extra)
+        extra_ptr = None if extra is None else extra.ctypes.data
         args = (
-            0 if static else 1, n, k, types.ctypes.data, work.ctypes.data,
+            code, n, k, types.ctypes.data, work.ctypes.data,
             child_ptr.ctypes.data, child_idx.ctypes.data, counts.ctypes.data,
             state.ctypes.data if static else None,
             None if static else state.ctypes.data, MODE_CODES[mode],
+            1 if carry else 0,
+            extra_ptr if vector == "weights" else None,
+            extra_ptr if vector == "caps" else None,
         )
         return arrays, args
 
     def run(
         self, kind: str, job, counts, keys=None, d=None, mode: str = "lex",
-        carry: bool = True, record_trace: bool = False, timing: bool = False,
+        carry: bool = True, weights=None, caps=None, timeline=None,
+        checkpoint: bool = False, kill_budget: int = 0,
+        record_trace: bool = False, timing: bool = False,
     ) -> "NativeRun":
         """One whole non-preemptive run of ``job`` in C.
 
-        ``kind`` is ``"static"`` (``keys``: one priority per task) or
-        ``"mqb"`` (``d``: the ``(n, K)`` descendant matrix, balance
-        ``mode`` and ``carry``).  ``counts`` are the processor counts.
+        ``kind`` is a row kind: ``"static"`` (``keys``: one priority per
+        task), ``"consolidate"`` (``keys`` and ``caps``: a concurrency
+        cap per type), ``"mqb"`` (``d``: the ``(n, K)`` descendant
+        matrix, balance ``mode`` and ``carry``) or ``"emqb"`` (``d``,
+        ``mode``, ``carry`` and ``weights``: a score weight per type).
+        ``counts`` are the processor counts.
+
+        A fault run passes ``timeline``, ``(time, fail, alpha, proc)``
+        arrays of :meth:`repro.faults.FaultTimeline.events` order
+        (``fail`` 1 for a FAIL, 0 for a REPAIR), the recovery policy
+        (``checkpoint``) and the livelock guard's ``kill_budget``; its
+        trace carries killed flags.
+
         Raises :class:`ValueError` for an unknown ``kind`` or ``mode``
         and for arrays of the wrong shape, and :class:`OSError` for
-        input the loop rejects or a failed allocation; a stall comes
-        back as ``NativeRun.stalled``.
+        input the loop rejects or a failed allocation; a stall and a
+        tripped livelock guard come back as ``NativeRun.stalled`` and
+        ``NativeRun.livelock``.
         """
-        arrays, args = self._run_args(kind, mode, job, counts, keys, d)
-        out_f = np.zeros(3, dtype=np.float64)
-        out_i = np.zeros(6, dtype=np.int64)
-        trace, trace_ptrs = _trace_buffers(job.n_tasks if record_trace else None)
+        arrays, args = self._run_args(
+            kind, mode, carry, job, counts, keys, d, weights, caps
+        )
+        n, k = job.n_tasks, job.num_types
+        out_f = np.zeros(4, dtype=np.float64)
+        out_i = np.zeros(8, dtype=np.int64)
+        if timeline is None:
+            up, n_fail = None, 0
+            faults = (-1, None, None, None, None, 0, 0, None)
+        else:
+            time, fail, alpha, proc = timeline
+            tl = (_float64(time), _int64(fail), _int64(alpha), _int64(proc))
+            if any(a.ndim != 1 or a.shape != tl[0].shape for a in tl):
+                raise ValueError("native fault run: timeline arrays do not match")
+            arrays += tl
+            up = np.zeros(k, dtype=np.int64)
+            n_fail = int(np.count_nonzero(tl[1]))
+            budget = max(min(int(kill_budget), _I64_MAX), -_I64_MAX)
+            faults = (
+                tl[0].shape[0], *(a.ctypes.data for a in tl),
+                1 if checkpoint else 0, budget, up.ctypes.data,
+            )
+        cap = n + n_fail
+        trace, trace_ptrs = _trace_buffers(
+            cap if record_trace else None, killed=timeline is not None
+        )
+        killed_ptr = () if timeline is not None else (None,)
         rc = self.list_schedule(
-            *args, 1 if carry else 0, 1 if timing else 0, *trace_ptrs,
+            *args, *faults, 1 if timing else 0, cap, *trace_ptrs, *killed_ptr,
             out_f.ctypes.data, out_i.ctypes.data,
         )
-        if rc not in (_RUN_OK, _RUN_STALLED):
+        if rc not in (_RUN_OK, _RUN_STALLED, _RUN_LIVELOCK):
             raise OSError(
                 "native list-scheduling loop failed: "
                 + ("allocation failed" if rc == _RUN_NO_MEMORY else "bad input")
             )
         f, i = out_f.tolist(), out_i.tolist()
+        if trace is not None:
+            trace = tuple(a[: i[1]] for a in trace)
         return NativeRun(
             makespan=f[0], decision_s=f[1], decisions=i[0],
             events_pushed=i[1], heap_peak=i[2], picks=i[3],
-            trace=trace, stalled=None if rc == _RUN_OK else (f[2], i[4], i[5]),
+            trace=trace, stalled=(f[2], i[4], i[5]) if rc == _RUN_STALLED else None,
+            kills=i[6], wasted_work=f[3],
+            livelock=i[7] if rc == _RUN_LIVELOCK else None,
+            up=None if up is None else up.tolist(),
         )
 
     def run_preemptive(
         self, kind: str, job, counts, quantum: float, budget: int, keys=None,
-        d=None, mode: str = "lex", carry: bool = True,
-        record_trace: bool = False, timing: bool = False,
+        d=None, mode: str = "lex", carry: bool = True, weights=None,
+        caps=None, record_trace: bool = False, timing: bool = False,
         trace_cap: int | None = None,
     ) -> "PreemptiveRun":
         """One whole preemptive run of ``job`` in C, ``budget`` quanta at most.
 
-        ``kind``, ``counts``, ``keys``, ``d``, ``mode`` and ``carry`` are
-        :meth:`run`'s.  The trace holds ``trace_cap`` segments; by
-        default it starts at each task's quanta plus one, which every
-        run short of float cancellation fits, and doubles until the run
-        fits.  Raises :class:`ValueError` for a bad ``kind``, ``mode``,
-        array shape or quantum, and :class:`OSError` for input the loop
-        rejects, a failed allocation or a trace past a given
-        ``trace_cap``; an overrun budget or a stall comes back as
+        ``kind``, ``counts``, ``keys``, ``d``, ``mode``, ``carry``,
+        ``weights`` and ``caps`` are :meth:`run`'s.  The trace holds
+        ``trace_cap`` segments; by default it starts at each task's
+        quanta plus one, which every run short of float cancellation
+        fits, and doubles until the run fits.  Raises
+        :class:`ValueError` for a bad ``kind``, ``mode``, array shape or
+        quantum, and :class:`OSError` for input the loop rejects, a
+        failed allocation or a trace past a given ``trace_cap``; an
+        overrun budget or a stall comes back as
         ``PreemptiveRun.failed``.
         """
-        arrays, args = self._run_args(kind, mode, job, counts, keys, d)
+        arrays, args = self._run_args(
+            kind, mode, carry, job, counts, keys, d, weights, caps
+        )
         quantum = float(quantum)
         if not (quantum > 0.0 and np.isfinite(quantum)):
             raise ValueError(f"native preemptive run: bad quantum {quantum}")
@@ -327,7 +406,7 @@ class MQBKernel:
         while True:
             trace, trace_ptrs = _trace_buffers(trace_cap if record_trace else None)
             rc = self.preemptive_schedule(
-                *args, 1 if carry else 0, quantum, budget, 1 if timing else 0,
+                *args, quantum, budget, 1 if timing else 0,
                 int(trace_cap), *trace_ptrs, out_f.ctypes.data, out_i.ctypes.data,
             )
             if rc != _RUN_TRACE_FULL or not grow:
@@ -532,15 +611,19 @@ def _float64(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
-def _trace_buffers(cap: int | None) -> tuple:
-    """``(task, proc, start, end)`` arrays of ``cap`` slots and their
-    addresses, or ``None`` and four null pointers."""
+def _trace_buffers(cap: int | None, killed: bool = False) -> tuple:
+    """``(task, proc, start, end)`` arrays of ``cap`` slots, plus a
+    ``killed`` one when asked for, and their addresses; or ``None`` and
+    null pointers."""
+    width = 5 if killed else 4
     if cap is None:
-        return None, [None] * 4
+        return None, [None] * width
     trace = (
         np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64),
         np.empty(cap, dtype=np.float64), np.empty(cap, dtype=np.float64),
     )
+    if killed:
+        trace += (np.empty(cap, dtype=bool),)
     return trace, [a.ctypes.data for a in trace]
 
 
@@ -579,20 +662,32 @@ class PreemptiveRun(NamedTuple):
 
 
 class NativeRun(NamedTuple):
-    """What one whole run in C reports (:meth:`MQBKernel.run`)."""
+    """What one whole run in C reports (:meth:`MQBKernel.run`).
+
+    A run that stalled or tripped the livelock guard reports its
+    decision rounds, dispatches and picks up to that point."""
 
     makespan: float
     #: wall seconds inside decision rounds (0.0 unless timed)
     decision_s: float
     decisions: int
+    #: dispatches (a killed task's redispatch counts again)
     events_pushed: int
     heap_peak: int
     #: MQB picks scored in C (take-all rounds make none)
     picks: int
-    #: (task, proc, start, end) arrays in dispatch order, or None
+    #: (task, proc, start, end) arrays in dispatch order, plus killed
+    #: flags in a fault run, or None
     trace: tuple | None
     #: (time, ready, unfinished) when the run stalled, else None
     stalled: tuple | None
+    #: a fault run's kills and the work they destroyed (restart policy)
+    kills: int = 0
+    wasted_work: float = 0.0
+    #: the task whose kill passed the livelock guard, else None
+    livelock: int | None = None
+    #: a fault run's up processors per type at its end, else None
+    up: list | None = None
 
 
 def mode() -> str:

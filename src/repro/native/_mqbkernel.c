@@ -5,11 +5,12 @@
  * vector, and swap-remove the winner from the ready-pool buffers —
  * for repro.schedulers.mqb.MQB, and, around it,
  * repro_list_schedule: one complete non-preemptive run of the scalar
- * engine's loop for a static-priority or MQB scheduler, which
- * repro.sim.engine.simulate calls once per run, and
- * repro_preemptive_schedule, one complete quantum-stepped run for
- * repro.sim.preemptive.simulate_preemptive (each loop's section lists
- * the orders it mirrors).
+ * engine's loop for a static-priority or MQB scheduler or one of their
+ * energy variants, with or without the fault seam, which
+ * repro.sim.engine.simulate and repro.faults.simulate_with_faults call
+ * once per run, and repro_preemptive_schedule, one complete
+ * quantum-stepped run for repro.sim.preemptive.simulate_preemptive
+ * (each loop's section lists the orders it mirrors).
  *
  * Bit-identity contract: every floating-point operation here replays
  * the numpy formulation in the same order on the same operands —
@@ -18,6 +19,7 @@
  *   r[j]     = d[v][j] + s[j]
  *   r[alpha] = r[alpha] - w[v]                (own work leaves its queue)
  *   r[j]     = r[j] / parr[j]
+ *   r[j]     = r[j] * weights[j]              (EMQB only)
  *
  * followed by a comparison-only selection: "lex" sorts each candidate's
  * vector ascending and compares element-wise (index 0 most
@@ -38,11 +40,11 @@
  * a toolchain ships a prebuilt .so) and as a plain shared library for
  * the lazy `cc -shared -DREPRO_NO_PYTHON` ctypes build path; the
  * symbols are always consumed through ctypes, never through the
- * (empty) Python module.  Entry points (ABI 7):
+ * (empty) Python module.  Entry points (ABI 8):
  *
  *   repro_native_abi
  *   repro_mqb_pick_pop                  MQB picks
- *   repro_list_schedule                 whole static/MQB runs
+ *   repro_list_schedule                 whole static/MQB runs, faulty or not
  *   repro_preemptive_schedule           whole preemptive static/MQB runs
  *   repro_topo_levels                   KDag's level-order peel
  *   repro_bottom_levels, repro_top_levels,
@@ -62,7 +64,7 @@
 #include <string.h>
 #include <time.h>
 
-#define REPRO_NATIVE_ABI 7
+#define REPRO_NATIVE_ABI 8
 #define MODE_LEX 0
 #define MODE_MIN 1
 #define MODE_SUM 2
@@ -200,12 +202,31 @@ EXPORT i64 repro_mqb_pick_pop(double *dpool, double *wpool, i64 *spool,
     return best;
 }
 
+/* EMQB's score: MQB's lex key with each x-utilization rescaled by its
+ * type's weight, key[j] = (v / parr[j]) * weights[j] (numpy's
+ * `r /= parr; r *= eweights`), sorted ascending. */
+static i64 score_weighted(const double *drow, double own_work,
+                          const double *s, const double *parr,
+                          const double *weights, i64 K, i64 alpha,
+                          double *key) {
+    for (i64 j = 0; j < K; j++) {
+        double v = drow[j] + s[j];
+        if (j == alpha) v -= own_work;
+        key[j] = (v / parr[j]) * weights[j];
+    }
+    insertion_sort(key, K);
+    return K;
+}
+
 /* One MQB pick + commit over a pool of task ids: score candidates
  * ptask[0..*plen) (descendant rows d[t*K..], own works work[t])
  * against l + extra, then update extra (when carry) and l[alpha],
  * swap-remove the winner (the last slot moves into its place) and
- * return its task id.  s, key_a and key_b are K-double scratch. */
+ * return its task id.  weights: EMQB's per-type score weights (lex
+ * mode), or NULL for MQB's own score.  s, key_a and key_b are K-double
+ * scratch. */
 static i64 pool_pick_commit(const double *d, const double *work,
+                            const double *weights,
                             i64 *ptask, i64 *pseq, i64 *plen,
                             double *lrow, double *erow,
                             const double *prow, i64 K, i64 alpha,
@@ -215,23 +236,35 @@ static i64 pool_pick_commit(const double *d, const double *work,
     for (i64 j = 0; j < K; j++) s[j] = lrow[j] + erow[j];
 
     double *best_key = key_a, *cand_key = key_b;
-    i64 t0 = ptask[0];
-    i64 klen = score_candidate(d + t0 * K, work[t0], s, prow, K, alpha,
-                               mode, best_key);
     i64 best = 0;
     i64 best_seq = pseq[0];
-    for (i64 i = 1; i < b; i++) {
-        i64 t = ptask[i];
-        score_candidate(d + t * K, work[t], s, prow, K, alpha, mode,
-                        cand_key);
-        if (key_better(cand_key, pseq[i], best_key, best_seq, klen)) {
-            best = i;
-            best_seq = pseq[i];
-            double *tmp = best_key;
-            best_key = cand_key;
-            cand_key = tmp;
-        }
+    i64 klen;
+    /* One scan per score, chosen once per pick: MQB's candidates run
+     * no weight multiply and no per-candidate test for one. */
+#define POOL_SCAN(SCORE)                                                  \
+    klen = SCORE(ptask[0], best_key);                                     \
+    for (i64 i = 1; i < b; i++) {                                         \
+        SCORE(ptask[i], cand_key);                                        \
+        if (key_better(cand_key, pseq[i], best_key, best_seq, klen)) {    \
+            best = i;                                                     \
+            best_seq = pseq[i];                                           \
+            double *tmp = best_key;                                       \
+            best_key = cand_key;                                          \
+            cand_key = tmp;                                               \
+        }                                                                 \
     }
+#define PLAIN_SCORE(t, key) \
+    score_candidate(d + (t) * K, work[t], s, prow, K, alpha, mode, key)
+#define WEIGHTED_SCORE(t, key) \
+    score_weighted(d + (t) * K, work[t], s, prow, weights, K, alpha, key)
+    if (weights == NULL) {
+        POOL_SCAN(PLAIN_SCORE)
+    } else {
+        POOL_SCAN(WEIGHTED_SCORE)
+    }
+#undef POOL_SCAN
+#undef PLAIN_SCORE
+#undef WEIGHTED_SCORE
 
     i64 wtask = ptask[best];
     if (carry) {
@@ -259,13 +292,15 @@ static i64 pool_pick_commit(const double *d, const double *work,
  *     tuples compare (first unequal field decides, by `<`), and are
  *     sifted by heapq's own _siftdown/_siftup, so pop order is
  *     Python's even for NaN or infinite keys;
+ *   - a task keeps the ready seq of its first announcement (the sticky
+ *     rank of QueueScheduler.task_ready and MQB.task_ready);
  *   - free-processor stacks start as [P-1, ..., 0] and pop from the end;
  *   - a decision round runs when a task is ready and some type has both
  *     a free processor and a pending task; static rounds pop each
  *     type's heap in type order, MQB rounds replay MQB.assign (per
- *     pass, per type: take every ready task in ascending ready seq when
- *     they fit the free count, else one pool_pick_commit); tasks are
- *     dispatched in chosen order, which sets their completion seq;
+ *     pass, per type: take every ready task in pool insertion order
+ *     when they fit the free count, else one pool_pick_commit); tasks
+ *     are dispatched in chosen order, which sets their completion seq;
  *   - completions at one instant pop in (finish, seq) order, and a
  *     completed task's children become ready in child_idx order,
  *     taking the next ready seq.
@@ -278,6 +313,31 @@ static i64 pool_pick_commit(const double *d, const double *work,
  * heads only (exact; see the top of the file) and the winner's next
  * member takes its class's place in the pool.
  *
+ * Two energy rows ride on the same rounds: EMQB is the MQB row scored
+ * by score_weighted, and KGreedyConsolidate is the static row taking
+ * min(free, cap - running) tasks per type, with running counted as the
+ * class counts it (+1 on dispatch, -1 on completion or kill).
+ *
+ * The fault seam (repro.faults.engine._FaultSeam) is the same loop with
+ * a timeline of FAIL/REPAIR entries, in FaultTimeline.events() order:
+ *
+ *   - entry i is the heap item (time, n + kill_budget + i, alpha, proc),
+ *     above every dispatch's seq, so completions pop first at one
+ *     instant; entries at t = 0 are applied before the first round and
+ *     the rest are heapified as heapq.heapify does;
+ *   - each processor remembers the dispatch it runs; a completion whose
+ *     seq is not its processor's current one was killed and is skipped;
+ *   - a FAIL on an idle processor removes it from its free stack in
+ *     place (list.remove); on a busy one it kills the dispatch: the
+ *     trace segment is cut at the failure and marked killed, and the
+ *     victim is readied again with its first ready seq, under restart
+ *     with its full work (wasted += now - start), under checkpoint with
+ *     (start + work) - now, which later dispatches use;
+ *   - a REPAIR pushes the processor onto its free stack;
+ *   - MQB pools hold one task per class (its own) when the timeline has
+ *     entries: a readied victim keeps its old seq and may shrink, so
+ *     the class FIFOs' orders would no longer hold.
+ *
  * Buffers are allocated per call and sized by what they hold; nothing
  * is process wide. */
 
@@ -288,6 +348,35 @@ static i64 pool_pick_commit(const double *d, const double *work,
 #define RUN_BAD_INPUT -1
 #define RUN_NO_MEMORY -2
 #define RUN_STALLED -3
+#define RUN_BUDGET -4
+#define RUN_IDLE -5
+#define RUN_TRACE_FULL -6
+#define RUN_LIVELOCK -7
+
+/* Largest kill budget the seam keys by; larger ones act alike (a run
+ * kills at most once per FAIL entry). */
+#define MAX_KILL_BUDGET ((i64)1 << 61)
+
+/* The energy rows' vectors, shared by both whole-run loops: weights
+ * (EMQB) only with the MQB row in lex mode, caps (KGreedyConsolidate)
+ * only with the static row.  Weights must be finite and >= 0 and caps
+ * >= 1, as EMQB and KGreedyConsolidate make them. */
+static int rows_ok(i64 kind, i64 K, i64 mode, const double *weights,
+                   const i64 *caps) {
+    if (weights != NULL) {
+        if (kind != ROW_MQB || mode != MODE_LEX) return 0;
+        for (i64 j = 0; j < K; j++) {
+            if (!(weights[j] >= 0.0) || isinf(weights[j])) return 0;
+        }
+    }
+    if (caps != NULL) {
+        if (kind != ROW_STATIC) return 0;
+        for (i64 j = 0; j < K; j++) {
+            if (caps[j] < 1) return 0;
+        }
+    }
+    return 1;
+}
 
 typedef struct { double key; i64 seq; i64 task; } ready_item;
 typedef struct { double finish; i64 seq; i64 task; i64 proc; } event_item;
@@ -354,6 +443,11 @@ static int event_lt(const event_item *a, const event_item *b) {
 DEFINE_HEAP(ready_item, ready_lt)
 DEFINE_HEAP(event_item, event_lt)
 
+/* heapq.heapify over the completion heap's item type. */
+static void event_item_heapify(event_item *h, i64 len) {
+    for (i64 i = len / 2 - 1; i >= 0; i--) event_item_siftup(h, len, i);
+}
+
 static double clock_seconds(void) {
 #if defined(CLOCK_MONOTONIC)
     struct timespec ts;
@@ -364,11 +458,24 @@ static double clock_seconds(void) {
 #endif
 }
 
+/* A fault timeline: n entries in FaultTimeline.events() order. */
+typedef struct {
+    i64 n;
+    const double *time;
+    const i64 *fail;        /* 1 FAIL, 0 REPAIR */
+    const i64 *alpha, *proc;
+} timeline;
+
 /* Per-call state of one run. */
 typedef struct {
     i64 kind, K, mode, carry;
     const i64 *types;
-    const double *work, *keys, *d;
+    const double *work;     /* what a dispatch runs: the tasks' work, or
+                             * in a fault run `remaining` */
+    const double *keys, *d;
+    const double *weights;  /* emqb: per-type score weights, else NULL */
+    const i64 *caps;        /* consolidate: per-type caps, else NULL */
+    i64 *running;           /* consolidate: running tasks per type */
     i64 *type_off;          /* K+1 offsets of per-type regions: static
                              * heaps (by tasks), mqb pools (by classes) */
     i64 *proc_off;          /* K+1 offsets of free-processor stacks */
@@ -379,14 +486,26 @@ typedef struct {
     i64 *cls;               /* mqb: each task's class */
     i64 *cls_last;          /* mqb: each class's newest ready member, -1 */
     i64 *next;              /* mqb: next ready member of the class, -1 */
-    i64 *seq;               /* mqb: each task's ready seq */
+    i64 *seq;               /* each task's sticky ready seq, -1 */
+    i64 *ins;               /* mqb: each pooled task's insertion stamp */
     i64 *take;              /* mqb: take-all scratch */
     i64 *n_pending;         /* ready tasks per type */
     double *l, *extra, *parr, *s, *key_a, *key_b;
     event_item *events;
-    i64 n_events, ready_seq, event_seq, n_ready;
+    i64 n_events, ready_seq, n_ins, event_seq, n_ready;
     i64 *trace_task, *trace_proc;
     double *trace_start, *trace_end;
+    unsigned char *trace_killed;
+    /* the fault seam (fault runs only) */
+    timeline tl;
+    i64 base;               /* heap key of timeline entry 0 */
+    double *remaining;      /* each task's work left to dispatch */
+    i64 *run_seq, *run_task;/* per processor (proc_off + proc): the
+                             * running dispatch, task -1 when idle */
+    double *run_start;
+    i64 *up;                /* up processors per type */
+    i64 checkpoint, kill_budget, kills;
+    double wasted;
 } run_state;
 
 static uint64_t mix_word(uint64_t h, const void *word) {
@@ -445,13 +564,14 @@ static void pool_add(run_state *st, i64 a, i64 task) {
 
 static void task_ready(run_state *st, i64 task) {
     i64 a = st->types[task];
+    if (st->seq[task] < 0) st->seq[task] = st->ready_seq++;
     st->n_ready++;
     if (st->kind == ROW_STATIC) {
-        ready_item item = {st->keys[task], st->ready_seq++, task};
+        ready_item item = {st->keys[task], st->seq[task], task};
         ready_item_push(st->heap + st->type_off[a], &st->n_pending[a], item);
     } else {
         i64 c = st->cls[task], last = st->cls_last[c];
-        st->seq[task] = st->ready_seq++;
+        st->ins[task] = st->n_ins++;
         st->next[task] = -1;
         st->cls_last[c] = task;
         if (last < 0) {
@@ -470,20 +590,32 @@ static void dispatch(run_state *st, i64 task, double now) {
     double finish = now + st->work[task];
     event_item ev = {finish, st->event_seq, task, proc};
     event_item_push(st->events, &st->n_events, ev);
+    if (st->run_task != NULL) {
+        i64 pid = st->proc_off[a] + proc;
+        st->run_seq[pid] = st->event_seq;
+        st->run_task[pid] = task;
+        st->run_start[pid] = now;
+    }
+    if (st->running != NULL) st->running[a]++;
     if (st->trace_task != NULL) {
         st->trace_task[st->event_seq] = task;
         st->trace_proc[st->event_seq] = proc;
         st->trace_start[st->event_seq] = now;
         st->trace_end[st->event_seq] = finish;
+        if (st->trace_killed != NULL) st->trace_killed[st->event_seq] = 0;
     }
     st->event_seq++;
     st->n_ready--;
 }
 
-/* QueueScheduler.assign: each type's heap, in type order. */
+/* QueueScheduler.assign (KGreedyConsolidate.assign with caps): each
+ * type's heap, in type order. */
 static void static_round(run_state *st, double now) {
     for (i64 a = 0; a < st->K; a++) {
         i64 slots = st->n_free[a];
+        if (st->caps != NULL && st->caps[a] - st->running[a] < slots) {
+            slots = st->caps[a] - st->running[a];
+        }
         ready_item *heap = st->heap + st->type_off[a];
         for (i64 taken = 0; taken < slots && st->n_pending[a] > 0; taken++) {
             dispatch(st, ready_item_pop(heap, &st->n_pending[a]).task, now);
@@ -506,14 +638,14 @@ static i64 mqb_round(run_state *st, double now) {
             i64 base = st->type_off[a];
             i64 *ptask = st->ptask + base, *pseq = st->pseq + base;
             if (m <= st->n_free[a]) {
-                /* Take all: every member of every class, in ascending
-                 * ready seq (MQB._pos's insertion order). */
+                /* Take all: every member of every class, in insertion
+                 * order (MQB._pos's). */
                 i64 got = 0;
                 for (i64 i = 0; i < st->plen[a]; i++) {
                     st->cls_last[st->cls[ptask[i]]] = -1;
                     for (i64 t = ptask[i]; t >= 0; t = st->next[t]) {
                         i64 j = got++ - 1;
-                        while (j >= 0 && st->seq[take[j]] > st->seq[t]) {
+                        while (j >= 0 && st->ins[take[j]] > st->ins[t]) {
                             take[j + 1] = take[j];
                             j--;
                         }
@@ -533,9 +665,9 @@ static i64 mqb_round(run_state *st, double now) {
                 for (i64 i = 0; i < m; i++) dispatch(st, take[i], now);
             } else {
                 i64 v = pool_pick_commit(
-                    st->d, st->work, ptask, pseq, &st->plen[a], st->l,
-                    st->extra, st->parr, K, a, st->mode, st->carry, st->s,
-                    st->key_a, st->key_b);
+                    st->d, st->work, st->weights, ptask, pseq, &st->plen[a],
+                    st->l, st->extra, st->parr, K, a, st->mode, st->carry,
+                    st->s, st->key_a, st->key_b);
                 if (st->next[v] < 0) {
                     st->cls_last[st->cls[v]] = -1;
                 } else {
@@ -551,30 +683,137 @@ static i64 mqb_round(run_state *st, double now) {
     return picks;
 }
 
+/* Whether a timeline is one FaultTimeline.events() could return for
+ * these counts: processors in range, finite times >= 0, entries in
+ * (time, FAIL after REPAIR, alpha, proc) order, and each processor
+ * alternating FAIL (while up) and REPAIR (while down).  Returns 1 when
+ * it is, 0 when not, -1 when out of memory. */
+static int timeline_ok(const timeline *tl, i64 K, const i64 *counts,
+                       const i64 *proc_off) {
+    if (tl->n < 0) return 0;
+    if (tl->n == 0) return 1;
+    if (!tl->time || !tl->fail || !tl->alpha || !tl->proc) return 0;
+    for (i64 i = 0; i < tl->n; i++) {
+        i64 a = tl->alpha[i], p = tl->proc[i];
+        double t = tl->time[i];
+        if (a < 0 || a >= K || p < 0 || p >= counts[a]) return 0;
+        if (!(t >= 0.0) || isinf(t)) return 0;
+        if (tl->fail[i] != 0 && tl->fail[i] != 1) return 0;
+        if (i == 0) continue;
+        double u = tl->time[i - 1];
+        if (u != t) {
+            if (u > t) return 0;
+        } else if (tl->fail[i - 1] != tl->fail[i]) {
+            if (tl->fail[i - 1] > tl->fail[i]) return 0;
+        } else if (tl->alpha[i - 1] != a) {
+            if (tl->alpha[i - 1] > a) return 0;
+        } else if (tl->proc[i - 1] >= p) {
+            return 0;
+        }
+    }
+    unsigned char *down = calloc((size_t)proc_off[K] + 1, 1);
+    if (!down) return -1;
+    int ok = 1;
+    for (i64 i = 0; i < tl->n && ok; i++) {
+        i64 pid = proc_off[tl->alpha[i]] + tl->proc[i];
+        if (down[pid] == tl->fail[i]) ok = 0;
+        down[pid] = (unsigned char)tl->fail[i];
+    }
+    free(down);
+    return ok;
+}
+
+/* list.remove: drop idle processor p from type a's free stack, keeping
+ * the others' order. */
+static void free_remove(run_state *st, i64 a, i64 p) {
+    i64 *stack = st->free_procs + st->proc_off[a];
+    i64 n = st->n_free[a], i = 0;
+    while (i < n && stack[i] != p) i++;
+    if (i == n) return;
+    memmove(stack + i, stack + i + 1, (size_t)(n - i - 1) * sizeof(i64));
+    st->n_free[a] = n - 1;
+}
+
+/* _FaultSeam.popped for timeline entry i at `now`.  Returns RUN_OK, or
+ * RUN_LIVELOCK when a kill passes the budget (*victim: its task). */
+static i64 fault_entry(run_state *st, i64 i, double now, i64 *victim) {
+    i64 a = st->tl.alpha[i], p = st->tl.proc[i];
+    if (!st->tl.fail[i]) {
+        st->up[a]++;
+        st->free_procs[st->proc_off[a] + st->n_free[a]++] = p;
+        return RUN_OK;
+    }
+    st->up[a]--;
+    i64 pid = st->proc_off[a] + p, v = st->run_task[pid];
+    if (v < 0) {
+        free_remove(st, a, p);
+        return RUN_OK;
+    }
+    i64 s = st->run_seq[pid];
+    double start = st->run_start[pid];
+    st->run_seq[pid] = -1;
+    st->run_task[pid] = -1;
+    if (++st->kills > st->kill_budget) {
+        *victim = v;
+        return RUN_LIVELOCK;
+    }
+    if (st->trace_task != NULL) {
+        st->trace_end[s] = now;
+        st->trace_killed[s] = 1;
+    }
+    if (st->checkpoint) {
+        st->remaining[v] = (start + st->remaining[v]) - now;
+    } else {
+        st->wasted += now - start;
+    }
+    if (st->running != NULL) st->running[a]--;
+    task_ready(st, v);
+    return RUN_OK;
+}
+
 /* Run one whole simulation.
  *
- * kind: ROW_STATIC (keys: n priority keys) or ROW_MQB (d: n x K
- * descendant rows, mode, carry).  types/work: per task; child_ptr
- * (n+1) / child_idx: the CSR child adjacency; counts: K processor
- * counts.  timing: accumulate decision-round wall time.  trace_*: n
- * slots each, written in dispatch order, or all NULL.
+ * kind: ROW_STATIC (keys: n priority keys; caps: K concurrency caps or
+ * NULL) or ROW_MQB (d: n x K descendant rows, mode, carry; weights: K
+ * score weights or NULL).  types/work: per task; child_ptr (n+1) /
+ * child_idx: the CSR child adjacency; counts: K processor counts.
  *
- * out_f: [makespan, decision seconds, stall time]; out_i: [decisions,
- * events pushed, heap peak, kernel picks, stall ready, stall
- * unfinished].  Returns RUN_OK, RUN_STALLED (out_f[2], out_i[4..5]
- * describe the stall), RUN_BAD_INPUT or RUN_NO_MEMORY. */
+ * A fault run passes n_faults >= 0 timeline entries (fault_time,
+ * fault_fail, fault_alpha, fault_proc), checkpoint (0 restart, 1
+ * checkpoint), kill_budget >= 0, and up: K slots that end as the up
+ * processors per type; a plain run passes n_faults = -1 and NULLs.
+ *
+ * timing: accumulate decision-round wall time.  trace_*: trace_cap
+ * slots each (n plus the timeline's FAIL entries covers every
+ * dispatch), written in dispatch order, or all NULL; trace_killed may
+ * be NULL outside fault runs.
+ *
+ * out_f: [makespan, decision seconds, stall time, wasted work]; out_i:
+ * [decisions, dispatches, heap peak, kernel picks, stall ready, stall
+ * unfinished, kills, livelock victim].  Returns RUN_OK, RUN_STALLED
+ * (out_f[2], out_i[4..5] describe the stall), RUN_LIVELOCK (out_i[6]
+ * kills passed the budget on task out_i[7]), RUN_BAD_INPUT or
+ * RUN_NO_MEMORY.  The counters are written on every return but the
+ * last two. */
 EXPORT i64 repro_list_schedule(i64 kind, i64 n, i64 K,
                                const i64 *types, const double *work,
                                const i64 *child_ptr, const i64 *child_idx,
                                const i64 *counts, const double *keys,
                                const double *d, i64 mode, i64 carry,
-                               i64 timing,
+                               const double *weights, const i64 *caps,
+                               i64 n_faults, const double *fault_time,
+                               const i64 *fault_fail, const i64 *fault_alpha,
+                               const i64 *fault_proc, i64 checkpoint,
+                               i64 kill_budget, i64 *up,
+                               i64 timing, i64 trace_cap,
                                i64 *trace_task, i64 *trace_proc,
                                double *trace_start, double *trace_end,
+                               unsigned char *trace_killed,
                                double *out_f, i64 *out_i) {
     run_state st = {0};
     i64 *indeg = NULL;
     i64 rc = RUN_OK;
+    int faults = n_faults >= 0;
 
     if (n < 0 || K <= 0) return RUN_BAD_INPUT;
     if (kind == ROW_STATIC) {
@@ -586,6 +825,7 @@ EXPORT i64 repro_list_schedule(i64 kind, i64 n, i64 K,
     } else {
         return RUN_BAD_INPUT;
     }
+    if (!rows_ok(kind, K, mode, weights, caps)) return RUN_BAD_INPUT;
     if (child_ptr[0] != 0) return RUN_BAD_INPUT;
     for (i64 v = 0; v < n; v++) {
         if (types[v] < 0 || types[v] >= K) return RUN_BAD_INPUT;
@@ -597,6 +837,12 @@ EXPORT i64 repro_list_schedule(i64 kind, i64 n, i64 K,
     for (i64 a = 0; a < K; a++) {
         if (counts[a] < 0) return RUN_BAD_INPUT;
     }
+    if (faults) {
+        if (up == NULL || kill_budget < 0) return RUN_BAD_INPUT;
+        if (checkpoint != 0 && checkpoint != 1) return RUN_BAD_INPUT;
+        if (trace_task != NULL && trace_killed == NULL) return RUN_BAD_INPUT;
+    }
+    if (trace_task != NULL && trace_cap < n) return RUN_BAD_INPUT;
 
     st.kind = kind;
     st.K = K;
@@ -606,19 +852,23 @@ EXPORT i64 repro_list_schedule(i64 kind, i64 n, i64 K,
     st.work = work;
     st.keys = keys;
     st.d = d;
+    st.weights = weights;
+    st.caps = caps;
     st.trace_task = trace_task;
     st.trace_proc = trace_proc;
     st.trace_start = trace_start;
     st.trace_end = trace_end;
+    st.trace_killed = trace_killed;
+    st.base = INT64_MAX;
 
     indeg = calloc((size_t)n + 1, sizeof(i64));
+    st.seq = malloc(((size_t)n + 1) * sizeof(i64));
     st.type_off = calloc((size_t)K + 1, sizeof(i64));
     st.proc_off = calloc((size_t)K + 1, sizeof(i64));
     st.n_free = calloc((size_t)K, sizeof(i64));
     st.n_pending = calloc((size_t)K, sizeof(i64));
-    st.events = malloc(((size_t)n + 1) * sizeof(event_item));
-    if (!indeg || !st.type_off || !st.proc_off || !st.n_free ||
-        !st.n_pending || !st.events) {
+    if (!indeg || !st.seq || !st.type_off || !st.proc_off || !st.n_free ||
+        !st.n_pending) {
         rc = RUN_NO_MEMORY;
         goto done;
     }
@@ -627,16 +877,65 @@ EXPORT i64 repro_list_schedule(i64 kind, i64 n, i64 K,
         st.proc_off[a + 1] = st.proc_off[a] + counts[a];
         if (counts[a] > max_count) max_count = counts[a];
     }
+    i64 n_fail = 0;
+    if (faults) {
+        st.tl = (timeline){n_faults, fault_time, fault_fail, fault_alpha,
+                           fault_proc};
+        int ok = timeline_ok(&st.tl, K, counts, st.proc_off);
+        if (ok <= 0) {
+            rc = ok < 0 ? RUN_NO_MEMORY : RUN_BAD_INPUT;
+            goto done;
+        }
+        for (i64 i = 0; i < n_faults; i++) n_fail += fault_fail[i];
+        if (trace_task != NULL && trace_cap < n + n_fail) {
+            rc = RUN_BAD_INPUT;
+            goto done;
+        }
+        st.checkpoint = checkpoint;
+        st.kill_budget = kill_budget < MAX_KILL_BUDGET ? kill_budget
+                                                        : MAX_KILL_BUDGET;
+        st.base = n + st.kill_budget;
+        st.up = up;
+        st.remaining = malloc(((size_t)n + 1) * sizeof(double));
+        st.run_seq = malloc(((size_t)st.proc_off[K] + 1) * sizeof(i64));
+        st.run_task = malloc(((size_t)st.proc_off[K] + 1) * sizeof(i64));
+        st.run_start = malloc(((size_t)st.proc_off[K] + 1) * sizeof(double));
+        if (!st.remaining || !st.run_seq || !st.run_task || !st.run_start) {
+            rc = RUN_NO_MEMORY;
+            goto done;
+        }
+        memcpy(st.remaining, work, (size_t)n * sizeof(double));
+        st.work = st.remaining;
+        for (i64 pid = 0; pid < st.proc_off[K]; pid++) {
+            st.run_seq[pid] = -1;
+            st.run_task[pid] = -1;
+            st.run_start[pid] = 0.0;
+        }
+        for (i64 a = 0; a < K; a++) up[a] = counts[a];
+    }
+    /* Every dispatch pushes a completion; a run dispatches each task
+     * once plus once per kill, and kills at most once per FAIL. */
+    st.events = malloc(((size_t)n + (size_t)n_fail +
+                        (size_t)(faults ? n_faults : 0) + 1) *
+                       sizeof(event_item));
     st.free_procs = malloc(((size_t)st.proc_off[K] + 1) * sizeof(i64));
-    if (!st.free_procs) {
+    if (!st.events || !st.free_procs) {
         rc = RUN_NO_MEMORY;
         goto done;
+    }
+    if (caps != NULL) {
+        st.running = calloc((size_t)K, sizeof(i64));
+        if (!st.running) {
+            rc = RUN_NO_MEMORY;
+            goto done;
+        }
     }
     for (i64 a = 0; a < K; a++) {
         i64 *stack = st.free_procs + st.proc_off[a];
         for (i64 i = 0; i < counts[a]; i++) stack[i] = counts[a] - 1 - i;
         st.n_free[a] = counts[a];
     }
+    for (i64 v = 0; v < n; v++) st.seq[v] = -1;
     if (kind == ROW_STATIC) {
         for (i64 v = 0; v < n; v++) st.type_off[types[v] + 1]++;
         st.heap = malloc(((size_t)n + 1) * sizeof(ready_item));
@@ -647,7 +946,7 @@ EXPORT i64 repro_list_schedule(i64 kind, i64 n, i64 K,
     } else {
         st.cls = malloc(((size_t)n + 1) * sizeof(i64));
         st.next = malloc(((size_t)n + 1) * sizeof(i64));
-        st.seq = malloc(((size_t)n + 1) * sizeof(i64));
+        st.ins = malloc(((size_t)n + 1) * sizeof(i64));
         /* A take-all round dispatches at most one type's processors. */
         st.take = malloc(((size_t)max_count + 1) * sizeof(i64));
         st.plen = calloc((size_t)K, sizeof(i64));
@@ -657,14 +956,24 @@ EXPORT i64 repro_list_schedule(i64 kind, i64 n, i64 K,
         st.s = malloc((size_t)K * sizeof(double));
         st.key_a = malloc((size_t)K * sizeof(double));
         st.key_b = malloc((size_t)K * sizeof(double));
-        if (!st.cls || !st.next || !st.seq || !st.take || !st.plen ||
+        if (!st.cls || !st.next || !st.ins || !st.take || !st.plen ||
             !st.l || !st.extra || !st.parr || !st.s || !st.key_a ||
             !st.key_b) {
             rc = RUN_NO_MEMORY;
             goto done;
         }
         for (i64 a = 0; a < K; a++) st.parr[a] = (double)counts[a];
-        i64 n_cls = group_classes(&st, n);
+        i64 n_cls;
+        if (st.tl.n > 0) {
+            /* One task per class: the seam breaks the classes' orders. */
+            for (i64 v = 0; v < n; v++) {
+                st.cls[v] = v;
+                st.type_off[types[v] + 1]++;
+            }
+            n_cls = n;
+        } else {
+            n_cls = group_classes(&st, n);
+        }
         if (n_cls < 0) {
             rc = RUN_NO_MEMORY;
             goto done;
@@ -682,11 +991,24 @@ EXPORT i64 repro_list_schedule(i64 kind, i64 n, i64 K,
 
     for (i64 e = 0; e < child_ptr[n]; e++) indeg[child_idx[e]]++;
 
-    i64 completed = 0, decisions = 0, heap_peak = 0, picks = 0;
+    i64 completed = 0, decisions = 0, heap_peak = 0, picks = 0, victim = -1;
     double now = 0.0, makespan = 0.0, decision_s = 0.0;
     for (i64 v = 0; v < n; v++) {
         if (indeg[v] == 0) task_ready(&st, v);
     }
+    for (i64 i = 0; i < st.tl.n; i++) {
+        /* t = 0 entries take their (idle) processors down before the
+         * first round; the rest wait in the heap. */
+        if (st.tl.time[i] == 0.0) {
+            rc = fault_entry(&st, i, 0.0, &victim);
+            if (rc != RUN_OK) goto out;
+        } else {
+            event_item ev = {st.tl.time[i], st.base + i, st.tl.alpha[i],
+                             st.tl.proc[i]};
+            st.events[st.n_events++] = ev;
+        }
+    }
+    event_item_heapify(st.events, st.n_events);
     while (completed < n) {
         /* ---- decision round at time `now` ---- */
         int round = 0;
@@ -714,13 +1036,25 @@ EXPORT i64 repro_list_schedule(i64 kind, i64 n, i64 K,
             out_i[4] = st.n_ready;
             out_i[5] = n - completed;
             rc = RUN_STALLED;
-            goto done;
+            goto out;
         }
         /* ---- advance to the next event instant ---- */
         now = st.events[0].finish;
         while (st.n_events > 0 && st.events[0].finish == now) {
             event_item ev = event_item_pop(st.events, &st.n_events);
+            if (ev.seq >= st.base) {
+                rc = fault_entry(&st, ev.seq - st.base, now, &victim);
+                if (rc != RUN_OK) goto out;
+                continue;
+            }
             i64 a = types[ev.task];
+            if (st.run_task != NULL) {
+                i64 pid = st.proc_off[a] + ev.proc;
+                if (st.run_seq[pid] != ev.seq) continue;  /* killed */
+                st.run_seq[pid] = -1;
+                st.run_task[pid] = -1;
+            }
+            if (st.running != NULL) st.running[a]--;
             completed++;
             st.free_procs[st.proc_off[a] + st.n_free[a]++] = ev.proc;
             makespan = now;
@@ -730,21 +1064,32 @@ EXPORT i64 repro_list_schedule(i64 kind, i64 n, i64 K,
             }
         }
     }
+
+out:
     out_f[0] = makespan;
     out_f[1] = decision_s;
+    out_f[3] = st.wasted;
     out_i[0] = decisions;
     out_i[1] = st.event_seq;
     out_i[2] = heap_peak;
     out_i[3] = picks;
+    out_i[6] = st.kills;
+    out_i[7] = victim;
 
 done:
     free(indeg);
+    free(st.seq);
     free(st.type_off);
     free(st.proc_off);
     free(st.n_free);
     free(st.n_pending);
     free(st.events);
     free(st.free_procs);
+    free(st.running);
+    free(st.remaining);
+    free(st.run_seq);
+    free(st.run_task);
+    free(st.run_start);
     free(st.heap);
     free(st.ptask);
     free(st.pseq);
@@ -752,7 +1097,7 @@ done:
     free(st.cls);
     free(st.cls_last);
     free(st.next);
-    free(st.seq);
+    free(st.ins);
     free(st.take);
     free(st.l);
     free(st.extra);
@@ -787,13 +1132,13 @@ done:
  *     remaining work changes a task's row.  A take-all step runs in
  *     pool insertion order (MQB._pos's dict order), which a
  *     re-announcement moves to the end while the task's seq stays, and
- *     l and extra change in MQB's order.
+ *     l and extra change in MQB's order;
+ *   - the energy rows as in repro_list_schedule: EMQB's weights in the
+ *     picks, and KGreedyConsolidate's caps, which every round meets
+ *     with nothing running (each round's tasks are re-announced or
+ *     finished before the next), so a type takes min(P_alpha, cap).
  *
  * Buffers are allocated per call; nothing is process wide. */
-
-#define RUN_BUDGET -4
-#define RUN_IDLE -5
-#define RUN_TRACE_FULL -6
 
 static int csr_ok(i64 n, const i64 *ptr, const i64 *idx);
 
@@ -801,7 +1146,8 @@ static int csr_ok(i64 n, const i64 *ptr, const i64 *idx);
 typedef struct {
     i64 kind, K, mode, carry;
     const i64 *types;
-    const double *keys, *d;
+    const double *keys, *d, *weights;
+    const i64 *caps;
     double *remaining;      /* per task, what is left to run */
     i64 *type_off;          /* K+1 offsets of per-type regions, by tasks */
     ready_item *heap;       /* static: per-type ready heaps */
@@ -832,13 +1178,16 @@ static void preempt_ready(preempt_state *st, i64 task) {
 }
 
 /* Scheduler.assign over QueueScheduler.select: each type's heap, in
- * type order, up to its processor count.  Returns the number chosen. */
+ * type order, up to its processor count (and cap).  Returns the number
+ * chosen. */
 static i64 preempt_static_round(preempt_state *st, const i64 *counts,
                                 i64 *chosen) {
     i64 nc = 0;
     for (i64 a = 0; a < st->K; a++) {
+        i64 slots = counts[a];
+        if (st->caps != NULL && st->caps[a] < slots) slots = st->caps[a];
         ready_item *heap = st->heap + st->type_off[a];
-        for (i64 taken = 0; taken < counts[a] && st->n_pending[a] > 0; taken++) {
+        for (i64 taken = 0; taken < slots && st->n_pending[a] > 0; taken++) {
             chosen[nc++] = ready_item_pop(heap, &st->n_pending[a]).task;
         }
     }
@@ -885,9 +1234,10 @@ static i64 preempt_mqb_round(preempt_state *st, const i64 *counts,
                 free[a] -= m;
             } else {
                 chosen[nc++] = pool_pick_commit(
-                    st->d, st->remaining, ptask, st->pseq + st->type_off[a],
-                    &st->n_pending[a], st->l, st->extra, st->parr, K, a,
-                    st->mode, st->carry, st->s, st->key_a, st->key_b);
+                    st->d, st->remaining, st->weights, ptask,
+                    st->pseq + st->type_off[a], &st->n_pending[a], st->l,
+                    st->extra, st->parr, K, a, st->mode, st->carry, st->s,
+                    st->key_a, st->key_b);
                 free[a] -= 1;
                 *picks += 1;
             }
@@ -900,10 +1250,10 @@ static i64 preempt_mqb_round(preempt_state *st, const i64 *counts,
 /* Run one whole preemptive simulation.
  *
  * kind, n, K, types, work, child_ptr, child_idx, counts, keys, d, mode,
- * carry and timing: as repro_list_schedule.  quantum: the positive,
- * finite quantum; budget: quanta before the run counts as overrun.
- * trace_*: trace_cap slots each, written in dispatch order, or all
- * NULL.
+ * carry, weights, caps and timing: as repro_list_schedule.  quantum:
+ * the positive, finite quantum; budget: quanta before the run counts
+ * as overrun.  trace_*: trace_cap slots each, written in dispatch
+ * order, or all NULL.
  *
  * out_f: [makespan, decision seconds, time of failure]; out_i:
  * [decisions, segments dispatched, kernel picks, unfinished tasks].
@@ -916,8 +1266,10 @@ EXPORT i64 repro_preemptive_schedule(i64 kind, i64 n, i64 K,
                                      const i64 *child_ptr,
                                      const i64 *child_idx, const i64 *counts,
                                      const double *keys, const double *d,
-                                     i64 mode, i64 carry, double quantum,
-                                     i64 budget, i64 timing, i64 trace_cap,
+                                     i64 mode, i64 carry,
+                                     const double *weights, const i64 *caps,
+                                     double quantum, i64 budget, i64 timing,
+                                     i64 trace_cap,
                                      i64 *trace_task, i64 *trace_proc,
                                      double *trace_start, double *trace_end,
                                      double *out_f, i64 *out_i) {
@@ -936,6 +1288,7 @@ EXPORT i64 repro_preemptive_schedule(i64 kind, i64 n, i64 K,
     } else {
         return RUN_BAD_INPUT;
     }
+    if (!rows_ok(kind, K, mode, weights, caps)) return RUN_BAD_INPUT;
     if (!csr_ok(n, child_ptr, child_idx)) return RUN_BAD_INPUT;
     for (i64 v = 0; v < n; v++) {
         if (types[v] < 0 || types[v] >= K) return RUN_BAD_INPUT;
@@ -951,6 +1304,8 @@ EXPORT i64 repro_preemptive_schedule(i64 kind, i64 n, i64 K,
     st.types = types;
     st.keys = keys;
     st.d = d;
+    st.weights = weights;
+    st.caps = caps;
 
     indeg = calloc((size_t)n + 1, sizeof(i64));
     chosen = malloc(((size_t)n + 1) * sizeof(i64));

@@ -45,6 +45,7 @@ import math
 import signal
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -234,8 +235,7 @@ class HttpFront:
     # -- lifecycle ------------------------------------------------------
     async def _listen(self) -> None:
         """Bind the listener (resolves ``port`` — pass 0 for ephemeral)."""
-        self._loop = asyncio.get_running_loop()
-        self._shutdown = asyncio.Event()
+        self._shutdown_event()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -248,10 +248,41 @@ class HttpFront:
             await self._server.wait_closed()
             self._server = None
 
+    def _shutdown_event(self) -> asyncio.Event:
+        """The event a shutdown request sets, made on the running loop
+        the first time it is needed."""
+        if self._shutdown is None:
+            self._loop = asyncio.get_running_loop()
+            self._shutdown = asyncio.Event()
+        return self._shutdown
+
+    @property
+    def shutdown_requested(self) -> bool:
+        """Whether SIGTERM, SIGINT or :meth:`request_shutdown` arrived."""
+        return self._shutdown is not None and self._shutdown.is_set()
+
     def request_shutdown(self) -> None:
         """Trigger a graceful drain; safe from any thread or signal."""
         if self._loop is not None and self._shutdown is not None:
             self._loop.call_soon_threadsafe(self._shutdown.set)
+
+    @contextmanager
+    def _signals(self):
+        """SIGTERM and SIGINT request a shutdown inside the block."""
+        loop = asyncio.get_running_loop()
+        stop = self._shutdown_event()
+        installed = []
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(sig, stop.set)
+                installed.append(sig)
+            except (NotImplementedError, RuntimeError, ValueError):
+                pass  # non-main thread / non-Unix: programmatic shutdown only
+        try:
+            yield
+        finally:
+            for sig in installed:
+                loop.remove_signal_handler(sig)
 
     async def serve_forever(self) -> bool:
         """Serve until SIGTERM/SIGINT (or :meth:`request_shutdown`), then drain.
@@ -260,19 +291,8 @@ class HttpFront:
         ``drain_timeout``.
         """
         assert self._shutdown is not None, "start() first"
-        loop = asyncio.get_running_loop()
-        installed = []
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, self._shutdown.set)
-                installed.append(sig)
-            except (NotImplementedError, RuntimeError, ValueError):
-                pass  # non-main thread / non-Unix: programmatic shutdown only
-        try:
+        with self._signals():
             await self._shutdown.wait()
-        finally:
-            for sig in installed:
-                loop.remove_signal_handler(sig)
         return await self.drain()
 
     def _log(self, message: str) -> None:
@@ -493,9 +513,15 @@ def run_front(front: HttpFront) -> int:
     """
 
     async def main() -> bool:
-        await front.start()
-        await front._announce()
-        clean = await front.serve_forever()
+        # The handlers go in before start(): a signal while the router's
+        # shards spawn, or while _announce waits for them, drains the
+        # fleet that has started instead of orphaning it.
+        with front._signals():
+            await front.start()
+            if not front.shutdown_requested:
+                await front._announce()
+            await front._shutdown_event().wait()
+        clean = await front.drain()
         front._log(f"drained {'cleanly' if clean else 'WITH TIMEOUT'}")
         return clean
 

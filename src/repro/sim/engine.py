@@ -72,7 +72,7 @@ from repro.obs.events import COMPLETE, DECISION, SAMPLE, SLICE
 from repro.obs.telemetry import Telemetry
 from repro.schedulers.base import Scheduler
 from repro.sim.result import ScheduleResult
-from repro.sim.trace import ScheduleTrace, Segment
+from repro.sim.trace import ScheduleTrace
 from repro.system.resources import ResourceConfig
 
 __all__ = ["simulate"]
@@ -117,9 +117,12 @@ def simulate(
     """
     obs = _prepare(job, resources, scheduler, rng, telemetry)
     plan = _native_plan(job, scheduler, obs)
-    if plan is not None:
-        return _native_run(job, resources, scheduler, record_trace, obs, *plan)
-    return _list_schedule(job, resources, scheduler, record_trace, obs, None)
+    if plan is None:
+        return _list_schedule(job, resources, scheduler, record_trace, obs, None)
+    result, run = _native_run(job, resources, scheduler, record_trace, obs, *plan)
+    if result is None:
+        raise _stalled(scheduler.name, *run.stalled)
+    return result
 
 
 def _prepare(
@@ -155,15 +158,15 @@ def _native_plan(
     """``(kernel, kind, state)`` for a whole run in the native kernel, or
     ``None`` for the Python loop.
 
-    The gate of :func:`simulate` and
-    :func:`repro.sim.preemptive.simulate_preemptive`: ``REPRO_NATIVE``
-    allows the kernel, no event stream watches the run, the prepared
-    scheduler has a row kind (:func:`repro.capabilities.row_kind`), the
-    kernel loads and, for MQB, supports its balance mode at this K.  A
-    kernel that cannot load counts one ``native.fallbacks`` per run:
-    here for static rows, in ``MQB.prepare`` for MQB rows.  ``state``
-    holds the keyword arguments the kernel's run methods take for
-    ``kind``.
+    The gate of :func:`simulate`, :func:`repro.faults.simulate_with_faults`
+    and :func:`repro.sim.preemptive.simulate_preemptive`:
+    ``REPRO_NATIVE`` allows the kernel, no event stream watches the run,
+    the prepared scheduler has a row kind
+    (:func:`repro.capabilities.row_kind`), the kernel loads and, for the
+    MQB rows, supports the balance mode at this K.  A kernel that cannot
+    load counts one ``native.fallbacks`` per run: here for every row but
+    MQB's, whose ``MQB.prepare`` counts it.  ``state`` holds the keyword
+    arguments the kernel's run methods take for ``kind``.
     """
     if (obs is not None and obs.events is not None) or not _native.requested():
         return None
@@ -172,47 +175,53 @@ def _native_plan(
         return None
     # The row kind vouches for the prepared state read below.
     state = vars(scheduler)
-    if kind == "mqb":
+    if kind in ("mqb", "emqb"):
         mode = state["_balance_mode"]
         if not _native.supported(mode, job.num_types):
             return None
-        kernel = _native.load_kernel()
-        state = {"d": state["_d"], "mode": mode, "carry": state["_carry"]}
+        row = {"d": state["_d"], "mode": mode, "carry": state["_carry"]}
+        if kind == "emqb":
+            row["weights"] = state["_eweights"]
     else:
-        kernel = _native.load_kernel()
-        if kernel is None:
-            _native.note_fallback(obs)
-        state = {"keys": state["keys"]}
+        row = {"keys": state["keys"]}
+        if kind == "consolidate":
+            row["caps"] = state["_cap"]
+    kernel = _native.load_kernel()
     if kernel is None:
+        if kind != "mqb":
+            _native.note_fallback(obs)
         return None
-    return kernel, kind, state
+    return kernel, kind, row
 
 
 def _native_trace(job: KDag, arrays: tuple | None) -> ScheduleTrace | None:
-    """A native run's ``(task, proc, start, end)`` arrays as a trace."""
+    """A native run's ``(task, proc, start, end[, killed])`` arrays as a
+    columnar trace."""
     if arrays is None:
         return None
-    tasks, procs, starts, ends = (a.tolist() for a in arrays)
-    alphas = job.types[arrays[0]].tolist()
-    return ScheduleTrace(
-        segments=list(map(Segment, tasks, alphas, procs, starts, ends))
-    )
+    task, proc, start, end, *killed = arrays
+    return ScheduleTrace.from_columns(task, job.types[task], proc, start, end, *killed)
 
 
 def _note_native_run(
-    obs: Telemetry, name: str, n: int, run, dispatched: int, t_loop: float
+    obs: Telemetry, name: str, kind: str, n: int, run, dispatched: int,
+    t_loop: float, finished: bool = True,
 ) -> None:
     """The Python loop's counters and timers for a native run (which
     reports ``decisions``, ``decision_s`` and ``picks``), plus
-    ``native.runs``."""
-    obs.add_time("phase.engine_loop", perf_counter() - t_loop)
+    ``native.runs``.  The Python loop counts MQB's picks as
+    ``native.calls``, EMQB's not.  A run that did not finish notes only
+    its decision rounds, as the Python loop has when it raises."""
     if run.decisions:
         obs.add_time("decision." + name, run.decision_s, run.decisions)
         obs.inc("decisions." + name, run.decisions)
         obs.inc("dispatched." + name, dispatched)
-    if run.picks:
+    if kind == "mqb" and run.picks:
         obs.inc("native.calls", run.picks)
     obs.inc("native.runs")
+    if not finished:
+        return
+    obs.add_time("phase.engine_loop", perf_counter() - t_loop)
     obs.inc("engine.runs")
     obs.inc("engine.tasks", n)
     obs.inc("engine.decisions", run.decisions)
@@ -227,25 +236,32 @@ def _native_run(
     kernel,
     kind: str,
     state: dict,
-) -> ScheduleResult:
+    **faults,
+) -> tuple:
     """The whole run in the native kernel, as :func:`_native_plan`
-    planned it; reports the counters and timers of the Python loop
-    (DESIGN.md, "Native whole-run loop")."""
+    planned it (``faults``: :meth:`~repro.native.MQBKernel.run`'s
+    fault-seam arguments), reporting the counters and timers of the
+    Python loop (DESIGN.md, "Native whole-run loop").
+
+    Returns ``(result, run)``; ``result`` is ``None`` when the run
+    stalled or tripped the livelock guard, which the caller raises.
+    """
     _t_loop = perf_counter() if obs is not None else 0.0
     run = kernel.run(
         kind, job, resources.counts, record_trace=record_trace,
-        timing=obs is not None, **state,
+        timing=obs is not None, **state, **faults,
     )
-    if run.stalled is not None:
-        now, n_ready, unfinished = run.stalled
-        raise SchedulingError(
-            f"{scheduler.name} stalled at t={now}: {n_ready} ready, "
-            f"{unfinished} unfinished, nothing running"
-        )
+    finished = run.stalled is None and run.livelock is None
     if obs is not None:
-        _note_native_run(obs, scheduler.name, job.n_tasks, run, job.n_tasks, _t_loop)
-        obs.inc("engine.events_pushed", run.events_pushed)
-        obs.observe("engine.heap_peak", run.heap_peak)
+        _note_native_run(
+            obs, scheduler.name, kind, job.n_tasks, run, run.events_pushed,
+            _t_loop, finished,
+        )
+        if finished:
+            obs.inc("engine.events_pushed", run.events_pushed)
+            obs.observe("engine.heap_peak", run.heap_peak)
+    if not finished:
+        return None, run
     return ScheduleResult(
         makespan=run.makespan,
         scheduler=scheduler.name,
@@ -254,6 +270,16 @@ def _native_run(
         preemptive=False,
         trace=_native_trace(job, run.trace),
         decisions=run.decisions,
+    ), run
+
+
+def _stalled(
+    name: str, now: float, ready: int, unfinished: int, note: str = ""
+) -> SchedulingError:
+    """The error of a run left with unfinished work and nothing running."""
+    return SchedulingError(
+        f"{name} stalled at t={now}: {ready} ready, {unfinished} unfinished, "
+        f"nothing running{note}"
     )
 
 
@@ -367,10 +393,9 @@ def _list_schedule(
         # heap here means the scheduler left ready tasks unassigned (or
         # a seam holds capable processors down with no repair left).
         if not events:
-            raise SchedulingError(
-                f"{scheduler.name} stalled at t={now}: {n_ready} ready, "
-                f"{n - completed} unfinished, nothing running"
-                + ("" if seam is None else seam.stall_note())
+            raise _stalled(
+                scheduler.name, now, n_ready, n - completed,
+                "" if seam is None else seam.stall_note(),
             )
 
         # ---- advance to the next event instant ----

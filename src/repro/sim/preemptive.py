@@ -83,7 +83,9 @@ def simulate_preemptive(
         if run.failed is not None:
             raise _failure(scheduler.name, *run.failed)
         if obs is not None:
-            _note_native_run(obs, scheduler.name, n, run, run.dispatched, _t_loop)
+            _note_native_run(
+                obs, scheduler.name, kind, n, run, run.dispatched, _t_loop
+            )
         return ScheduleResult(
             makespan=run.makespan,
             scheduler=scheduler.name,

@@ -12,13 +12,16 @@ Per-task lookups (:meth:`ScheduleTrace.segments_of`,
 and the columnar accessors used by the vectorized metrics are served
 from lazily built caches that are invalidated on every :meth:`add`, so
 building a trace stays O(1) per segment while analysis passes stop
-re-scanning the whole segment list per task.
+re-scanning the whole segment list per task.  A trace the native loops
+return starts as columns (:meth:`ScheduleTrace.from_columns`), which
+the vectorized metrics read as they are; its segment list is built
+only when something reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -68,19 +71,82 @@ class Segment:
         return self.end - self.start
 
 
-@dataclass
-class ScheduleTrace:
-    """An ordered collection of execution segments for one run."""
+#: A trace's columns, in :class:`Segment`'s field order, and their dtypes.
+_COLUMNS = {
+    "task": np.int64,
+    "alpha": np.int64,
+    "proc": np.int64,
+    "start": np.float64,
+    "end": np.float64,
+    "killed": bool,
+}
 
-    segments: list[Segment] = field(default_factory=list)
-    #: Lazy per-task index (task -> segments sorted by start); None when stale.
-    _by_task: dict[int, list[Segment]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: Lazy columnar view (task/alpha/proc/start/end/killed arrays).
-    _columns: dict[str, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+class ScheduleTrace:
+    """An ordered collection of execution segments for one run.
+
+    The Python loops build a trace segment by segment (:meth:`add`,
+    :meth:`cut`); the native loops hand over whole columns
+    (:meth:`from_columns`).  Either form is derived from the other on
+    first use and kept until the next :meth:`add` or :meth:`cut`, so a
+    native run's trace builds no :class:`Segment` unless something reads
+    :attr:`segments`.
+    """
+
+    __slots__ = ("_segments", "_columns", "_by_task")
+
+    def __init__(self, segments: Iterable[Segment] | None = None) -> None:
+        self._segments: list[Segment] | None = (
+            [] if segments is None else list(segments)
+        )
+        #: Lazy columnar view (task/alpha/proc/start/end/killed arrays).
+        self._columns: dict[str, np.ndarray] | None = None
+        #: Lazy per-task index (task -> segments sorted by start).
+        self._by_task: dict[int, list[Segment]] | None = None
+
+    @classmethod
+    def from_columns(
+        cls,
+        task: np.ndarray,
+        alpha: np.ndarray,
+        proc: np.ndarray,
+        start: np.ndarray,
+        end: np.ndarray,
+        killed: np.ndarray | None = None,
+    ) -> "ScheduleTrace":
+        """A trace of ``len(task)`` segments given as equal-length arrays,
+        in segment order (``killed`` defaults to all false).
+
+        Checks every ``end > start`` as :class:`Segment` does, with its
+        message for the first offender.
+        """
+        bad = end <= start
+        if bad.any():
+            i = int(np.argmax(bad))
+            Segment(int(task[i]), int(alpha[i]), int(proc[i]),
+                    float(start[i]), float(end[i]))
+        trace = cls.__new__(cls)
+        trace._segments = None
+        trace._by_task = None
+        trace._columns = {
+            "task": task,
+            "alpha": alpha,
+            "proc": proc,
+            "start": start,
+            "end": end,
+            "killed": np.zeros(len(task), dtype=bool) if killed is None else killed,
+        }
+        return trace
+
+    @property
+    def segments(self) -> list[Segment]:
+        """The segments in order (built from the columns on first read)."""
+        if self._segments is None:
+            cols = self._columns
+            self._segments = list(map(
+                Segment, *(cols[name].tolist() for name in _COLUMNS)
+            ))
+        return self._segments
 
     def add(
         self,
@@ -102,16 +168,29 @@ class ScheduleTrace:
         The fault-aware engine records a segment when it is dispatched
         and cuts it here when a processor failure kills it.
         """
-        s = self.segments[index]
-        self.segments[index] = Segment(s.task, s.alpha, s.proc, s.start, end, True)
+        segments = self.segments
+        s = segments[index]
+        segments[index] = Segment(s.task, s.alpha, s.proc, s.start, end, True)
         self._by_task = None
         self._columns = None
 
     def __len__(self) -> int:
-        return len(self.segments)
+        if self._segments is None:
+            return len(self._columns["task"])
+        return len(self._segments)
 
     def __iter__(self) -> Iterator[Segment]:
         return iter(self.segments)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.segments == other.segments
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"ScheduleTrace(segments={self.segments!r})"
 
     # -- lazy caches ----------------------------------------------------
     def _task_index(self) -> dict[int, list[Segment]]:
@@ -133,33 +212,19 @@ class ScheduleTrace:
         of length ``len(self)`` in segment insertion order.
         """
         if self._columns is None:
-            segs = self.segments
+            segs = self._segments
             self._columns = {
-                "task": np.fromiter(
-                    (s.task for s in segs), dtype=np.int64, count=len(segs)
-                ),
-                "alpha": np.fromiter(
-                    (s.alpha for s in segs), dtype=np.int64, count=len(segs)
-                ),
-                "proc": np.fromiter(
-                    (s.proc for s in segs), dtype=np.int64, count=len(segs)
-                ),
-                "start": np.fromiter(
-                    (s.start for s in segs), dtype=np.float64, count=len(segs)
-                ),
-                "end": np.fromiter(
-                    (s.end for s in segs), dtype=np.float64, count=len(segs)
-                ),
-                "killed": np.fromiter(
-                    (s.killed for s in segs), dtype=bool, count=len(segs)
-                ),
+                name: np.fromiter(
+                    (getattr(s, name) for s in segs), dtype=dtype, count=len(segs)
+                )
+                for name, dtype in _COLUMNS.items()
             }
         return self._columns
 
     # -- queries --------------------------------------------------------
     def makespan(self) -> float:
         """Latest segment end (0.0 for an empty trace)."""
-        return max((s.end for s in self.segments), default=0.0)
+        return max(self.as_columns()["end"].tolist(), default=0.0)
 
     def segments_of(self, task: int) -> list[Segment]:
         """All segments of one task, sorted by start time."""

@@ -4,12 +4,17 @@ Static-mode tests put the supervisor in front of in-thread daemons
 (:class:`ServiceThread`) so eviction/recovery is observable in
 milliseconds; the managed test spawns one real ``repro serve``
 subprocess and kill-9s it, because restart semantics (new pid, same
-port, clean SIGTERM exit afterwards) only exist at the OS level.
+port, clean SIGTERM exit afterwards) only exist at the OS level.  So
+does a SIGTERM that reaches ``repro route`` while its shard starts.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -21,6 +26,7 @@ from repro.cluster.workers import (
     WorkerSupervisor,
     free_port,
     serve_command,
+    spawn_repro,
 )
 from repro.testing import ServiceThread
 
@@ -204,3 +210,61 @@ class TestManagedSupervision:
         counters = telemetry.snapshot().counters
         assert counters["supervisor.restarts"] >= 1
         assert counters["supervisor.spawned"] >= 2
+
+
+def _stat(pid: int) -> list[str] | None:
+    """``/proc/<pid>/stat``'s fields after the command name (state,
+    parent pid, ...), or ``None`` once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _children(pid: int) -> dict[int, str]:
+    """The children of ``pid``, each with its start time."""
+    found = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            fields = _stat(int(entry))
+            if fields is not None and int(fields[1]) == pid:
+                found[int(entry)] = fields[19]
+    return found
+
+
+def _running(pid: int, started: str) -> bool:
+    fields = _stat(pid)
+    return fields is not None and fields[19] == started and fields[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="finds shards in /proc")
+def test_sigterm_while_route_starts_drains_its_shard(tmp_path):
+    """SIGTERM on `repro route`'s "listening" line, while it still waits
+    for its shard to answer: the router drains and exits 0, and leaves
+    no `repro serve` child running."""
+    log = tmp_path / "route.log"
+    command = [sys.executable, "-m", "repro.cli", "route", "--shards", "1", "--port", "0"]
+    with open(log, "wb") as sink:
+        router = spawn_repro(command, stdout=subprocess.DEVNULL, stderr=sink)
+    shards: dict[int, str] = {}
+    try:
+        deadline = time.monotonic() + 60.0
+        while b"[repro route] listening" not in log.read_bytes():
+            assert router.poll() is None, log.read_text()
+            assert time.monotonic() < deadline, log.read_text()
+            time.sleep(0.01)
+        shards = _children(router.pid)
+        router.send_signal(signal.SIGTERM)
+        code = router.wait(timeout=60.0)
+    finally:
+        if router.poll() is None:
+            router.kill()
+            router.wait()
+        left = [pid for pid, started in shards.items() if _running(pid, started)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+    assert len(shards) == 1
+    assert left == []
+    assert code == 0, log.read_text()
+    assert "drained cleanly" in log.read_text()

@@ -134,10 +134,11 @@ class TestBehaviour:
         )
         assert (full.makespan, full.decisions) == (base.makespan, base.decisions)
 
-    def test_native_loop_excludes_energy_variants(self):
-        # The C loop would run them as their bases.
-        assert row_kind(make_scheduler("emqb[w=0.5]")) is None
-        assert row_kind(make_scheduler("kgreedy-consolidate[r=0.5]")) is None
+    def test_native_loop_runs_energy_variants_as_their_own_rows(self):
+        # Not as their bases: the C loop scores EMQB's weights and keeps
+        # KGreedyConsolidate's caps.
+        assert row_kind(make_scheduler("emqb[w=0.5]")) == "emqb"
+        assert row_kind(make_scheduler("kgreedy-consolidate[r=0.5]")) == "consolidate"
         assert row_kind(make_scheduler("mqb")) == "mqb"
 
 
@@ -165,10 +166,11 @@ class TestConstructionAndParsing:
         assert make_scheduler("emqb[w=1,power=hetero]").name == "emqb[w=1]"
 
     def test_is_energy_scheduler(self):
-        # The variants subclass MQB/KGreedy but declare no row kind, so
-        # the native whole-run loop never runs them as their bases.
-        assert EMQB().lockstep is None
-        assert KGreedyConsolidate().lockstep is None
+        # The variants subclass MQB/KGreedy but declare row kinds of
+        # their own, so the native whole-run loop never runs them as
+        # their bases.
+        assert EMQB().lockstep == "emqb"
+        assert KGreedyConsolidate().lockstep == "consolidate"
         assert make_scheduler("mqb").lockstep == "mqb"
         assert make_scheduler("kgreedy").lockstep == "static"
 

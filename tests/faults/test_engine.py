@@ -153,6 +153,13 @@ class TestGuards:
                 make_scheduler("kgreedy"), policy="pray",
             )
 
+    def test_negative_kill_budget_refused(self):
+        with pytest.raises(ConfigurationError, match="max_kills must be >= 0"):
+            simulate_with_faults(
+                one_task_job(), ResourceConfig((1,)),
+                make_scheduler("kgreedy"), max_kills=-1,
+            )
+
     def test_timeline_procs_checked(self):
         timeline = FaultTimeline([Outage(0, 7, 1.0, 2.0)])
         with pytest.raises(Exception, match="only 1 processors"):

@@ -21,10 +21,16 @@ import pytest
 
 from repro import ResourceConfig, make_scheduler, simulate, simulate_preemptive
 from repro import native
+from repro.faults.engine import simulate_with_faults
+from repro.faults.models import FaultTimeline, Outage
 from repro.multijob import GlobalMQB, JobStream, simulate_stream
 from repro.obs.telemetry import Telemetry
 from repro.workloads.generator import WORKLOAD_CELLS, sample_job
 from tests.conftest import make_random_job
+
+
+#: One outage per type-0 processor 0, for the fault runs.
+TIMELINE = FaultTimeline([Outage(0, 0, 1.0, 3.0)])
 
 
 @pytest.fixture
@@ -66,7 +72,8 @@ class TestDisabled:
 class TestDisabledWholeRun:
     @pytest.mark.parametrize(
         "name",
-        ["kgreedy", "mqb", "shiftbt", "dtype", "lspan", "maxdp", "mqb+1step+pre"],
+        ["kgreedy", "mqb", "shiftbt", "dtype", "lspan", "maxdp", "mqb+1step+pre",
+         "emqb[w=0.5]", "kgreedy-consolidate[r=0.5]"],
     )
     def test_no_load_and_no_c_call(self, fresh_loader_state, monkeypatch, rng,
                                    name):
@@ -91,6 +98,8 @@ class TestDisabledWholeRun:
             system = ResourceConfig((2,) * job.num_types)
             simulate(job, system, make_scheduler(name), telemetry=tel)
             simulate_preemptive(job, system, make_scheduler(name), telemetry=tel)
+            simulate_with_faults(job, system, make_scheduler(name), TIMELINE,
+                                 telemetry=tel)
         stream = JobStream((make_random_job(rng, n=30, k=3),) * 2, (0.0, 4.0))
         simulate_stream(stream, ResourceConfig((2, 2, 2)), GlobalMQB())
         assert not any(key.startswith("native.") for key in tel.counters)
@@ -174,29 +183,37 @@ class TestForcedFallback:
             assert res.decisions == ref.decisions
             assert res.trace.segments == ref.trace.segments
 
-    @pytest.mark.parametrize("name", ["kgreedy", "mqb"])
+    @pytest.mark.parametrize(
+        "name", ["kgreedy", "mqb", "emqb[w=0.5]", "kgreedy-consolidate[r=0.5]"]
+    )
     def test_whole_run_fallback_counted_once(
         self, broken_build, monkeypatch, rng, name
     ):
         # The run that wanted the C loop counts one fallback: the engine
-        # for a static run, MQB.prepare (not the engine again) for MQB.
+        # for every row kind but MQB's, MQB.prepare (not the engine
+        # again) for MQB; a fault run as a fault-free one.
         job = make_random_job(rng, n=60, k=3)
         system = ResourceConfig((2, 3, 2))
+        runs = (
+            lambda **kw: simulate(job, system, make_scheduler(name), **kw),
+            lambda **kw: simulate_with_faults(
+                job, system, make_scheduler(name), TIMELINE, **kw
+            ),
+        )
+        for run in runs:
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+            ref = run(record_trace=True)
 
-        monkeypatch.setenv("REPRO_NATIVE", "0")
-        ref = simulate(job, system, make_scheduler(name), record_trace=True)
-
-        monkeypatch.setenv("REPRO_NATIVE", "1")
-        tel = Telemetry()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = simulate(job, system, make_scheduler(name),
-                           record_trace=True, telemetry=tel)
-        assert tel.counters.get("native.fallbacks") == 1
-        assert "native.runs" not in tel.counters
-        assert res.makespan == ref.makespan
-        assert res.decisions == ref.decisions
-        assert res.trace.segments == ref.trace.segments
+            monkeypatch.setenv("REPRO_NATIVE", "1")
+            tel = Telemetry()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                res = run(record_trace=True, telemetry=tel)
+            assert tel.counters.get("native.fallbacks") == 1
+            assert "native.runs" not in tel.counters
+            assert res.makespan == ref.makespan
+            assert res.decisions == ref.decisions
+            assert res.trace.segments == ref.trace.segments
 
     def test_load_error_surfaced_in_status(self, broken_build, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "1")

@@ -22,10 +22,12 @@ import pytest
 
 from repro import native
 from repro.capabilities import row_kind
-from repro.faults.engine import simulate_with_faults
-from repro.faults.models import FaultTimeline
+from repro.energy.schedulers import EMQB, KGreedyConsolidate
+from repro.faults.engine import _timeline_arrays, simulate_with_faults
+from repro.faults.models import FaultTimeline, Outage
 from repro.obs.events import EventStream
 from repro.obs.telemetry import Telemetry
+from repro.schedulers.kgreedy import KGreedy
 from repro.schedulers.lspan import LSpan
 from repro.schedulers.registry import make_scheduler
 from repro.sim.engine import simulate
@@ -75,11 +77,26 @@ def _same(got, want) -> None:
 
 def test_overrides_lose_the_row_kind():
     # The registry names' row kinds are the differential harness's
-    # DECLARATIONS; here, the two ways a declaration stops holding.
+    # DECLARATIONS; here, the two ways a declaration stops holding, for
+    # every family.
     assert row_kind(NewestFirst()) is None
-    wrapped = make_scheduler("lspan")
-    wrapped.task_finished = wrapped.task_finished
-    assert row_kind(wrapped) is None
+    for name in ("lspan", "mqb", "emqb", "kgreedy-consolidate"):
+        for method in ("task_finished", "capacity_changed"):
+            wrapped = make_scheduler(name)
+            assert row_kind(wrapped) is not None
+            setattr(wrapped, method, getattr(wrapped, method))
+            assert row_kind(wrapped) is None, (name, method)
+
+    class Reweighted(EMQB):
+        def _pick_best(self, alpha, extra):
+            return super()._pick_best(alpha, extra)
+
+    class Uncapped(KGreedyConsolidate):
+        def assign(self, free, time):
+            return KGreedy.assign(self, free, time)
+
+    assert row_kind(Reweighted()) is None
+    assert row_kind(Uncapped()) is None
 
 
 def test_class_override_runs_python_loop(kernel, instance):
@@ -152,13 +169,37 @@ def test_preemptive_override_and_event_stream_run_python_loop(kernel, instance, 
 
 @pytest.mark.parametrize("name", ROW_NAMES)
 def test_fault_engine_runs_python_loop(kernel, instance, name):
+    # The fault runs the gate keeps on the Python seam: an event stream
+    # watches the run, or the scheduler has its own capacity_changed.
+    # Either way the run is the C loop's.
+    timeline = FaultTimeline([Outage(0, 0, 1.0, 3.0), Outage(1, 1, 2.5, 9.0)])
     tel = Telemetry()
-    res = simulate_with_faults(
-        *instance, make_scheduler(name), FaultTimeline(), record_trace=True,
+    ref = simulate_with_faults(
+        *instance, make_scheduler(name), timeline, record_trace=True,
+        telemetry=tel,
+    )
+    assert tel.counters["native.runs"] == 1
+    events = EventStream()
+    tel = Telemetry(events=events)
+    streamed = simulate_with_faults(
+        *instance, make_scheduler(name), timeline, record_trace=True,
         telemetry=tel,
     )
     assert "native.runs" not in tel.counters
-    _same(res, simulate(*instance, make_scheduler(name), record_trace=True))
+    assert len(events.of_kind("fail")) == len(events.of_kind("repair")) == 2
+    scheduler = make_scheduler(name)
+    seen = []
+    scheduler.capacity_changed = lambda alpha, up, time: seen.append((alpha, up, time))
+    tel = Telemetry()
+    hooked = simulate_with_faults(
+        *instance, scheduler, timeline, record_trace=True, telemetry=tel
+    )
+    assert "native.runs" not in tel.counters
+    p0, p1 = instance[1].counts[:2]
+    assert seen == [(0, p0 - 1, 1.0), (1, p1 - 1, 2.5), (0, p0, 3.0), (1, p1, 9.0)]
+    for other in (streamed, hooked):
+        _same(other, ref)
+        assert (other.kills, other.wasted_work) == (ref.kills, ref.wasted_work)
 
 
 def _raw_job(types, work, children, k):
@@ -283,6 +324,106 @@ def test_bad_input_is_an_error_not_a_crash(kernel):
                     kind, job, counts, 1.0, 1000, record_trace=True,
                     trace_cap=job.n_tasks - 1, **state,
                 )
+
+
+def _random_timeline(counts, rng) -> list:
+    """1-6 outages on ``counts`` as :meth:`MQBKernel.run`'s timeline
+    arrays, in ``FaultTimeline.events()`` order."""
+    outages = []
+    for _ in range(int(rng.integers(1, 7))):
+        a = int(rng.integers(len(counts)))
+        t = float(rng.integers(0, 8)) / 2
+        outages.append(
+            Outage(a, int(rng.integers(counts[a])), t, t + float(rng.integers(1, 5)) / 2)
+        )
+    return [a.copy() for a in _timeline_arrays(FaultTimeline(outages).events())]
+
+
+def _break_alpha(timeline, counts, rng):
+    timeline[2][int(rng.integers(len(timeline[2])))] = rng.choice([-1, len(counts), 99])
+
+
+def _break_proc(timeline, counts, rng):
+    i = int(rng.integers(len(timeline[3])))
+    timeline[3][i] = counts[timeline[2][i]] + int(rng.integers(0, 3))
+
+
+def _break_time(timeline, counts, rng):
+    timeline[0][int(rng.integers(len(timeline[0])))] = rng.choice(
+        [np.nan, -0.5, -1e-300, np.inf]
+    )
+
+
+def _break_order(timeline, counts, rng):
+    # Each FAIL precedes its REPAIR at a later time, so the reversed
+    # timeline puts a REPAIR before an earlier FAIL.
+    for a in timeline:
+        a[:] = a[::-1].copy()
+
+
+def _break_kind(timeline, counts, rng):
+    timeline[1] = timeline[1].astype(np.int64)
+    i = int(rng.integers(len(timeline[1])))
+    timeline[1][i] = rng.choice([2, -1, 1 - timeline[1][i]])
+
+
+TIMELINE_CORRUPTIONS = (_break_alpha, _break_proc, _break_time, _break_order, _break_kind)
+
+
+def test_bad_fault_and_energy_input_is_an_error_not_a_crash(kernel):
+    # Generated well-formed jobs under well-formed timelines, each
+    # timeline broken one way: an alpha out of range, a processor past
+    # its type's count, a NaN, infinite or negative time, entries out
+    # of order, or a kind that is not FAIL or REPAIR (or breaks a
+    # processor's FAIL/REPAIR alternation).
+    rng = np.random.default_rng(12)
+    for corrupt in TIMELINE_CORRUPTIONS:
+        for kind in ("static", "mqb"):
+            for _ in range(50):
+                job, counts, state = _random_raw_job(rng)
+                timeline = _random_timeline(counts, rng)
+                kernel.run(kind, job, counts, timeline=[a.copy() for a in timeline],
+                           record_trace=True, **state)
+                corrupt(timeline, counts, rng)
+                with pytest.raises(OSError, match="bad input"):
+                    kernel.run(kind, job, counts, timeline=timeline, **state)
+    job, counts, state = _random_raw_job(rng)
+    timeline = _random_timeline(counts, rng)
+    with pytest.raises(ValueError, match="timeline"):
+        kernel.run("static", job, counts, timeline=timeline[:3] + [timeline[3][:-1]],
+                   keys=state["keys"])
+    # The energy rows' vectors: weights must be finite and >= 0, caps
+    # >= 1, one per type, and only on their own row kinds.
+    k = job.num_types
+    loops = (
+        kernel.run,
+        lambda kind, job, counts, **kw: kernel.run_preemptive(
+            kind, job, counts, 1.0, 1000, **kw
+        ),
+    )
+    for run in loops:
+        run("emqb", job, counts, d=state["d"], weights=np.ones(k))
+        run("consolidate", job, counts, keys=state["keys"], caps=np.ones(k, int))
+        for bad in (-1.0, np.nan, np.inf, -np.inf):
+            weights = np.ones(k)
+            weights[int(rng.integers(k))] = bad
+            with pytest.raises(OSError, match="bad input"):
+                run("emqb", job, counts, d=state["d"], weights=weights)
+        for bad in (0, -1, -(2**40)):
+            caps = np.ones(k, dtype=np.int64)
+            caps[int(rng.integers(k))] = bad
+            with pytest.raises(OSError, match="bad input"):
+                run("consolidate", job, counts, keys=state["keys"], caps=caps)
+        with pytest.raises(ValueError, match="do not match"):
+            run("emqb", job, counts, d=state["d"], weights=np.ones(k + 1))
+        with pytest.raises(ValueError, match="do not match"):
+            run("consolidate", job, counts, keys=state["keys"], caps=np.ones(k + 1, int))
+        with pytest.raises(ValueError, match="needs weights"):
+            run("emqb", job, counts, d=state["d"])
+        with pytest.raises(ValueError, match="takes no caps"):
+            run("mqb", job, counts, d=state["d"], caps=np.ones(k, int))
+        with pytest.raises(OSError, match="bad input"):
+            run("emqb", job, counts, d=state["d"], mode="min", weights=np.ones(k))
 
 
 @pytest.mark.parametrize("kind", ["static", "mqb"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ValidationError
@@ -144,3 +145,44 @@ class TestColumnarView:
         t = ScheduleTrace()
         t.add(0, 0, 0, 0.0, 1.0)
         assert t.as_columns() is t.as_columns()
+
+
+class TestFromColumns:
+    """A trace handed over as columns, as the native loops return it."""
+
+    @staticmethod
+    def columnar(killed=None):
+        return ScheduleTrace.from_columns(
+            np.array([3, 4]), np.array([1, 0]), np.array([2, 0]),
+            np.array([0.5, 1.0]), np.array([1.5, 2.0]), killed,
+        )
+
+    def test_equals_the_trace_built_by_add(self):
+        t = self.columnar(np.array([True, False]))
+        assert len(t) == 2 and t._segments is None
+        assert t.makespan() == 2.0
+        assert t._segments is None  # the metrics read the columns as given
+        built = ScheduleTrace()
+        built.add(3, 1, 2, 0.5, 1.5, killed=True)
+        built.add(4, 0, 0, 1.0, 2.0)
+        assert t == built
+        assert t.segments == built.segments
+        assert self.columnar() != built  # killed defaults to all false
+
+    def test_nonpositive_duration_rejected_like_segment(self):
+        with pytest.raises(ValidationError) as want:
+            Segment(4, 0, 0, 1.0, 1.0)
+        with pytest.raises(ValidationError) as got:
+            ScheduleTrace.from_columns(
+                np.array([3, 4, 5]), np.array([1, 0, 0]), np.array([2, 0, 1]),
+                np.array([0.5, 1.0, 2.0]), np.array([1.5, 1.0, 1.0]),
+            )
+        assert str(got.value) == str(want.value)
+
+    def test_add_and_cut_extend_a_columnar_trace(self):
+        t = self.columnar()
+        t.add(5, 0, 1, 2.0, 3.0)
+        t.cut(0, 1.0)
+        assert t.as_columns()["task"].tolist() == [3, 4, 5]
+        assert t.as_columns()["killed"].tolist() == [True, False, False]
+        assert t.segments_of(3) == [Segment(3, 1, 2, 0.5, 1.0, killed=True)]

@@ -21,6 +21,15 @@ through every run kind and checks one of two outcomes:
   identity to ``simulate_preemptive`` on ``REPRO_NATIVE=0`` (makespan,
   decisions and every segment) at quanta 1.0, 0.5 and 2.5, and its
   telemetry against the Python loop's;
+* the **energy rows** (EMQB's weights at w = 0, 0.5 and 1 on the
+  ``hetero`` and ``baseline`` power configs, KGreedyConsolidate's caps
+  at r = 0.25, 0.5 and 1) in the native and preemptive native columns;
+* for the names with a row kind, the native loop's **fault seam**:
+  identity to ``simulate_with_faults`` on ``REPRO_NATIVE=0`` (makespan,
+  decisions, kills, wasted work and every segment with its killed
+  flag) under both recovery policies, telemetry off and on; its
+  telemetry against the Python seam's; and the livelock guard's and a
+  stall's errors;
 * the native **offline passes**, byte for byte against numpy: KDag's
   peel (order, depth, levels), the bottom and top levels, the
   different-child distance, the typed, untyped and one-step descendant
@@ -46,7 +55,12 @@ Inputs:
   work, descendant row), which the C loop scores once per class — the
   native and counters columns for MQB's balance, carry and information
   variants;
-* the energy matrix's 3 cells x 3 instances: the energy off-switches;
+* the energy matrix's 3 cells x 3 instances: the energy off-switches
+  and the energy rows;
+* for the fault columns: each loop-golden input under its golden
+  timelines (an outage from t = 0, failures at a completion-and-dispatch
+  instant, renewal timelines on the generated cells) and staggered
+  maintenance windows, and hypothesis draws of up to eight outages;
 * for the preemptive columns: the loop-golden edge shapes, hypothesis
   draws and one instance of each of Fig. 7's three layered cells;
 * for the offline passes: the loop-golden inputs, hypothesis draws,
@@ -84,18 +98,21 @@ from repro.core.kdag import KDag
 from repro.core.properties import _bottom_levels
 from repro.energy.metrics import energy_breakdown
 from repro.energy.models import power_config
-from repro.errors import ConfigurationError, CycleError
+from repro.errors import (
+    ConfigurationError, CycleError, SchedulingError, ValidationError,
+)
 from repro.experiments.energy import run_energy_comparison
 from repro.experiments.robustness import run_robustness_comparison
 from repro.experiments.runner import run_comparison
-from repro.faults.engine import simulate_with_faults
-from repro.faults.models import FaultTimeline
+from repro.faults.engine import POLICIES, simulate_with_faults
+from repro.faults.models import FaultTimeline, MaintenanceWindows, Outage
 from repro.obs.events import EventStream
 from repro.obs.telemetry import Telemetry
 from repro.schedulers.registry import available_schedulers, make_scheduler
 from repro.schedulers.shiftbt import edd_max_lateness_schedule, top_levels
 from repro.service.executor import ServiceExecutor
 from repro.service.protocol import ProtocolError, ScheduleRequest, SweepRequest
+from repro.sim.engine import simulate
 from repro.sim.preemptive import simulate_preemptive
 from repro.sim.validate import validate_schedule
 from repro.system.resources import ResourceConfig
@@ -105,7 +122,7 @@ from repro.workloads.generator import (
 from repro.workloads.params import EPParams, TreeParams, WorkloadSpec
 from repro.workloads.tree import _expand, generate_tree
 from tests.properties.test_schedule_invariants import jobs_and_systems
-from tests.sim.test_loop_golden import _jobs
+from tests.sim.test_loop_golden import _jobs, _timelines
 
 NAMES = available_schedulers()
 
@@ -129,16 +146,16 @@ DECLARATIONS = {
     "mqb+1step+pre": (False, "mqb", "mqb"),
     "mqb+1step+exp": (False, "mqb", "mqb"),
     "mqb+1step+noise": (False, "mqb", "mqb"),
-    "dkgreedy": (True, None, None),
-    "dkgreedy[half]": (True, None, None),
-    "dkgreedy[global]": (True, None, None),
-    "dmqb": (True, None, None),
-    "dmqb[half]": (True, None, None),
-    "dmqb[global]": (True, None, None),
-    "emqb": (False, None, None),
-    "emqb[w=0.5]": (False, None, None),
-    "kgreedy-consolidate": (False, None, None),
-    "kgreedy-consolidate[r=0.5]": (False, None, None),
+    "dkgreedy": (True, "static", "static"),
+    "dkgreedy[half]": (True, "static", "static"),
+    "dkgreedy[global]": (True, "static", "static"),
+    "dmqb": (True, "mqb", "mqb"),
+    "dmqb[half]": (True, "mqb", "mqb"),
+    "dmqb[global]": (True, "mqb", "mqb"),
+    "emqb": (False, "emqb", "emqb"),
+    "emqb[w=0.5]": (False, "emqb", "emqb"),
+    "kgreedy-consolidate": (False, "consolidate", "consolidate"),
+    "kgreedy-consolidate[r=0.5]": (False, "consolidate", "consolidate"),
 }
 DECENTRAL = [name for name in NAMES if DECLARATIONS[name][0]]
 CENTRAL = [name for name in NAMES if not DECLARATIONS[name][0]]
@@ -154,11 +171,25 @@ IDENTICAL_TO = {
     "kgreedy-consolidate[r=1]": "kgreedy",
 }
 
-#: Names whose picks the native kernel must carry.  EMQB's scoring
-#: override and the stealing loop's local picks stay on numpy.
+#: Names whose picks count as ``native.calls``: MQB's, in the C loop or
+#: through the per-pick kernel.  EMQB's picks run in the C loop too, but
+#: count as the Python loop counts them, not at all; the stealing
+#: loop's local picks stay on numpy.
 KERNEL = {name for name in NAMES if name.startswith("mqb")} | {"dmqb[global]"}
-#: Names with a row kind: the native whole-run loop carries their runs.
-ROW_NAMES = [name for name in NAMES if DECLARATIONS[name][2] is not None]
+#: Centralized names with a row kind: the native whole-run loops carry
+#: their runs.  The decentralized names keep their bases' row kinds,
+#: which only their degenerate policy's runs reach.
+ROW_NAMES = [name for name in CENTRAL if DECLARATIONS[name][2] is not None]
+#: The energy rows' settings: EMQB's weight w on a power config whose
+#: idle draws differ across types and on one whose draws do not, and
+#: KGreedyConsolidate's ratio r.
+ENERGY_ROWS = (
+    "emqb[w=0]", "emqb[w=0.5]", "emqb[w=1]",
+    "emqb[w=0,power=baseline]", "emqb[w=0.5,power=baseline]",
+    "emqb[w=1,power=baseline]",
+    "kgreedy-consolidate[r=0.25]", "kgreedy-consolidate[r=0.5]",
+    "kgreedy-consolidate[r=1]",
+)
 
 SEED = 7
 #: The loop-golden inputs: six edge shapes, then three generated cells.
@@ -265,16 +296,29 @@ def _rng(i: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([SEED, i]))
 
 
-def _run(engine, name, job, system, i, **kwargs):
+def _run(engine, name, job, system, i, *extra, **kwargs):
     return engine(
-        job, system, make_scheduler(name), rng=_rng(i), record_trace=True,
-        **kwargs,
+        job, system, make_scheduler(name), *extra, rng=_rng(i),
+        record_trace=True, **kwargs,
     )
 
 
 def _same(got, want, label: str) -> None:
     assert (got.makespan, got.decisions) == (want.makespan, want.decisions), label
     assert got.trace.segments == want.trace.segments, label
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the type and text of the scheduling or
+    validation error it raises: where the reference raises, the other
+    side must raise alike.  (Under the checkpoint policy a failure one
+    ulp before a completion leaves a sliver of work that a later
+    redispatch cannot represent, and both loops refuse the zero-length
+    segment; CHANGES.md records it.)"""
+    try:
+        return run()
+    except (SchedulingError, ValidationError) as exc:
+        return type(exc), str(exc)
 
 
 def _refusal(name: str, kind: str) -> str:
@@ -328,10 +372,12 @@ def _check_kernel(telemetry: Telemetry, picks: bool) -> None:
 def _whole_run(name: str, job) -> bool:
     """Whether a native run of ``name`` on ``job`` takes the C loop."""
     scheduler = make_scheduler(name)
+    if scheduler.decentral and not scheduler.steal_policy.is_degenerate:
+        return False  # the stealing loop
     kind = row_kind(scheduler)
-    if kind == "mqb":
+    if kind in ("mqb", "emqb"):
         return native.supported(scheduler._balance_mode, job.num_types)
-    return kind == "static"
+    return kind is not None
 
 
 # ----------------------------------------------------------------------
@@ -423,18 +469,25 @@ def test_native_column_on_cells():
         _check_scalar(name, NATIVE_CELLS, refs, bare=False)
 
 
-def _check_counters(name: str, inputs: list, preemptive: bool = False) -> None:
-    """Counters column: native on, ``Telemetry()`` runs take the C
-    loop, and an attached event stream keeps the Python loop.  Both
-    report the same counters (but the C loop's ``native.runs``),
-    histograms, timer keys and decision-round counts."""
-    engine = plan_run(make_scheduler(name), preemptive=preemptive)
+def _check_counters(name: str, inputs: list, engine, **kwargs) -> None:
+    """Counters column: native on, ``Telemetry()`` runs of ``engine``
+    take the C loop, and an attached event stream keeps the Python
+    loop.  Both report the same counters (but the C loop's
+    ``native.runs``), histograms, timer keys and decision-round counts.
+    An input is ``(job, system, *engine arguments)``."""
     with _native(True):
-        for i, (job, system) in enumerate(inputs):
+        for i, (job, system, *extra) in enumerate(inputs):
             fast, slow = Telemetry(), Telemetry(events=EventStream())
-            res = _run(engine, name, job, system, i, telemetry=fast)
-            _run(engine, name, job, system, i, telemetry=slow)
+            res, other = (
+                _outcome(lambda t=t: _run(
+                    engine, name, job, system, i, *extra, telemetry=t, **kwargs
+                ))
+                for t in (fast, slow)
+            )
             label = f"{name}, input {i}"
+            if isinstance(res, tuple) or isinstance(other, tuple):
+                assert res == other, label
+                continue
             assert fast.counters.pop("native.runs", 0) == _whole_run(name, job), label
             assert "native.runs" not in slow.counters, label
             assert fast.counters == slow.counters, label
@@ -448,7 +501,7 @@ def _check_counters(name: str, inputs: list, preemptive: bool = False) -> None:
 def test_counters_column(name):
     if native.load_kernel() is None:
         pytest.skip(f"native kernel unavailable: {native.native_status()['error']}")
-    _check_counters(name, INPUTS + NATIVE_CELLS)
+    _check_counters(name, INPUTS + NATIVE_CELLS, plan_run(make_scheduler(name)))
 
 
 def test_class_pool_inputs():
@@ -469,7 +522,7 @@ def test_class_pool_columns(name):
     inputs = [inst for inst, _ in CLASS_POOLS.values()]
     refs = _references(name, inputs)
     _check_scalar(name, inputs, refs)
-    _check_counters(name, inputs)
+    _check_counters(name, inputs, plan_run(make_scheduler(name)))
     take_all = refs[list(CLASS_POOLS).index("take-all")].trace.segments[1:13]
     assert [seg.task for seg in take_all] == list(range(1, 13))
     assert len({seg.start for seg in take_all}) == 1
@@ -531,7 +584,152 @@ def test_preemptive_native_column_on_generated_jobs(name, data):
 def test_preemptive_counters_column(name):
     if native.load_kernel() is None:
         pytest.skip(f"native kernel unavailable: {native.native_status()['error']}")
-    _check_counters(name, EDGE + PREEMPTIVE_CELLS, preemptive=True)
+    _check_counters(name, EDGE + PREEMPTIVE_CELLS, simulate_preemptive)
+
+
+@pytest.mark.parametrize("name", ENERGY_ROWS)
+def test_energy_rows_native_columns(name):
+    # EMQB's weights and KGreedyConsolidate's caps in both C loops: the
+    # native column on the edge shapes and the energy matrix's cells,
+    # the preemptive native column on its inputs.
+    inputs = EDGE + ENERGY_CELLS
+    _check_scalar(name, inputs, _references(name, inputs))
+    _check_preemptive(name, EDGE + PREEMPTIVE_CELLS)
+
+
+# ----------------------------------------------------------------------
+# faults columns
+# ----------------------------------------------------------------------
+def _maintenance(job: KDag, system: ResourceConfig) -> FaultTimeline:
+    """Staggered windows from t = 0 whose up-time fits any task."""
+    period = 2.0 * float(job.work.max())
+    horizon = 2.0 * simulate(job, system, make_scheduler("kgreedy")).makespan
+    return MaintenanceWindows(
+        period=period, duration=period / 4.0, stagger=period / 7.0
+    ).sample(system, horizon, np.random.default_rng(0))
+
+
+#: The fault inputs: every loop-golden input under its golden timelines
+#: (a t = 0 outage, failures at a completion-and-dispatch instant, and
+#: renewal timelines on the generated cells) and maintenance windows.
+FAULT_INPUTS = [
+    (job, system, timeline)
+    for job, system in INPUTS
+    for timeline in (*_timelines(job, system).values(), _maintenance(job, system))
+]
+
+
+@st.composite
+def fault_draws(draw):
+    """A hypothesis job and system under up to eight outages that start
+    on the quarter grid, where integer works complete."""
+    job, system = draw(jobs_and_systems())
+    k = system.num_types
+    outages = draw(st.lists(
+        st.tuples(
+            st.integers(0, k - 1), st.integers(0, 2),
+            st.integers(0, 28).map(lambda q: q / 4.0),
+            st.sampled_from((0.25, 0.5, 1.0, 2.0, 3.5)),
+        ),
+        max_size=8,
+    ))
+    return job, system, FaultTimeline(
+        Outage(a, p % system.counts[a], t, t + d) for a, p, t, d in outages
+    )
+
+
+def _same_faults(got, want, label: str) -> None:
+    # Segment equality includes the killed flag; a run that raised must
+    # raise alike on the other side.
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        assert got == want, label
+        return
+    _same(got, want, label)
+    assert (got.kills, got.wasted_work) == (want.kills, want.wasted_work), label
+
+
+def _check_faults(name: str, inputs: list) -> None:
+    """Faults native column: native runs, telemetry off and on (no event
+    stream), against ``REPRO_NATIVE=0``'s seam, under both policies."""
+    telemetry = Telemetry()
+    for policy in POLICIES:
+        def run(i, job, system, timeline, t=None):
+            return _outcome(lambda: _run(
+                simulate_with_faults, name, job, system, i, timeline,
+                policy=policy, telemetry=t,
+            ))
+
+        with _native(False):
+            refs = [run(i, *inp) for i, inp in enumerate(inputs)]
+        with _native(True):
+            for i, inp in enumerate(inputs):
+                for t in (None, telemetry):
+                    _same_faults(
+                        run(i, *inp, t), refs[i], f"{name} faults, {policy}, input {i}"
+                    )
+    _check_kernel(telemetry, False)
+    if native.load_kernel() is not None:
+        whole = sum(_whole_run(name, job) for job, _, _ in inputs) * len(POLICIES)
+        assert telemetry.counters.get("native.runs", 0) == whole, name
+
+
+@pytest.mark.parametrize("name", ROW_NAMES)
+def test_faults_native_column(name):
+    _check_faults(name, FAULT_INPUTS)
+
+
+@pytest.mark.parametrize("name", ROW_NAMES)
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_faults_native_column_on_generated_timelines(name, data):
+    _check_faults(name, [data.draw(fault_draws())])
+
+
+@pytest.mark.parametrize("name", ROW_NAMES)
+def test_faults_counters_column(name):
+    if native.load_kernel() is None:
+        pytest.skip(f"native kernel unavailable: {native.native_status()['error']}")
+    for policy in POLICIES:
+        _check_counters(name, FAULT_INPUTS, simulate_with_faults, policy=policy)
+
+
+def test_fault_errors_from_a_c_run():
+    # The livelock guard's and a stall's errors, raised after a C run,
+    # carry the Python seam's messages, and telemetry holds the same
+    # decision rounds.
+    if native.load_kernel() is None:
+        pytest.skip(f"native kernel unavailable: {native.native_status()['error']}")
+    one_task = KDag(types=[0], work=[2.0], num_types=1)
+    one = ResourceConfig((1,))
+    windows = MaintenanceWindows(period=1.0, duration=0.5, offset=0.5).sample(
+        one, 10_000.0, np.random.default_rng(0)
+    )
+    # No type-1 processor, which ResourceConfig refuses: task 1 is ready
+    # at t=2 and never runs.
+    two_tasks = KDag(types=[0, 1], work=[2.0, 1.0], edges=[(0, 1)], num_types=2)
+    no_type_1 = object.__new__(ResourceConfig)
+    object.__setattr__(no_type_1, "counts", (1, 0))
+    cases = [
+        ("livelock guard", one_task, one, windows, ROW_NAMES),
+        ("down processors", two_tasks, no_type_1,
+         FaultTimeline([Outage(0, 0, 0.5, 1.0)]), ("kgreedy", "mqb")),
+    ]
+    for match, job, system, timeline, names in cases:
+        for name in names:
+            errors = []
+            for on, telemetry in ((False, None), (True, Telemetry()),
+                                  (True, Telemetry(events=EventStream()))):
+                with _native(on), pytest.raises(SchedulingError, match=match) as err:
+                    _run(
+                        simulate_with_faults, name, job, system, 0, timeline,
+                        max_kills=25, telemetry=telemetry,
+                    )
+                errors.append((str(err.value), telemetry))
+            (text, _), (fast_text, fast), (slow_text, slow) = errors
+            assert text == fast_text == slow_text, name
+            assert fast.counters.pop("native.runs") == 1, name
+            assert fast.counters == slow.counters, name
+            assert fast.timers.keys() == slow.timers.keys(), name
 
 
 # ----------------------------------------------------------------------
